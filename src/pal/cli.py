@@ -94,9 +94,9 @@ def cmd_verify(args) -> int:
     obj = io.load(args.input)
     kind = obj.get("kind")
     if kind == "plane-arc":
-        fld = io.field_from_json(obj["field"])
-        space = ProjSpace(2, fld)
-        pts = [tuple(p) for p in obj["points"]]
+        field, points = io._need(obj, "field", "points")
+        space = ProjSpace(2, io.field_from_json(field))
+        pts = [tuple(p) for p in points]
         rep = verify_karc(space, pts)
         out = _report("verify-report", {
             "input_kind": kind, "ok": rep.ok, "k": rep.k, "max_k": rep.max_k,
@@ -104,10 +104,9 @@ def cmd_verify(args) -> int:
             else {"kind": "collinear-triple", "indices": list(rep.collinear_witness)},
             "reason": rep.reason})
     elif kind == "pseudo-arc":
-        fld = io.field_from_json(obj["field"])
-        n = obj["n"]
-        space = ProjSpace(3 * n - 1, fld)
-        subs = [io.subspace_from_json(e, space) for e in obj["elements"]]
+        field, n, elements = io._need(obj, "field", "n", "elements")
+        space = ProjSpace(3 * n - 1, io.field_from_json(field))
+        subs = [io.subspace_from_json(e, space) for e in elements]
         rep = verify_pseudo_arc(space, subs)
         out = _report("verify-report", {
             "input_kind": kind, "ok": rep.ok, "k": rep.k, "n": rep.n,
@@ -171,26 +170,23 @@ def cmd_derive(args) -> int:
             spread = derive_spread_from_nucleus(arc, args.explicit_complement)
         else:
             spread = derive_spread_from_element(arc, idx, args.explicit_complement)
-        sr = verify_spread(spread)
-        rr = is_regular_spread(spread)
-        return name, spread, sr, rr
+        return name, spread, is_regular_spread(spread)
 
-    results = pmap(run, jobs)
+    # the derive functions verify each spread and raise if it fails, so
+    # every spread that reaches the report is ok
     entries = []
-    ok = True
-    for name, spread, sr, rr in results:
+    for name, spread, rr in pmap(run, jobs):
         path = outdir / f"delta_{name}.json"
         io.save(path, io.spread_to_json(spread))
-        entries.append({"index": name, "file": str(path), "spread_ok": sr.ok,
+        entries.append({"index": name, "file": str(path), "spread_ok": True,
                         "regular": rr.regular, "vacuous": rr.vacuous,
-                        "witness": rr.witness or sr.witness})
-        ok = ok and sr.ok
-        print(f"delta[{name}]: spread={'ok' if sr.ok else 'FAIL'} "
+                        "witness": rr.witness})
+        print(f"delta[{name}]: spread=ok "
               f"regular={'yes' if rr.regular else 'NO'}"
               f"{' (vacuous q=2)' if rr.vacuous else ''}")
     io.save(outdir / "derive_report.json",
-            _report("derive-report", {"ok": ok, "spreads": entries}))
-    return PASS if ok else FAIL
+            _report("derive-report", {"ok": True, "spreads": entries}))
+    return PASS
 
 
 # -- dualize -----------------------------------------------------------------------
@@ -290,7 +286,7 @@ def cmd_theorem(args) -> int:
         "theorem": rep.theorem, "hypothesis": rep.hypothesis,
         "spreads": rep.spreads, "forward": rep.forward,
         "converse": rep.converse, "recognition": rep.recognition,
-        "verdict": rep.verdict, "seconds": rep.seconds})
+        "verdict": rep.verdict})
     _emit(args, out)
     print(f"theorem {rep.theorem}: {rep.verdict} "
           f"(forward={rep.forward}, converse={rep.converse})")

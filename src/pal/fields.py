@@ -3,8 +3,11 @@
 Characteristic-2 fields GF(2^m), m <= 16, are the workhorse: elements are
 ints whose bits are the coefficients of a polynomial over GF(2), reduced
 modulo a fixed irreducible modulus.  Zero and one are always coded 0 and 1,
-and addition is xor.  Odd prime fields GF(p), p <= 13, exist only for the
-odd-order plane-arc spot checks; no odd prime-power extensions are provided.
+and addition is xor.  For m <= 8 a field also offers a full multiplication
+table, built on first use and shared by all equal fields, which the
+linear-algebra kernel in `projective` reads in place of `mul`.  Odd prime
+fields GF(p), p <= 13, exist only for the odd-order plane-arc spot checks;
+no odd prime-power extensions are provided.
 
 Subfield towers GF(q) < GF(q^n) with q = 2^h carry the Frobenius map
 x -> x^q, Galois orbits, and the expand/compress maps between GF(q^n)^k
@@ -16,6 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 MAX_DEGREE = 16
+TABLE_MAX_DEGREE = 8  # largest m whose q x q multiplication table is kept
 
 # Fixed moduli shipped with the artifact, keyed by degree.  Any other
 # irreducible modulus is accepted when given explicitly.
@@ -97,6 +101,7 @@ class FiniteField:
         self.order = p**m
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._table: tuple[tuple[int, ...], ...] | None = None
         if p == 2 and m <= 12:
             self._build_tables()
 
@@ -184,6 +189,15 @@ class FiniteField:
             e >>= 1
         return r
 
+    def mul_table(self) -> tuple[tuple[int, ...], ...] | None:
+        """Rows T with T[a][b] = a*b for GF(2^m), m <= TABLE_MAX_DEGREE; else None.
+
+        Built on first use and shared by every field with the same modulus.
+        """
+        if self._table is None and self.p == 2 and self.m <= TABLE_MAX_DEGREE:
+            self._table = _mul_table(self.m, self.modulus)
+        return self._table
+
     def elements(self) -> range:
         return range(self.order)
 
@@ -205,6 +219,18 @@ class FiniteField:
         if self.p == 2:
             return f"GF(2^{self.m}; mod={self.modulus:#b})" if self.m > 1 else "GF(2)"
         return f"GF({self.p})"
+
+
+@lru_cache(maxsize=None)
+def _mul_table(m: int, modulus: int) -> tuple[tuple[int, ...], ...]:
+    field = FiniteField(2, m, modulus)
+    exp, log = field._exp, field._log
+    rest = range(1, field.order)
+    rows = [(0,) * field.order]
+    for a in rest:
+        la = log[a]
+        rows.append((0,) + tuple(exp[la + log[b]] for b in rest))
+    return tuple(rows)
 
 
 def field_make(m: int, modulus: int | None = None) -> FiniteField:

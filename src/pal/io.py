@@ -124,7 +124,7 @@ def plane_arc_to_json(arc: PlaneArc) -> dict:
 
 
 def plane_arc_from_json(obj: dict) -> PlaneArc:
-    fld = field_from_json(obj["field"])
+    fld = field_from_json(_need(obj, "field")[0])
     space = ProjSpace(2, fld)
     pts = [tuple(p) for p in obj["points"]]
     try:
@@ -144,7 +144,7 @@ def pseudo_arc_to_json(arc: PseudoArc) -> dict:
 
 
 def pseudo_arc_from_json(obj: dict) -> PseudoArc:
-    fld = field_from_json(obj["field"])
+    fld = field_from_json(_need(obj, "field")[0])
     n, elements = _need(obj, "n", "elements")
     space = ProjSpace(3 * n - 1, fld)
     subs = [subspace_from_json(e, space) for e in elements]
@@ -174,7 +174,7 @@ def spread_to_json(spread: Spread) -> dict:
 
 
 def spread_from_json(obj: dict) -> Spread:
-    fld = field_from_json(obj["field"])
+    fld = field_from_json(_need(obj, "field")[0])
     dim, elements = _need(obj, "ambient_dim", "elements")
     space = ProjSpace(dim, fld)
     subs = tuple(subspace_from_json(e, space) for e in elements)
@@ -199,7 +199,7 @@ def regulus_to_json(reg: Regulus) -> dict:
 
 
 def regulus_from_json(obj: dict) -> Regulus:
-    fld = field_from_json(obj["field"])
+    fld = field_from_json(_need(obj, "field")[0])
     dim, gens, elements = _need(obj, "ambient_dim", "generators", "elements")
     space = ProjSpace(dim, fld)
     g = tuple(subspace_from_json(e, space) for e in gens)

@@ -9,6 +9,14 @@ Duality is the orthogonal complement under the standard dot product; meets
 are computed through it.  Quotients by a subspace come in two flavours: the
 canonical chart on the non-pivot coordinates (default) and an explicit
 lexicographically-least complement for cross-checking.
+
+One linear-algebra kernel serves every field: `rref`, `rank`,
+`reduce_mod`, `kernel`, `vec_mat` and `mat_mul` are written once over
+three row operations (scale, add and subtract a multiple).  For GF(2^m)
+with m <= 8 these read the field's shared multiplication table, so a row
+operation is `[a ^ T[c][b] ...]`; odd prime fields and m > 8 call
+`field.mul` once per entry.  `rank` is forward elimination only, for the
+"do these span?" checks that need no canonical basis.
 """
 
 from __future__ import annotations
@@ -23,16 +31,41 @@ Vec = tuple[int, ...]
 POINT_ENUM_CAP = 10**7
 
 
-def rref(field: FiniteField, rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Canonical reduced row echelon form; returns (rows, pivot columns)."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    mul, sub, inv = field.mul, field.sub, field.inv
+def _row_ops(field: FiniteField):
+    """The kernel's row operations over `field`: (scale, add_scaled, sub_scaled).
+
+    scale(c, v) = c*v, add_scaled(u, c, v) = u + c*v and sub_scaled(u, c, v)
+    = u - c*v, as new lists.  GF(2^m) with m <= 8 reads the field's shared
+    multiplication table and adds by xor; other fields call field.mul per entry.
+    """
+    table = field.mul_table()
+    if table is not None:
+        def add_scaled(u, c, v):
+            t = table[c]
+            return [a ^ t[b] for a, b in zip(u, v)]
+
+        def scale(c, v):
+            t = table[c]
+            return [t[x] for x in v]
+        return scale, add_scaled, add_scaled
+    mul, add, sub = field.mul, field.add, field.sub
+    return (lambda c, v: [mul(c, x) for x in v],
+            lambda u, c, v: [add(a, mul(c, b)) for a, b in zip(u, v)],
+            lambda u, c, v: [sub(a, mul(c, b)) for a, b in zip(u, v)])
+
+
+def _echelon(field: FiniteField, rows, reduced: bool):
+    """Gaussian elimination on the nonzero rows, with every pivot scaled to 1.
+
+    Returns (rows, pivot columns).  Entries below each pivot are cleared, and
+    with `reduced` also those above it, which gives the RREF.
+    """
+    work = [r for r in rows if any(r)]
+    scale, _, sub_scaled = _row_ops(field)
+    inv = field.inv
     pivots = []
     r = 0
-    for col in range(ncols):
+    for col in range(len(work[0]) if work else 0):
         piv = None
         for i in range(r, len(work)):
             if work[i][col]:
@@ -43,30 +76,42 @@ def rref(field: FiniteField, rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
         work[r], work[piv] = work[piv], work[r]
         prow = work[r]
         if prow[col] != 1:
-            s = inv(prow[col])
-            prow = work[r] = [mul(s, x) for x in prow]
-        for i in range(len(work)):
+            prow = work[r] = scale(inv(prow[col]), prow)
+        for i in range(0 if reduced else r + 1, len(work)):
             if i != r:
                 c = work[i][col]
                 if c:
-                    row = work[i]
-                    work[i] = [sub(row[j], mul(c, prow[j])) for j in range(ncols)]
+                    work[i] = sub_scaled(work[i], c, prow)
         pivots.append(col)
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return work[:r], pivots
+
+
+def rref(field: FiniteField, rows) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Canonical reduced row echelon form; returns (rows, pivot columns)."""
+    work, pivots = _echelon(field, rows, True)
+    return tuple(tuple(row) for row in work), tuple(pivots)
+
+
+def rank(field: FiniteField, rows) -> int:
+    """Rank by forward elimination only; always equals len(rref(field, rows)[0]).
+
+    For the "do these span?" checks, which need no canonical basis.
+    """
+    return len(_echelon(field, rows, False)[1])
 
 
 def reduce_mod(field: FiniteField, vec: Vec, rows: tuple[Vec, ...],
                pivots: tuple[int, ...]) -> Vec:
     """Eliminate vec's pivot coordinates against an RREF basis."""
-    v = list(vec)
-    mul, sub = field.mul, field.sub
+    _, _, sub_scaled = _row_ops(field)
+    v = vec
     for row, p in zip(rows, pivots):
         c = v[p]
         if c:
-            v = [sub(v[j], mul(c, row[j])) for j in range(len(v))]
+            v = sub_scaled(v, c, row)
     return tuple(v)
 
 
@@ -113,24 +158,17 @@ def mat_inv(field: FiniteField, rows: list[Vec]) -> list[Vec]:
 
 
 def mat_mul(field: FiniteField, a, b) -> list[Vec]:
-    mul, add = field.mul, field.add
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for c, brow in zip(row, b):
-            if c:
-                acc = [add(acc[j], mul(c, brow[j])) for j in range(len(acc))]
-        out.append(tuple(acc))
-    return out
+    """The matrix product a . b, row by row."""
+    return [vec_mat(field, row, b) for row in a]
 
 
 def vec_mat(field: FiniteField, v: Vec, rows) -> Vec:
     """v . rows, i.e. the combination sum v[k] * rows[k]."""
-    mul, add = field.mul, field.add
+    _, add_scaled, _ = _row_ops(field)
     acc = [0] * len(rows[0])
     for c, row in zip(v, rows):
         if c:
-            acc = [add(acc[j], mul(c, row[j])) for j in range(len(acc))]
+            acc = add_scaled(acc, c, row)
     return tuple(acc)
 
 
@@ -398,8 +436,7 @@ def lex_least_complement(center: Subspace) -> Subspace:
     current = list(center.rows)
     cur_rank = center.rank
     for v in _normalized_vectors(field, ambient.dim + 1):
-        cand, _ = rref(field, current + [v])
-        if len(cand) > cur_rank:
+        if rank(field, current + [v]) > cur_rank:
             rows.append(v)
             current.append(v)
             cur_rank += 1

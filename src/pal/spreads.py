@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .projective import (Chart, ComplementProjection, ProjSpace, QuotientMap,
                          Subspace, _normalized_vectors, mat_inv, mat_mul, meet,
-                         rref, span, vec_mat)
+                         rank, span, vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces
 
 
@@ -175,7 +175,7 @@ def regulus_through(a: Subspace, b: Subspace, c: Subspace) -> Regulus:
     space = a.ambient
     fld = space.field
     for x, y in ((a, b), (a, c), (b, c)):
-        if len(rref(fld, x.rows + y.rows)[0]) != 2 * n:
+        if rank(fld, x.rows + y.rows) != 2 * n:
             raise ValueError("generators are not pairwise skew")
     m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
     x_rows, y_rows = _graph_map(fld, m_inv, b.rows, n)
@@ -256,7 +256,7 @@ def is_regular_spread(spread: Spread, mode: str = "auto",
     checked = 0
     for t in triples:
         a, b, c = (elems[i] for i in t)
-        if needs_filter and len(rref(fld, a.rows + b.rows + c.rows)[0]) != full_rank:
+        if needs_filter and rank(fld, a.rows + b.rows + c.rows) != full_rank:
             continue
         checked += 1
         reg = regulus_through(a, b, c)

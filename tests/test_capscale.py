@@ -1,13 +1,10 @@
 """Cap-scale instances (q^n = 64): GF(8) < GF(64) and GF(4) < GF(64).
 
 The q=4, n=3 case is the strongest in-hypothesis instance reachable under
-the default cap (q > 2 with n an odd prime).  The full recognition round
-trip there takes tens of seconds, so it is gated behind PAL_HEAVY_TESTS.
+the default cap (q > 2 with n an odd prime).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -64,9 +61,6 @@ def test_q4n3_derived_spread(arc_q4n3):
     assert rep.regular
 
 
-@pytest.mark.skipif(not os.environ.get("PAL_HEAVY_TESTS"),
-                    reason="set PAL_HEAVY_TESTS=1 to run the n=3 recognition "
-                           "round trip (tens of seconds)")
 def test_q4n3_recognition_round_trip(arc_q4n3):
     rm = reduction_map(4, 3)
     res = recognize_regular(arc_q4n3)

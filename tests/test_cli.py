@@ -67,6 +67,18 @@ def test_verify_rejects_malformed(tmp_path):
     assert main(["verify", str(f)]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "tangents"])
+@pytest.mark.parametrize("key", ["field", "n"])
+def test_missing_key_exits_2(arc_file, tmp_path, capsys, key, command):
+    obj = io.load(arc_file)
+    del obj[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(io.dumps(obj), encoding="utf-8")
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: missing field {key!r}\n"
+
+
 def test_tangents(arc_file, tmp_path):
     out = tmp_path / "tang.json"
     assert main(["tangents", str(arc_file), "-o", str(out)]) == 0
@@ -133,6 +145,14 @@ def test_theorem_cli(hyper_file, tmp_path):
     assert rep["verdict"] == "consistent"
     assert main(["theorem", "--id", "6.3", "--rho", "15", str(hyper_file),
                  "-o", str(tmp_path / "t3.json")]) == 0
+
+
+def test_theorem_report_byte_deterministic(arc_file, tmp_path):
+    outs = [tmp_path / "t1.json", tmp_path / "t2.json"]
+    for out in outs:
+        assert main(["theorem", "--id", "6.2", str(arc_file), "-o", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "seconds" not in io.load(outs[0], "theorem-report")
 
 
 def test_theorem_out_of_hypothesis(tmp_path):

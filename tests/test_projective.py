@@ -6,9 +6,10 @@ from itertools import combinations
 import pytest
 
 from pal import (ComplementProjection, ProjSpace, QuotientMap, Subspace, dual,
-                 gf, meet, span)
+                 gf, meet, prime_field, span)
+from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
 from pal.projective import (Chart, lex_least_complement, lin_solve, mat_inv,
-                            mat_mul, rref, vec_mat)
+                            mat_mul, rank, reduce_mod, rref, vec_mat)
 
 F2 = gf(2)
 F4 = gf(4)
@@ -190,3 +191,70 @@ def test_rref_canonical_properties():
     assert pivots == (0, 2)
     for i, p in enumerate(pivots):
         assert all(rr[j][p] == 0 for j in range(len(rr)) if j != i)
+
+
+def _reference_rref(field, rows):
+    """Gauss-Jordan elimination with one field.mul per entry, kept as the
+    reference the kernel's paths are checked against."""
+    work = [list(r) for r in rows if any(r)]
+    pivots = []
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        s = field.inv(work[r][col])
+        work[r] = [field.mul(s, x) for x in work[r]]
+        for i in range(len(work)):
+            c = work[i][col]
+            if i != r and c:
+                work[i] = [field.sub(x, field.mul(c, y))
+                           for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return tuple(tuple(r) for r in work[:len(pivots)]), tuple(pivots)
+
+
+KERNEL_FIELDS = ([FiniteField(2, m) for m in sorted(DEFAULT_MODULUS)
+                  if m <= TABLE_MAX_DEGREE]
+                 + [FiniteField(2, 9), FiniteField(2, 12), prime_field(5)])
+
+
+def _random_matrices(field, rnd, count=60):
+    out = []
+    for _ in range(count):
+        nrows, ncols = rnd.randint(1, 9), rnd.randint(1, 9)
+        rows = [tuple(rnd.randrange(field.order) for _ in range(ncols))
+                for _ in range(nrows)]
+        if nrows >= 3 and rnd.random() < 0.5:
+            # a dependent last row, so that ranks below full occur
+            a, b = rnd.randrange(field.order), rnd.randrange(field.order)
+            rows[-1] = tuple(field.add(field.mul(a, x), field.mul(b, y))
+                             for x, y in zip(rows[0], rows[1]))
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_kernel_table_and_per_entry_paths_agree(field, monkeypatch):
+    assert (field.mul_table() is not None) == (field.p == 2
+                                                and field.m <= TABLE_MAX_DEGREE)
+    rnd = random.Random(field.order)
+    cases = _random_matrices(field, rnd)
+    vecs = [tuple(rnd.randrange(field.order) for _ in rows[0]) for rows in cases]
+
+    def run():
+        out = []
+        for rows, v in zip(cases, vecs):
+            rr, pivots = rref(field, rows)
+            out.append((rr, pivots, rank(field, rows),
+                        reduce_mod(field, v, rr, pivots),
+                        mat_mul(field, rows, list(zip(*rows)))))
+        return out
+
+    chosen = run()
+    monkeypatch.setattr(field, "mul_table", lambda: None)
+    assert run() == chosen
+    for rows, (rr, pivots, r, _, _) in zip(cases, chosen):
+        assert (rr, pivots) == _reference_rref(field, rows)
+        assert r == len(rr)

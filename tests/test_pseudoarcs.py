@@ -8,6 +8,8 @@ from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, gf,
                  make_pseudo_arc, meet, nucleus, oval_nucleus_and_complete,
                  prime_field, reduction_map, span, tangent_lines, tangent_space,
                  tangent_spaces, verify_pseudo_arc)
+from pal.projective import rref
+from pal.pseudoarcs import PseudoArcReport
 
 
 def test_conic_reduction_verifies(conic_oval):
@@ -31,6 +33,61 @@ def test_corrupted_arc_fails_with_witness(conic_oval):
     assert not rep.ok
     assert rep.witness_triple is not None
     assert 16 in rep.witness_triple
+
+
+def _triple_sweep(ambient, elements):
+    """Plain sweep over every triple in order: the reference for the
+    pair-dual sweep of verify_pseudo_arc."""
+    n = elements[0].rank
+    q = ambient.field.order
+    max_k = q**n + 2 if q % 2 == 0 else q**n + 1
+    for t in combinations(range(len(elements)), 3):
+        rows = sum((elements[x].rows for x in t), ())
+        if len(rref(ambient.field, rows)[0]) != ambient.dim + 1:
+            return PseudoArcReport(False, len(elements), n, max_k, t,
+                                   "elements {},{},{} do not span the space".format(*t))
+    return PseudoArcReport(True, len(elements), n, max_k, None, "ok")
+
+
+def _near_miss(elements, p, b):
+    """Element p replaced by a space inside <e_0, e_b> skew to both: the
+    graph of the map that sends the basis of e_0 to that of e_b."""
+    e0, eb = elements[0], elements[b]
+    fld = e0.ambient.field
+    x = e0.ambient.subspace([tuple(fld.add(u, v) for u, v in zip(r0, rb))
+                             for r0, rb in zip(e0.rows, eb.rows)])
+    assert meet(x, e0).rank == 0 and meet(x, eb).rank == 0
+    return elements[:p] + [x] + elements[p + 1:]
+
+
+def _odd_q_arc():
+    arc5 = conic(prime_field(5))
+    return arc5.ambient, [span([p]) for p in arc5.points]
+
+
+def test_pair_dual_sweep_matches_triple_sweep(conic_oval):
+    oval43 = reduction_map(4, 3).reduce_arc(conic(64))
+    space42, elems42 = conic_oval.ambient, list(conic_oval.elements)
+    space5, elems5 = _odd_q_arc()
+    # element 1, or the last one, replaced by a line through a point of e_0
+    meeting = [elems42[:x] + [space42.subspace([elems42[0].rows[0],
+                                                (0, 0, 0, 0, 1, 2)])]
+               + elems42[x + 1:] for x in (1, 16)]
+    cases = [
+        (space42, _near_miss(elems42, 9, 14)),
+        (space42, _near_miss(elems42, 14, 13)),
+        (oval43.ambient, _near_miss(list(oval43.elements), 30, 50)),
+        (space42, meeting[0]),
+        (space42, meeting[1]),
+        (space5, elems5),
+        (space5, _near_miss(elems5, 3, 5)),
+    ]
+    for space, elems in cases:
+        assert verify_pseudo_arc(space, elems) == _triple_sweep(space, elems)
+    witnesses = [verify_pseudo_arc(space, elems).witness_triple
+                 for space, elems in cases]
+    assert witnesses == [(0, 9, 14), (0, 13, 14), (0, 30, 50), (0, 1, 2),
+                         (0, 1, 16), None, (0, 3, 5)]
 
 
 def test_size_bound(conic_hyperoval):
@@ -86,8 +143,7 @@ def test_nucleus(conic_oval, rmap42):
 
 def test_nucleus_odd_q_rejected():
     # n = 1: a plane oval is a pseudo-oval whose elements are points
-    arc5 = conic(prime_field(5))
-    pa = make_pseudo_arc(arc5.ambient, [span([p]) for p in arc5.points])
+    pa = make_pseudo_arc(*_odd_q_arc())
     assert pa.kind == "pseudo-oval" and pa.n == 1
     with pytest.raises(ValueError, match="odd"):
         nucleus(pa)

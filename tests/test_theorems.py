@@ -157,8 +157,7 @@ def test_lines_design_builder():
 
 def test_exit_codes():
     from pal.theorems import TheoremReport
-    base = dict(theorem="6.1", hypothesis={}, spreads=[], recognition=None,
-                seconds=0.0)
+    base = dict(theorem="6.1", hypothesis={}, spreads=[], recognition=None)
     assert TheoremReport(forward="pass", converse="pass",
                          verdict="consistent", **base).exit_code() == 0
     assert TheoremReport(forward="fail", converse="pass",
