@@ -20,9 +20,9 @@ from .sigma import (NotRegularError, PlaneModel, RecognitionResult,
                     spread_transversals)
 from .spreads import (DualArc, Regulus, Spread, count_reguli_through_pair,
                       derive_spread_from_element, derive_spread_from_nucleus,
-                      derive_tangent_spread_odd, dual_arc, is_regular_spread,
-                      opposite_regulus, regulus_through, transversal_lines,
-                      verify_spread)
+                      derive_tangent_spread_odd, distinct_reguli, dual_arc,
+                      is_regular_spread, opposite_regulus, regulus_through,
+                      transversal_lines, verify_spread)
 from .theorems import (DesignSpec, TheoremParams, TheoremReport, check_design,
                        check_theorem, lines_design, regulus_blocks,
                        spread_reguli_design)

@@ -2,8 +2,7 @@
 
 Exit codes: 0 pass, 1 fail with witness, 2 invalid input, 3 theorem
 inconsistent, 4 out of hypothesis.  All outputs are pal-v1 JSON with
-deterministic ordering; PAL_THREADS caps parallelism of independent
-spread checks.
+deterministic ordering.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from pathlib import Path
 from . import io
 from .fields import FieldTower, field_make
 from .planearcs import conic, translation_oval, verify_karc
-from .parallel import pmap
 from .projective import ProjSpace
 from .pseudoarcs import (PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces,
                          verify_pseudo_arc)
@@ -164,18 +162,15 @@ def cmd_derive(args) -> int:
         print("error: choose --index, --all or --nucleus", file=sys.stderr)
         return INVALID
 
-    def run(job):
-        name, idx = job
+    # the derive functions verify each spread and raise if it fails, so
+    # every spread that reaches the report is ok
+    entries = []
+    for name, idx in jobs:
         if idx is None:
             spread = derive_spread_from_nucleus(arc, args.explicit_complement)
         else:
             spread = derive_spread_from_element(arc, idx, args.explicit_complement)
-        return name, spread, is_regular_spread(spread)
-
-    # the derive functions verify each spread and raise if it fails, so
-    # every spread that reaches the report is ok
-    entries = []
-    for name, spread, rr in pmap(run, jobs):
+        rr = is_regular_spread(spread)
         path = outdir / f"delta_{name}.json"
         io.save(path, io.spread_to_json(spread))
         entries.append({"index": name, "file": str(path), "spread_ok": True,
@@ -364,33 +359,41 @@ def cmd_report(args) -> int:
     obj = io.load(args.input)
     kind = obj.get("kind")
     lines = [f"pal-v1 file: kind={kind}"]
+    need = io._need
     if kind == "pseudo-arc":
-        fld = obj["field"]
-        lines.append(f"  q=2^{fld['m']}={2 ** fld['m']}, n={obj['n']}, "
-                     f"{len(obj['elements'])} elements, kind={obj['arc_kind']}")
+        fld, n, elements, arc_kind = need(obj, "field", "n", "elements", "arc_kind")
+        (m,) = need(fld, "m")
+        lines.append(f"  q=2^{m}={2 ** m}, n={n}, "
+                     f"{len(elements)} elements, kind={arc_kind}")
         if obj.get("witness"):
             lines.append(f"  witness: {obj['witness'].get('source_kind')} "
                          f"via {obj['witness'].get('convention')}")
     elif kind == "plane-arc":
-        lines.append(f"  |points|={len(obj['points'])}, kind={obj['arc_kind']}")
+        points, arc_kind = need(obj, "points", "arc_kind")
+        lines.append(f"  |points|={len(points)}, kind={arc_kind}")
     elif kind == "spread":
-        lines.append(f"  {len(obj['elements'])} elements in PG({obj['ambient_dim']}, "
-                     f"{2 ** obj['field']['m'] if obj['field']['p'] == 2 else obj['field']['p']})"
+        elements, dim, fld = need(obj, "elements", "ambient_dim", "field")
+        p, m = need(fld, "p", "m")
+        lines.append(f"  {len(elements)} elements in PG({dim}, "
+                     f"{2 ** m if p == 2 else p})"
                      f", origin={obj.get('origin') or 'n/a'}")
     elif kind == "theorem-report":
-        lines.append(f"  theorem {obj['theorem']}: {obj['verdict']} "
-                     f"(forward={obj['forward']}, converse={obj['converse']})")
+        theorem, verdict, forward, converse = need(obj, "theorem", "verdict",
+                                                   "forward", "converse")
+        lines.append(f"  theorem {theorem}: {verdict} "
+                     f"(forward={forward}, converse={converse})")
     elif kind == "design-report":
-        lines.append(f"  {obj['t']}-({obj['v']},{obj['k']},{obj['lambda']}): "
-                     f"ok={obj['ok']}, blocks={obj['blocks']}")
+        t, v, k, lam, ok, blocks = need(obj, "t", "v", "k", "lambda", "ok", "blocks")
+        lines.append(f"  {t}-({v},{k},{lam}): ok={ok}, blocks={blocks}")
     elif kind == "regulus":
-        lines.append(f"  {len(obj['elements'])} elements in "
-                     f"PG({obj['ambient_dim']}, ...), "
+        elements, dim = need(obj, "elements", "ambient_dim")
+        lines.append(f"  {len(elements)} elements in PG({dim}, ...), "
                      f"contained_in_spread={obj.get('contained_in_spread')}")
     elif kind == "dual-arc":
-        lines.append(f"  {len(obj['betas'])} dual elements; "
-                     f"regular spreads: {sum(1 for g in obj['gammas'] if g['regular'])}"
-                     f"/{len(obj['gammas'])}")
+        betas, gammas = need(obj, "betas", "gammas")
+        regular = sum(1 for g in gammas if need(g, "regular")[0])
+        lines.append(f"  {len(betas)} dual elements; "
+                     f"regular spreads: {regular}/{len(gammas)}")
     elif kind in ("verify-report", "regularity-report", "derive-report",
                   "tangents-report", "design", "reduction-map"):
         keys = [k for k in ("ok", "reason", "count", "regular") if k in obj]

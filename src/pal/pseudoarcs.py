@@ -148,15 +148,9 @@ def _tangent(arc: PseudoArc, i: int) -> Subspace:
 
 
 def tangent_spaces(arc: PseudoArc) -> list[Subspace]:
-    """All tangent spaces, index-aligned with the elements; cached.
-
-    The per-element computations are independent and run through the
-    PAL_THREADS-capped map.
-    """
+    """All tangent spaces, index-aligned with the elements; cached."""
     if "tangents" not in arc._cache:
-        from .parallel import pmap
-        arc._cache["tangents"] = pmap(lambda i: _tangent(arc, i),
-                                      range(len(arc.elements)))
+        arc._cache["tangents"] = [_tangent(arc, i) for i in range(len(arc.elements))]
     return arc._cache["tangents"]
 
 

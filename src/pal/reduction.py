@@ -134,6 +134,21 @@ def frobenius_subspace(sub: Subspace, tower: FieldTower) -> Subspace:
     return Subspace(sub.ambient, rows, sub.pivots)
 
 
+def _orbit_sums(x: Vec, tower: FieldTower) -> list[list[int]]:
+    """The n orbit sums sum_l sigma^l(lambda * x), lambda = 1 << i the expansion basis."""
+    top = tower.top
+    n = tower.n
+    sums = []
+    for i in range(n):
+        conj = tuple(top.mul(1 << i, c) for c in x)
+        acc = list(conj)
+        for _ in range(n - 1):
+            conj = tuple(tower.frobenius(c) for c in conj)
+            acc = [a ^ c for a, c in zip(acc, conj)]
+        sums.append(acc)
+    return sums
+
+
 def rationalize_subspace(sub: Subspace, tower: FieldTower, target: ProjSpace) -> Subspace:
     """Rational form of a Galois-stable subspace over GF(q^n).
 
@@ -141,18 +156,9 @@ def rationalize_subspace(sub: Subspace, tower: FieldTower, target: ProjSpace) ->
     must have the same rank as the input, which is asserted (it fails when
     the input is not an extension of a rational subspace).
     """
-    top = tower.top
-    n = tower.n
     rows = []
     for r in sub.rows:
-        for i in range(n):
-            lam = 1 << i
-            scaled = tuple(top.mul(lam, c) for c in r)
-            conj = scaled
-            acc = list(scaled)
-            for _ in range(n - 1):
-                conj = tuple(tower.frobenius(c) for c in conj)
-                acc = [a ^ c for a, c in zip(acc, conj)]
+        for acc in _orbit_sums(r, tower):
             if not all(tower.in_base(c) for c in acc):
                 raise ValueError("subspace is not Galois-stable")
             rows.append(tuple(tower.restrict(c) for c in acc))
@@ -177,22 +183,8 @@ def rational_orbit_span(x: Vec, tower: FieldTower, target: ProjSpace) -> Subspac
     every coordinate lands in the embedded base field when x's orbit spans
     an n-space, which is asserted.
     """
-    top = tower.top
-    n = tower.n
-    orbit = [x]
-    for _ in range(n - 1):
-        orbit.append(tuple(tower.frobenius(c) for c in orbit[-1]))
-    rows = []
-    for i in range(n):
-        lam = 1 << i
-        scaled = tuple(top.mul(lam, c) for c in x)
-        conj = scaled
-        acc = list(scaled)
-        for _ in range(n - 1):
-            conj = tuple(tower.frobenius(c) for c in conj)
-            acc = [a ^ c for a, c in zip(acc, conj)]
-        rows.append(tuple(tower.restrict(c) for c in acc))
+    rows = [tuple(tower.restrict(c) for c in acc) for acc in _orbit_sums(x, tower)]
     sub = target.subspace(rows)
-    if sub.rank != n:
+    if sub.rank != tower.n:
         raise ValueError("Galois orbit does not span an (n-1)-subspace")
     return sub

@@ -26,8 +26,8 @@ from .projective import (Chart, ProjSpace, Subspace, Vec, _normalized_vectors,
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
-from .spreads import (Regulus, Spread, dual_arc, is_regular_spread,
-                      regulus_through, verify_spread)
+from .spreads import (Regulus, Spread, _graph_map, _graph_rows, dual_arc,
+                      is_regular_spread, regulus_through, verify_spread)
 
 
 class NotRegularError(ValueError):
@@ -67,21 +67,11 @@ def _matrix_field(spread: Spread, tower: FieldTower):
         raise ValueError("spread-set structure needs a spread of PG(2n-1, q)")
     a, c = elems[0], elems[1]
     m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-    mats = {}
-    fmap = None
-    for idx, e in enumerate(elems):
-        if idx in (0, 1):
-            continue
-        x_rows, y_rows = [], []
-        for row in e.rows:
-            coeff = vec_mat(fld, row, m_inv)
-            x_rows.append(coeff[:n])
-            y_rows.append(coeff[n:])
-        gmap = mat_mul(fld, mat_inv(fld, x_rows), y_rows)
-        if fmap is None:
-            fmap = gmap
-            f_inv = mat_inv(fld, gmap)
-        mats[idx] = tuple(mat_mul(fld, gmap, f_inv))
+    maps = {idx: _graph_map(fld, m_inv, e.rows, n)
+            for idx, e in enumerate(elems) if idx > 1}
+    fmap = maps[2]
+    f_inv = mat_inv(fld, fmap)
+    mats = {idx: tuple(mat_mul(fld, g, f_inv)) for idx, g in maps.items()}
     zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     mat_set = set(mats.values()) | {zero}
     if len(mat_set) != len(mats) + 1:
@@ -138,7 +128,7 @@ def spread_transversals(spread: Spread, tower: FieldTower) -> SigmaScaffold:
     if not closure.regular:
         raise NotRegularError("spread is not regular: " + closure.reason,
                               closure.witness)
-    u_lines, _ = _eigen_lines(spread, tower)
+    u_lines = _eigen_lines(spread, tower)
     top_space = u_lines[0].ambient
     for e in spread.elements:
         ext = extend_subspace(e, tower, top_space)
@@ -175,17 +165,10 @@ def _eigen_lines(spread: Spread, tower: FieldTower):
     if sorted(orbit) != roots:
         raise AssertionError("eigenvalues are not one Galois orbit")
     top_space = ProjSpace(spread.space.dim, top)
-
-    def embed_mat(m):
-        return [tuple(tower.embed(x) for x in row) for row in m]
-
-    a_ext = embed_mat(a.rows)
-    c_ext = embed_mat(c.rows)
-    gen_ext = embed_mat(gen)
-    f_ext = embed_mat(fmap)
-    mats_ext = [embed_mat(m) for m in mats.values()]
+    g_rows = _graph_rows(fld, a.rows, fmap, c.rows)
+    a_ext, g_ext, gen_ext = (_embed(m, tower) for m in (a.rows, g_rows, gen))
+    mats_ext = [_embed(m, tower) for m in mats.values()]
     u_lines = []
-    eigvecs = []
     for mu in orbit:
         # right kernel of transpose(gen) - mu*I is the row eigenspace
         rows_t = []
@@ -201,14 +184,12 @@ def _eigen_lines(spread: Spread, tower: FieldTower):
             img = vec_mat(top, avec, m_ext)
             if normalize_point(top, img) != normalize_point(top, avec):
                 raise AssertionError("spread-set matrices are not simultaneously diagonal")
-        pa = vec_mat(top, avec, a_ext)
-        pc = vec_mat(top, vec_mat(top, avec, f_ext), c_ext)
-        u_lines.append(top_space.subspace([pa, pc]))
-        eigvecs.append(avec)
+        u_lines.append(top_space.subspace([vec_mat(top, avec, a_ext),
+                                           vec_mat(top, avec, g_ext)]))
     for l in range(n):
         if frobenius_subspace(u_lines[l], tower) != u_lines[(l + 1) % n]:
             raise AssertionError("transversal lines are not one Galois orbit")
-    return u_lines, (a, c, fmap, eigvecs)
+    return u_lines
 
 
 def _eval_poly(fld, coeffs, x):
@@ -218,12 +199,9 @@ def _eval_poly(fld, coeffs, x):
     return v
 
 
-def _extend_chart_rows(carrier: Subspace, tower: FieldTower):
-    return [tuple(tower.embed(x) for x in row) for row in carrier.rows]
-
-
-def _to_ambient_top(vec: Vec, chart_rows_ext, top) -> Vec:
-    return vec_mat(top, vec, chart_rows_ext)
+def _embed(rows, tower: FieldTower) -> list[Vec]:
+    """A matrix over GF(q) read over GF(q^n)."""
+    return [tuple(tower.embed(x) for x in row) for row in rows]
 
 
 def _to_internal_top(vec: Vec, carrier: Subspace, chart_rows_ext, top) -> Vec:
@@ -264,13 +242,13 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     if not closure.regular:
         raise NotRegularError("gamma_i is not regular: " + closure.reason,
                               closure.witness)
-    u_lines_int, _ = _eigen_lines(gamma_i, tower)
+    u_lines_int = _eigen_lines(gamma_i, tower)
 
     top_ambient = ProjSpace(ambient.dim, top)
-    rows_i_ext = _extend_chart_rows(beta_i, tower)
-    rows_j_ext = _extend_chart_rows(beta_j, tower)
-    u_lines = [top_ambient.subspace([_to_ambient_top(r, rows_i_ext, top)
-                                     for r in u.rows]) for u in u_lines_int]
+    rows_i_ext = _embed(beta_i.rows, tower)
+    rows_j_ext = _embed(beta_j.rows, tower)
+    u_lines = [top_ambient.subspace([vec_mat(top, r, rows_i_ext) for r in u.rows])
+               for u in u_lines_int]
     alpha_ext = extend_subspace(alpha, tower, top_ambient)
     contact = []
     for u in u_lines:
@@ -282,22 +260,11 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     # transversals of gamma through the contact points, in beta_j over GF(q^n)
     others = [e for e in gamma.elements if e != alpha_j]
     a_g, c_g = others[0], others[1]
+    b_g = others[2] if len(others) > 2 else alpha_j
     fld = gamma.space.field
     m_inv = mat_inv(fld, list(a_g.rows) + list(c_g.rows))
-    x_rows, y_rows = [], []
-    b_g = others[2] if len(others) > 2 else alpha_j
-    for row in b_g.rows:
-        coeff = vec_mat(fld, row, m_inv)
-        x_rows.append(coeff[:n])
-        y_rows.append(coeff[n:])
-    fmap = mat_mul(fld, mat_inv(fld, x_rows), y_rows)
-
-    def embed_mat(m):
-        return [tuple(tower.embed(x) for x in row) for row in m]
-
-    a_ext, c_ext = embed_mat(a_g.rows), embed_mat(c_g.rows)
-    minv_ext = embed_mat(m_inv)
-    f_ext = embed_mat(fmap)
+    g_rows = _graph_rows(fld, a_g.rows, _graph_map(fld, m_inv, b_g.rows, n), c_g.rows)
+    a_ext, minv_ext, g_ext = (_embed(m, tower) for m in (a_g.rows, m_inv, g_rows))
     transversals = []
     for u_amb in contact:
         u_int = _to_internal_top(u_amb, beta_j, rows_j_ext, top)
@@ -305,13 +272,12 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
         x = coeff[:n]
         if not any(x):
             raise AssertionError("contact point lies on a chart generator")
-        pa = vec_mat(top, x, a_ext)
-        pc = vec_mat(top, vec_mat(top, x, f_ext), c_ext)
-        t_int = ProjSpace(gamma.space.dim, top).subspace([pa, pc])
+        t_int = ProjSpace(gamma.space.dim, top).subspace(
+            [vec_mat(top, x, a_ext), vec_mat(top, x, g_ext)])
         if not t_int.contains_point(u_int):
             raise AssertionError("transversal misses its contact point")
         transversals.append(top_ambient.subspace(
-            [_to_ambient_top(r, rows_j_ext, top) for r in t_int.rows]))
+            [vec_mat(top, r, rows_j_ext) for r in t_int.rows]))
 
     planes = []
     for t_line, u_line in zip(transversals, u_lines):

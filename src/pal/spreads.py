@@ -11,6 +11,19 @@ an invertible f: A -> C, the regulus is {A, C} plus the graphs of the
 nonzero scalar multiples of f.  Regularity of a spread means closure under
 reguli; at q = 2 a regulus is its three generators, so closure is vacuous
 and reports say so.
+
+Every question about the reguli of a spread (closure, the 3-design of its
+reguli, the dual-arc blocks, the reguli through a pair) walks index triples
+through one enumerator, `distinct_reguli`.  It builds the regulus of a
+triple only when no earlier regulus contains all three elements: exactly
+one regulus passes through three pairwise-skew (n-1)-spaces spanning a
+(2n-1)-space, so such a covered triple has the earlier regulus.  A full
+sweep of a regular spread of PG(3, q) therefore builds each of its
+q^2(q^2+1) reguli once instead of C(q+1, 3) times.  Covered triples still
+count as checked, and a sweep that stops at the first regulus leaving the
+spread stops at the same triple as a plain sweep, since a covered triple
+has a regulus that was already found inside the spread; counts and
+witnesses are those of the plain sweep.
 """
 
 from __future__ import annotations
@@ -134,31 +147,36 @@ def verify_spread(spread: Spread) -> SpreadReport:
     return SpreadReport(True, len(elems), expected, None, "ok")
 
 
-def _graph_subspace(space: ProjSpace, a_rows, c_rows, fmap) -> Subspace:
-    """Subspace {a + f(a)} from the matrix of f in the A/C bases."""
-    fld = space.field
-    rows = []
-    for k, arow in enumerate(a_rows):
-        crow = vec_mat(fld, fmap[k], c_rows)
-        rows.append(tuple(fld.add(x, y) for x, y in zip(arow, crow)))
-    return space.subspace(rows)
-
-
 def _graph_map(fld, m_inv, rows, n):
-    """Coefficient matrices (X, Y) of `rows` over the A+C decomposition."""
+    """Matrix F of the map A -> C whose graph is the row space of `rows`.
+
+    `m_inv` inverts the stacked A and C bases; a row's coordinates over it
+    split as (x, y) with y = x.F.
+    """
     x_rows, y_rows = [], []
     for row in rows:
         coeff = vec_mat(fld, row, m_inv)
         x_rows.append(coeff[:n])
         y_rows.append(coeff[n:])
-    return x_rows, y_rows
+    return mat_mul(fld, mat_inv(fld, x_rows), y_rows)
 
 
-def regulus_through(a: Subspace, b: Subspace, c: Subspace) -> Regulus:
-    """The q+1 maximal spaces through three pairwise-skew (n-1)-spaces.
+def _graph_rows(fld, a_rows, fmap, c_rows):
+    """Rows e_k.A + (e_k.F).C spanning the graph of F: A -> C.
 
-    The three must span a (2n-1)-space; if that is a proper subspace of the
-    ambient, the regulus is computed in its chart and mapped back.
+    The point of the graph with A-coordinates x is x times these rows,
+    x.A + (x.F).C.
+    """
+    return [tuple(fld.add(x, y) for x, y in zip(arow, w))
+            for arow, w in zip(a_rows, mat_mul(fld, fmap, c_rows))]
+
+
+def _regulus_frame(a: Subspace, b: Subspace, c: Subspace):
+    """The frame of three pairwise-skew (n-1)-spaces spanning a (2n-1)-space.
+
+    Returns (hull, chart, (a, b, c), fmap): the span, its chart (None when
+    the span is the whole ambient), the three spaces in chart coordinates
+    and the matrix F of b read as the graph of a map a -> c.
     """
     if not (a.ambient == b.ambient == c.ambient):
         raise ValueError("ambient spaces differ")
@@ -172,18 +190,27 @@ def regulus_through(a: Subspace, b: Subspace, c: Subspace) -> Regulus:
     if hull.rank != a.ambient.dim + 1:
         chart = Chart(hull)
         a, b, c = (chart.to_internal(s) for s in (a, b, c))
-    space = a.ambient
-    fld = space.field
+    fld = a.ambient.field
     for x, y in ((a, b), (a, c), (b, c)):
         if rank(fld, x.rows + y.rows) != 2 * n:
             raise ValueError("generators are not pairwise skew")
     m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-    x_rows, y_rows = _graph_map(fld, m_inv, b.rows, n)
-    fmap = mat_mul(fld, mat_inv(fld, x_rows), y_rows)
+    return hull, chart, (a, b, c), _graph_map(fld, m_inv, b.rows, n)
+
+
+def regulus_through(a: Subspace, b: Subspace, c: Subspace) -> Regulus:
+    """The q+1 maximal spaces through three pairwise-skew (n-1)-spaces.
+
+    The three must span a (2n-1)-space; if that is a proper subspace of the
+    ambient, the regulus is computed in its chart and mapped back.
+    """
+    hull, chart, (a, b, c), fmap = _regulus_frame(a, b, c)
+    space = a.ambient
+    fld = space.field
     elements = [a, c]
     for lam in range(1, fld.order):
         scaled = [tuple(fld.mul(lam, x) for x in row) for row in fmap]
-        elements.append(_graph_subspace(space, a.rows, c.rows, scaled))
+        elements.append(space.subspace(_graph_rows(fld, a.rows, scaled, c.rows)))
     if b not in elements:
         raise AssertionError("graph parametrization missed a generator")
     if chart is not None:
@@ -195,23 +222,18 @@ def regulus_through(a: Subspace, b: Subspace, c: Subspace) -> Regulus:
 
 
 def transversal_lines(a: Subspace, b: Subspace, c: Subspace) -> list[Subspace]:
-    """All (q^n-1)/(q-1) lines meeting every element of the regulus (a,b,c)."""
-    hull = span([a, b, c])
-    chart = None
-    if hull.rank != a.ambient.dim + 1:
-        chart = Chart(hull)
-        a, b, c = (chart.to_internal(s) for s in (a, b, c))
+    """All (q^n-1)/(q-1) lines meeting every element of the regulus (a,b,c).
+
+    With b the graph of F: a -> c, the transversal through the point x.A
+    of a meets b in x.A + (x.F).C.
+    """
+    _, chart, (a, b, c), fmap = _regulus_frame(a, b, c)
     space = a.ambient
     fld = space.field
-    n = a.rank
-    m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-    x_rows, y_rows = _graph_map(fld, m_inv, b.rows, n)
-    fmap = mat_mul(fld, mat_inv(fld, x_rows), y_rows)
+    g_rows = _graph_rows(fld, a.rows, fmap, c.rows)
     lines = []
-    for x in _normalized_vectors(fld, n):
-        p = vec_mat(fld, x, a.rows)
-        w = vec_mat(fld, vec_mat(fld, x, fmap), c.rows)
-        line = space.subspace([p, w])
+    for x in _normalized_vectors(fld, a.rank):
+        line = space.subspace([vec_mat(fld, x, a.rows), vec_mat(fld, x, g_rows)])
         lines.append(chart.to_ambient(line) if chart is not None else line)
     return lines
 
@@ -226,14 +248,56 @@ def opposite_regulus(reg: Regulus) -> Regulus:
     return Regulus(reg.space, tuple(elements[:3]), elements, reg.carrier)
 
 
+def distinct_reguli(spread: Spread, triples):
+    """Yield (triple, regulus, members) for the index triples of `spread`, in order.
+
+    `members` lists, in increasing order, the spread indices of the
+    regulus's elements, so the regulus lies in the spread exactly when
+    len(members) == len(regulus).  Triples spanning more than a
+    (2n-1)-space carry no regulus and are skipped (they occur only for
+    spreads of PG(3n-1, q)).  After a regulus is built, every triple of its
+    members is covered: it has the same regulus, since exactly one regulus
+    passes through three pairwise-skew (n-1)-spaces spanning a
+    (2n-1)-space.  A covered triple is yielded with that regulus and
+    members=None; regulus_through runs only for the others.
+    """
+    elems = spread.elements
+    fld = spread.space.field
+    full_rank = 2 * elems[0].rank
+    needs_filter = spread.space.dim + 1 > full_rank
+    index_of = {e: i for i, e in enumerate(elems)}
+    covered: dict[tuple, Regulus] = {}
+    for t in triples:
+        reg = covered.get(tuple(sorted(t)))
+        if reg is not None:
+            yield t, reg, None
+            continue
+        gens = [elems[i] for i in t]
+        if needs_filter and rank(fld, [r for g in gens for r in g.rows]) != full_rank:
+            continue
+        reg = regulus_through(*gens)
+        members = sorted(index_of[e] for e in reg.elements if e in index_of)
+        covered.update(dict.fromkeys(combinations(members, 3), reg))
+        yield t, reg, members
+
+
+def _closure_witness(spread: Spread, triple, reg: Regulus, members) -> dict:
+    """The witness of a regulus leaving the spread: its first element outside."""
+    inside = {spread.elements[i] for i in members}
+    missing = next(e for e in reg.elements if e not in inside)
+    return {"kind": "regulus-closure", "triple": list(triple),
+            "missing_element": [list(r) for r in missing.rows]}
+
+
 def is_regular_spread(spread: Spread, mode: str = "auto",
                       full_sweep_cap: int = 10**5) -> RegularityReport:
-    """Regulus-closure test.
+    """Regulus-closure test over distinct_reguli.
 
     mode 'full' sweeps every triple, 'fixed' only triples containing the
     first element, 'auto' picks 'full' when the triple count is below the
-    cap.  Triples spanning more than a (2n-1)-space carry no regulus and are
-    skipped (they occur only for spreads of PG(3n-1, q)).
+    cap.  Covered triples count as checked without rebuilding their
+    regulus; the sweep stops at the first triple whose regulus leaves the
+    spread, so the witness is the first failing triple of the order.
     """
     elems = spread.elements
     k = len(elems)
@@ -249,22 +313,12 @@ def is_regular_spread(spread: Spread, mode: str = "auto",
         triples = ((0, i, j) for i, j in combinations(range(1, k), 2))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    present = frozenset(elems)
-    full_rank = 2 * elems[0].rank
-    needs_filter = spread.space.dim + 1 > full_rank
-    fld = spread.space.field
     checked = 0
-    for t in triples:
-        a, b, c = (elems[i] for i in t)
-        if needs_filter and rank(fld, a.rows + b.rows + c.rows) != full_rank:
-            continue
+    for t, reg, members in distinct_reguli(spread, triples):
         checked += 1
-        reg = regulus_through(a, b, c)
-        for e in reg.elements:
-            if e not in present:
-                witness = {"kind": "regulus-closure", "triple": list(t),
-                           "missing_element": [list(r) for r in e.rows]}
-                return RegularityReport(False, False, mode, checked, witness)
+        if members is not None and len(members) < len(reg):
+            witness = _closure_witness(spread, t, reg, members)
+            return RegularityReport(False, False, mode, checked, witness)
     return RegularityReport(True, False, mode, checked, None)
 
 
@@ -397,16 +451,8 @@ def count_reguli_through_pair(spread: Spread, ai: int, bi: int):
     elems = spread.elements
     if ai == bi or not (0 <= ai < len(elems) and 0 <= bi < len(elems)):
         raise ValueError("need two distinct element indices")
-    a, b = elems[ai], elems[bi]
-    present = spread.element_set()
-    seen: dict[frozenset, Regulus] = {}
-    for x in elems:
-        if x is a or x is b:
-            continue
-        reg = regulus_through(a, b, x)
-        key = reg.element_set()
-        if key not in seen:
-            seen[key] = reg
-    reguli = list(seen.values())
-    contained = [reg.element_set() <= present for reg in reguli]
-    return len(reguli), reguli, contained
+    triples = ((ai, bi, x) for x in range(len(elems)) if x not in (ai, bi))
+    found = [(reg, members) for _, reg, members in distinct_reguli(spread, triples)
+             if members is not None]
+    return (len(found), [reg for reg, _ in found],
+            [len(members) == len(reg) for reg, members in found])

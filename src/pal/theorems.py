@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .parallel import pmap
 from .pseudoarcs import PseudoArc
 from .sigma import NotRegularError, recognize_regular
-from .spreads import (DualArc, Spread, derive_spread_from_element,
-                      is_regular_spread, regulus_through)
+from .spreads import (DualArc, Spread, _closure_witness, derive_spread_from_element,
+                      distinct_reguli, is_regular_spread)
 
 THEOREMS = ("6.1", "6.2", "6.3", "7.1")
 
@@ -87,7 +86,7 @@ def check_theorem(arc: PseudoArc, params: TheoremParams) -> TheoremReport:
                 "regular": rr.regular, "vacuous": rr.vacuous,
                 "witness": rr.witness}
 
-    spreads = pmap(check_one, range(k))
+    spreads = [check_one(i) for i in range(k)]
     regular_flags = {e["index"]: e["regular"] for e in spreads}
 
     believed_regular = arc.witness is not None
@@ -232,19 +231,18 @@ def spread_reguli_design(spread: Spread, exceptions=()) -> DesignSpec:
     For a regular spread this is a 3-(q^n+1, q+1, 1) candidate: the circle
     structure behind the improvement hypothesis.
     """
-    elems = spread.elements
-    index_of = {e: i for i, e in enumerate(elems)}
-    seen: set[frozenset] = set()
-    for t in combinations(range(len(elems)), 3):
-        reg = regulus_through(*(elems[i] for i in t))
-        block = frozenset(index_of[e] for e in reg.elements if e in index_of)
-        if len(block) != len(reg.elements):
+    k = len(spread.elements)
+    blocks = []
+    for t, reg, members in distinct_reguli(spread, combinations(range(k), 3)):
+        if members is None:
+            continue
+        if len(members) < len(reg):
             raise NotRegularError("spread is not regular: a regulus leaves it",
-                                  {"kind": "regulus-closure", "triple": list(t)})
-        seen.add(block)
+                                  _closure_witness(spread, t, reg, members))
+        blocks.append(frozenset(members))
     q = spread.space.field.order
-    return DesignSpec(tuple(range(len(elems))), tuple(sorted(seen, key=sorted)),
-                      3, len(elems), q + 1, 1, frozenset(exceptions))
+    return DesignSpec(tuple(range(k)), tuple(sorted(blocks, key=sorted)),
+                      3, k, q + 1, 1, frozenset(exceptions))
 
 
 def regulus_blocks(da: DualArc) -> DesignSpec:
@@ -261,23 +259,18 @@ def regulus_blocks(da: DualArc) -> DesignSpec:
     blocks: set[frozenset] = set()
     for s in range(k):
         gamma = da.gammas[s]
-        rr = is_regular_spread(gamma)
-        if not rr.regular:
-            raise NotRegularError(f"Gamma_{s} is not regular", rr.witness)
-        partner = {}
-        for j in range(k):
-            if j != s:
-                partner[da.alpha_internal(s, j)] = j
-        seen: set[frozenset] = set()
-        for t in combinations(range(len(gamma.elements)), 3):
-            reg = regulus_through(*(gamma.elements[i] for i in t))
-            key = reg.element_set()
-            if key in seen:
+        # element m of Gamma_s is beta_s ^ beta_partner[m], as dual_arc lists them
+        partner = [j for j in range(k) if j != s]
+        triples = combinations(range(len(gamma.elements)), 3)
+        for t, reg, members in distinct_reguli(gamma, triples):
+            if members is None:
                 continue
-            seen.add(key)
-            members = frozenset({s} | {partner[e] for e in reg.elements})
-            if len(members) != q + 2:
-                raise AssertionError(f"block of size {len(members)}, expected {q + 2}")
-            blocks.add(members)
+            if len(members) < len(reg):
+                raise NotRegularError(f"Gamma_{s} is not regular",
+                                      _closure_witness(gamma, t, reg, members))
+            block = frozenset({s} | {partner[m] for m in members})
+            if len(block) != q + 2:
+                raise AssertionError(f"block of size {len(block)}, expected {q + 2}")
+            blocks.add(block)
     return DesignSpec(tuple(range(k)), tuple(sorted(blocks, key=sorted)),
                       4, k, q + 2, 1)

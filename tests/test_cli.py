@@ -79,6 +79,19 @@ def test_missing_key_exits_2(arc_file, tmp_path, capsys, key, command):
     assert err == f"error: missing field {key!r}\n"
 
 
+def test_report_missing_field_exits_2(arc_file, tmp_path, capsys):
+    outdir = tmp_path / "d"
+    assert main(["derive", str(arc_file), "--index", "0", "--outdir", str(outdir)]) == 0
+    for path in (arc_file, outdir / "delta_0.json"):
+        obj = io.load(path)
+        del obj["field"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(io.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: missing field 'field'\n"
+
+
 def test_tangents(arc_file, tmp_path):
     out = tmp_path / "tang.json"
     assert main(["tangents", str(arc_file), "-o", str(out)]) == 0

@@ -6,12 +6,13 @@ from itertools import combinations
 import pytest
 
 from pal import (NotRegularError, ProjSpace, Regulus, Spread, build_sigma,
-                 conic, desarguesian_spread, dual_arc, gf, make_pseudo_arc,
-                 make_tower, meet, opposite_regulus, plane_model,
-                 recognize_regular, regulus_through, span, spread_transversals,
-                 verify_spread)
+                 conic, derive_spread_from_element, desarguesian_spread,
+                 dual_arc, gf, is_regular_spread, make_pseudo_arc, make_tower,
+                 meet, opposite_regulus, plane_model, recognize_regular,
+                 regulus_through, span, spread_transversals, verify_spread)
 from pal.projective import mat_inv, rref, vec_mat
 from pal.reduction import extend_subspace, frobenius_subspace
+from pal.sigma import _matrix_field
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,26 @@ def test_transversals_reject_irregular(pg34_spread, tower42):
     with pytest.raises(NotRegularError) as err:
         spread_transversals(bad, tower42)
     assert err.value.witness["kind"] == "regulus-closure"
+
+
+def test_matrix_field_agrees_with_regulus_closure(pg34_spread, conic_hyperoval,
+                                                  conic_dual, tower42):
+    """The spread-set field certificate and regulus closure give one verdict."""
+    reg = regulus_through(*pg34_spread.elements[:3])
+    hall = Spread(pg34_spread.space,
+                  tuple(e for e in pg34_spread.elements if e not in reg.element_set())
+                  + opposite_regulus(reg).elements)
+    derived = [derive_spread_from_element(conic_hyperoval, i) for i in range(18)]
+    verdicts = []
+    for spread in derived + list(conic_dual.gammas) + [hall]:
+        try:
+            _matrix_field(spread, tower42)
+            field = True
+        except NotRegularError:
+            field = False
+        assert field == is_regular_spread(spread).regular
+        verdicts.append(field)
+    assert verdicts == [True] * 36 + [False]
 
 
 def test_transversals_reject_n1():

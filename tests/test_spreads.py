@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from pal import (ProjSpace, Spread, conic, count_reguli_through_pair,
+import pal.spreads
+from pal import (NotRegularError, ProjSpace, Spread, conic, count_reguli_through_pair,
                  derive_spread_from_element, derive_spread_from_nucleus,
                  derive_tangent_spread_odd, desarguesian_spread, dual_arc, gf,
                  is_regular_spread, make_pseudo_arc, meet, opposite_regulus,
                  prime_field, reduction_map, regulus_through, span,
-                 tangent_spaces, transversal_lines, verify_spread)
+                 spread_reguli_design, tangent_spaces, transversal_lines,
+                 verify_spread)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,109 @@ def test_q2_closure_is_vacuous():
     rep = is_regular_spread(spread)
     assert rep.regular and rep.vacuous and rep.mode == "vacuous"
     assert "vacuous" in rep.reason
+
+
+# -- the distinct-reguli enumerator against a plain triple sweep ------------------
+
+
+def hall_spread(q, seed=None):
+    """The Desarguesian spread of PG(3, q) with one regulus swapped for its
+    opposite.  Unshuffled, it starts with two lines a, b and the lines x whose
+    regulus <a, b, x> stays inside, so a sweep meets covered triples before
+    its witness; `seed` shuffles the elements instead."""
+    desarg = desarguesian_spread(q, 2)
+    reg = regulus_through(*desarg.elements[:3])
+    lines = [e for e in desarg.elements if e not in reg.element_set()]
+    lines += opposite_regulus(reg).elements
+    if seed is not None:
+        random.Random(seed).shuffle(lines)
+        return Spread(desarg.space, tuple(lines))
+    present = set(lines)
+    a = lines[0]
+    for b in lines[1:]:
+        rest = [x for x in lines if x not in (a, b)]
+        inside = [x for x in rest if regulus_through(a, b, x).element_set() <= present]
+        if len(inside) >= 2 * (q - 1):
+            break
+    ordered = [a, b] + inside + [x for x in rest if x not in inside]
+    return Spread(desarg.space, tuple(ordered))
+
+
+def plain_regularity(spread, mode):
+    """(regular, checked_triples, witness) of a sweep that builds every regulus."""
+    elems = spread.elements
+    k = len(elems)
+    if mode == "full":
+        triples = combinations(range(k), 3)
+    else:
+        triples = ((0, i, j) for i, j in combinations(range(1, k), 2))
+    present = spread.element_set()
+    checked = 0
+    for t in triples:
+        checked += 1
+        for e in regulus_through(*(elems[i] for i in t)).elements:
+            if e not in present:
+                return False, checked, {"kind": "regulus-closure", "triple": list(t),
+                                        "missing_element": [list(r) for r in e.rows]}
+    return True, checked, None
+
+
+@pytest.fixture(scope="module")
+def hall_fixtures():
+    return [hall_spread(4), hall_spread(4, seed=1), hall_spread(8), hall_spread(8, seed=2)]
+
+
+def test_enumerator_matches_plain_sweep(pg34_spread, hall_fixtures):
+    for spread in [pg34_spread] + hall_fixtures:
+        for mode in ("full", "fixed"):
+            rep = is_regular_spread(spread, mode=mode)
+            expected = plain_regularity(spread, mode)
+            assert (rep.regular, rep.checked_triples, rep.witness) == expected
+    # the unshuffled Hall spreads fail only after covered triples
+    for spread, q in ((hall_fixtures[0], 4), (hall_fixtures[2], 8)):
+        assert is_regular_spread(spread).checked_triples > 2 * (q - 1)
+
+
+def test_full_sweep_builds_each_regulus_once(pg34_spread, monkeypatch):
+    calls = []
+
+    def counting(*gens):
+        calls.append(gens)
+        return regulus_through(*gens)
+
+    monkeypatch.setattr(pal.spreads, "regulus_through", counting)
+    rep = is_regular_spread(pg34_spread, mode="full")
+    assert rep.regular and rep.checked_triples == 680
+    assert len(calls) == 68  # q^2 (q^2 + 1) reguli, not C(17, 3)
+
+
+def test_reguli_design_and_pair_count_match_plain_sweep(pg34_spread, hall_fixtures):
+    elems = pg34_spread.elements
+    index_of = {e: i for i, e in enumerate(elems)}
+    blocks = set()
+    for t in combinations(range(len(elems)), 3):
+        reg = regulus_through(*(elems[i] for i in t))
+        blocks.add(frozenset(index_of[e] for e in reg.elements))
+    assert set(spread_reguli_design(pg34_spread).blocks) == blocks
+    for spread, (ai, bi) in product([pg34_spread] + hall_fixtures, ((0, 1), (5, 2))):
+        a, b = spread.elements[ai], spread.elements[bi]
+        seen = {}
+        for x in spread.elements:
+            if x not in (a, b):
+                reg = regulus_through(a, b, x)
+                seen.setdefault(reg.element_set(), reg)
+        count, reguli, contained = count_reguli_through_pair(spread, ai, bi)
+        assert count == len(seen)
+        assert [r.generators for r in reguli] == [r.generators for r in seen.values()]
+        assert contained == [key <= spread.element_set() for key in seen]
+
+
+def test_reguli_design_rejects_hall_spread(hall_fixtures):
+    spread = hall_fixtures[0]
+    _, _, witness = plain_regularity(spread, "full")
+    with pytest.raises(NotRegularError) as err:
+        spread_reguli_design(spread)
+    assert err.value.witness == witness
 
 
 # -- derived spreads ---------------------------------------------------------------

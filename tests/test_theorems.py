@@ -148,6 +148,24 @@ def test_regulus_blocks_tabulation(conic_dual):
     assert set(rep.multiplicities) == {1, 4, 13}
 
 
+def test_regulus_blocks_rejects_irregular_gamma(conic_dual):
+    """The block pass is also the closure check: a Hall spread in place of
+    Gamma_2 fails with the witness of is_regular_spread."""
+    from pal import (DualArc, NotRegularError, Spread, is_regular_spread,
+                     opposite_regulus, regulus_through)
+    desarg = desarguesian_spread(4, 2)
+    reg = regulus_through(*desarg.elements[:3])
+    hall = Spread(desarg.space,
+                  tuple(e for e in desarg.elements if e not in reg.element_set())
+                  + opposite_regulus(reg).elements)
+    gammas = list(conic_dual.gammas)
+    gammas[2] = hall
+    bad = DualArc(conic_dual.arc, conic_dual.betas, tuple(gammas))
+    with pytest.raises(NotRegularError, match="Gamma_2") as err:
+        regulus_blocks(bad)
+    assert err.value.witness == is_regular_spread(hall).witness
+
+
 def test_lines_design_builder():
     pts = ("a", "b", "c")
     blocks = [("a", "b"), ("b", "c"), ("a", "c")]
@@ -164,12 +182,3 @@ def test_exit_codes():
                          verdict="inconsistent", **base).exit_code() == 3
     assert TheoremReport(forward="pass", converse="pass",
                          verdict="out-of-hypothesis", **base).exit_code() == 4
-
-
-def test_pal_threads_determinism(conic_hyperoval, monkeypatch):
-    rep1 = check_theorem(conic_hyperoval, TheoremParams("6.1"))
-    monkeypatch.setenv("PAL_THREADS", "4")
-    rep2 = check_theorem(conic_hyperoval, TheoremParams("6.1"))
-    assert rep1.spreads == rep2.spreads
-    assert (rep1.forward, rep1.converse, rep1.verdict) == \
-        (rep2.forward, rep2.converse, rep2.verdict)
