@@ -64,21 +64,16 @@ def cmd_construct(args) -> int:
     if source.startswith("hyperoval-from:"):
         extend = True
         source = source[len("hyperoval-from:"):]
-    try:
-        if source == "conic":
-            plane = conic(q**n)
-        elif source.startswith("translation:"):
-            plane = translation_oval(q**n, int(source.split(":", 1)[1]))
-        else:
-            print(f"error: unknown source {args.source!r}", file=sys.stderr)
-            return INVALID
-        rmap = reduction_map(q, n)
-        arc = rmap.reduce_arc(plane)
-        if extend:
-            arc = extend_to_hyperoval(arc)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    if source == "conic":
+        plane = conic(q**n)
+    elif source.startswith("translation:"):
+        plane = translation_oval(q**n, int(source.split(":", 1)[1]))
+    else:
+        print(f"error: unknown source {args.source!r}", file=sys.stderr)
         return INVALID
+    arc = reduction_map(q, n).reduce_arc(plane)
+    if extend:
+        arc = extend_to_hyperoval(arc)
     io.save(args.output, io.pseudo_arc_to_json(arc))
     print(f"wrote {arc.kind} with {len(arc)} elements of PG({3 * n - 1}, {q}) "
           f"to {args.output}")
@@ -90,22 +85,16 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     obj = io.load(args.input)
-    kind = obj.get("kind")
+    kind = io.kind_of(obj)
     if kind == "plane-arc":
-        field, points = io._need(obj, "field", "points")
-        space = ProjSpace(2, io.field_from_json(field))
-        pts = [tuple(p) for p in points]
-        rep = verify_karc(space, pts)
+        rep = verify_karc(*io.plane_arc_items(obj))
         out = _report("verify-report", {
             "input_kind": kind, "ok": rep.ok, "k": rep.k, "max_k": rep.max_k,
             "witness": None if rep.collinear_witness is None
             else {"kind": "collinear-triple", "indices": list(rep.collinear_witness)},
             "reason": rep.reason})
     elif kind == "pseudo-arc":
-        field, n, elements = io._need(obj, "field", "n", "elements")
-        space = ProjSpace(3 * n - 1, io.field_from_json(field))
-        subs = [io.subspace_from_json(e, space) for e in elements]
-        rep = verify_pseudo_arc(space, subs)
+        rep = verify_pseudo_arc(*io.pseudo_arc_items(obj))
         out = _report("verify-report", {
             "input_kind": kind, "ok": rep.ok, "k": rep.k, "n": rep.n,
             "max_k": rep.max_k,
@@ -122,7 +111,7 @@ def cmd_verify(args) -> int:
         print(f"error: cannot verify kind {kind!r}", file=sys.stderr)
         return INVALID
     _emit(args, out)
-    return PASS if out["ok"] else FAIL
+    return PASS if rep.ok else FAIL
 
 
 # -- tangents ---------------------------------------------------------------------
@@ -130,11 +119,7 @@ def cmd_verify(args) -> int:
 
 def cmd_tangents(args) -> int:
     arc = _load_arc(args.input)
-    try:
-        taus = tangent_spaces(arc)
-    except ValueError as err:
-        _emit(args, _report("tangents-report", {"ok": False, "reason": str(err)}))
-        return FAIL
+    taus = tangent_spaces(arc)
     payload = {"ok": True, "count": len(taus),
                "tangents": [io.subspace_to_json(t) for t in taus],
                "nucleus": None}
@@ -189,11 +174,7 @@ def cmd_derive(args) -> int:
 
 def cmd_dualize(args) -> int:
     arc = _load_arc(args.input)
-    try:
-        da = dual_arc(arc)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INVALID
+    da = dual_arc(arc)
     gammas = []
     for i, g in enumerate(da.gammas):
         rr = is_regular_spread(g)
@@ -270,13 +251,8 @@ def cmd_theorem(args) -> int:
     given = None
     if args.given:
         given = tuple(int(x) for x in args.given.split(","))
-    try:
-        params = TheoremParams(args.id, rho=args.rho, delta0=args.delta0,
-                               given=given)
-        rep = check_theorem(arc, params)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INVALID
+    params = TheoremParams(args.id, rho=args.rho, delta0=args.delta0, given=given)
+    rep = check_theorem(arc, params)
     out = _report("theorem-report", {
         "theorem": rep.theorem, "hypothesis": rep.hypothesis,
         "spreads": rep.spreads, "forward": rep.forward,
@@ -306,34 +282,30 @@ def _pg2_lines_design(q: int) -> DesignSpec:
 
 
 def cmd_design(args) -> int:
-    try:
-        if args.check:
-            spec = io.design_from_json(io.load(args.check, "design"))
-        elif args.pg2_lines:
-            spec = _pg2_lines_design(args.pg2_lines)
-        elif args.spread_reguli:
-            spread = io.spread_from_json(io.load(args.spread_reguli, "spread"))
-            exc = tuple(int(x) for x in args.exceptions.split(",")) \
-                if args.exceptions else ()
-            spec = spread_reguli_design(spread, exc)
-        elif args.plane_model_from:
-            arc = _load_arc(args.plane_model_from)
-            res = recognize_regular(arc)
-            if not res.regular:
-                print("error: arc was not recognized as regular", file=sys.stderr)
-                return FAIL
-            model = plane_model(res.sigma)
-            spec = DesignSpec(tuple(range(len(model.spread.elements))),
-                              tuple(model.members), 2,
-                              len(model.spread.elements), model.points_per_line, 1)
-        elif args.dual_blocks:
-            arc = _load_arc(args.dual_blocks)
-            spec = regulus_blocks(dual_arc(arc))
-        else:
-            print("error: choose a design source", file=sys.stderr)
-            return INVALID
-    except (NotRegularError, io.PalFileError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    if args.check:
+        spec = io.design_from_json(io.load(args.check, "design"))
+    elif args.pg2_lines:
+        spec = _pg2_lines_design(args.pg2_lines)
+    elif args.spread_reguli:
+        spread = io.spread_from_json(io.load(args.spread_reguli, "spread"))
+        exc = tuple(int(x) for x in args.exceptions.split(",")) \
+            if args.exceptions else ()
+        spec = spread_reguli_design(spread, exc)
+    elif args.plane_model_from:
+        arc = _load_arc(args.plane_model_from)
+        res = recognize_regular(arc)
+        if not res.regular:
+            print("error: arc was not recognized as regular", file=sys.stderr)
+            return FAIL
+        model = plane_model(res.sigma)
+        spec = DesignSpec(tuple(range(len(model.spread.elements))),
+                          tuple(model.members), 2,
+                          len(model.spread.elements), model.points_per_line, 1)
+    elif args.dual_blocks:
+        arc = _load_arc(args.dual_blocks)
+        spec = regulus_blocks(dual_arc(arc))
+    else:
+        print("error: choose a design source", file=sys.stderr)
         return INVALID
     rep = check_design(spec)
     out = _report("design-report", {
@@ -356,51 +328,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_report(args) -> int:
-    obj = io.load(args.input)
-    kind = obj.get("kind")
-    lines = [f"pal-v1 file: kind={kind}"]
-    need = io._need
-    if kind == "pseudo-arc":
-        fld, n, elements, arc_kind = need(obj, "field", "n", "elements", "arc_kind")
-        (m,) = need(fld, "m")
-        lines.append(f"  q=2^{m}={2 ** m}, n={n}, "
-                     f"{len(elements)} elements, kind={arc_kind}")
-        if obj.get("witness"):
-            lines.append(f"  witness: {obj['witness'].get('source_kind')} "
-                         f"via {obj['witness'].get('convention')}")
-    elif kind == "plane-arc":
-        points, arc_kind = need(obj, "points", "arc_kind")
-        lines.append(f"  |points|={len(points)}, kind={arc_kind}")
-    elif kind == "spread":
-        elements, dim, fld = need(obj, "elements", "ambient_dim", "field")
-        p, m = need(fld, "p", "m")
-        lines.append(f"  {len(elements)} elements in PG({dim}, "
-                     f"{2 ** m if p == 2 else p})"
-                     f", origin={obj.get('origin') or 'n/a'}")
-    elif kind == "theorem-report":
-        theorem, verdict, forward, converse = need(obj, "theorem", "verdict",
-                                                   "forward", "converse")
-        lines.append(f"  theorem {theorem}: {verdict} "
-                     f"(forward={forward}, converse={converse})")
-    elif kind == "design-report":
-        t, v, k, lam, ok, blocks = need(obj, "t", "v", "k", "lambda", "ok", "blocks")
-        lines.append(f"  {t}-({v},{k},{lam}): ok={ok}, blocks={blocks}")
-    elif kind == "regulus":
-        elements, dim = need(obj, "elements", "ambient_dim")
-        lines.append(f"  {len(elements)} elements in PG({dim}, ...), "
-                     f"contained_in_spread={obj.get('contained_in_spread')}")
-    elif kind == "dual-arc":
-        betas, gammas = need(obj, "betas", "gammas")
-        regular = sum(1 for g in gammas if need(g, "regular")[0])
-        lines.append(f"  {len(betas)} dual elements; "
-                     f"regular spreads: {regular}/{len(gammas)}")
-    elif kind in ("verify-report", "regularity-report", "derive-report",
-                  "tangents-report", "design", "reduction-map"):
-        keys = [k for k in ("ok", "reason", "count", "regular") if k in obj]
-        lines.append("  " + ", ".join(f"{k}={obj[k]}" for k in keys))
-    else:
-        lines.append("  (no summary available)")
-    print("\n".join(lines))
+    print("\n".join(io.summary(io.load(args.input))))
     return PASS
 
 
@@ -498,12 +426,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except io.PalFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INVALID
-    except NotRegularError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return FAIL
+    # io.PalFileError, NotRegularError and every rejected argument are
+    # ValueErrors: exit 2 with one line, never a traceback
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return INVALID

@@ -85,7 +85,7 @@ class FiniteField:
                 modulus = DEFAULT_MODULUS[m]
             if modulus.bit_length() - 1 != m:
                 raise ValueError(f"modulus degree {modulus.bit_length() - 1} != m={m}")
-            if not (modulus & 1 and modulus >> m):
+            if not modulus & 1 or modulus >> m != 1:
                 raise ValueError("modulus must have leading and constant coefficient 1")
             if not is_irreducible(modulus):
                 raise ValueError(f"modulus {modulus:#b} is reducible over GF(2)")

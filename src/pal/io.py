@@ -3,7 +3,9 @@
 Every file is a JSON object with a "schema" tag ("pal-v1") and a "kind".
 Field elements are integer codes, subspaces are canonical RREF row lists,
 and writes are byte-deterministic (sorted keys, fixed indentation), so
-read(write(x)) round-trips byte-identically.
+read(write(x)) round-trips byte-identically.  Readers check each key they
+use (presence, JSON type, code range, canonical rows) and raise
+PalFileError on any violation; no other module reads a file's keys.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def save(path, obj: dict) -> None:
 def load(path, expect_kind: str | None = None) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise PalFileError(f"cannot read {path}: {err}") from None
     return load_obj(text, expect_kind, where=str(path))
 
@@ -45,24 +47,52 @@ def load(path, expect_kind: str | None = None) -> dict:
 def load_obj(text: str, expect_kind: str | None = None, where: str = "input") -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise PalFileError(f"cannot parse {where}: {err}") from None
     if not isinstance(obj, dict) or obj.get("schema") != SCHEMA:
         raise PalFileError(f"{where} is not a {SCHEMA} file")
-    if expect_kind is not None and obj.get("kind") != expect_kind:
-        raise PalFileError(f"{where} holds kind {obj.get('kind')!r}, "
-                           f"expected {expect_kind!r}")
+    kind = kind_of(obj)
+    if expect_kind is not None and kind != expect_kind:
+        raise PalFileError(f"{where} holds kind {kind!r}, expected {expect_kind!r}")
     return obj
 
 
-def _need(obj: dict, *keys):
-    for key in keys:
-        if key not in obj:
+# -- typed access -------------------------------------------------------------
+
+_REQUIRED = object()
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _check(value, types: tuple, what: str):
+    """`value` if it has one of the JSON types `types`; a bool is no int."""
+    if isinstance(value, bool) and bool not in types or not isinstance(value, types):
+        names = " or ".join(_JSON_NAMES[t] for t in types)
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise PalFileError(f"{what} must be {names}, not {got}")
+    return value
+
+
+def _get(obj: dict, key: str, *types: type, default=_REQUIRED):
+    """obj[key] checked against `types`; a missing key takes `default`."""
+    if key not in obj:
+        if default is _REQUIRED:
             raise PalFileError(f"missing field {key!r}")
-    return [obj[k] for k in keys]
+        return default
+    return _check(obj[key], types, f"field {key!r}")
 
 
-# -- fields -------------------------------------------------------------------
+def _items(obj: dict, key: str, *types: type, default=_REQUIRED) -> list:
+    """The list obj[key], each item checked against `types`."""
+    values = _get(obj, key, list, default=default)
+    return [_check(x, types, f"item {i} of {key!r}") for i, x in enumerate(values)]
+
+
+def kind_of(obj: dict) -> str:
+    return _get(obj, "kind", str)
+
+
+# -- fields and spaces ----------------------------------------------------------
 
 
 def field_to_json(field: FiniteField) -> dict:
@@ -70,12 +100,18 @@ def field_to_json(field: FiniteField) -> dict:
 
 
 def field_from_json(obj: dict) -> FiniteField:
-    p, m = _need(obj, "p", "m")
-    modulus = obj.get("modulus_bits")
+    p, m = _get(obj, "p", int), _get(obj, "m", int)
+    modulus = _get(obj, "modulus_bits", int, type(None), default=None)
     try:
         return FiniteField(p, m, modulus)
     except ValueError as err:
         raise PalFileError(f"bad field spec: {err}") from None
+
+
+def _space(dim: int, field: FiniteField) -> ProjSpace:
+    if dim < 1:
+        raise PalFileError(f"projective dimension {dim} is below 1")
+    return ProjSpace(dim, field)
 
 
 def tower_to_json(tower: FieldTower) -> dict:
@@ -84,8 +120,13 @@ def tower_to_json(tower: FieldTower) -> dict:
 
 
 def tower_from_json(obj: dict) -> FieldTower:
-    base, top, n = _need(obj, "base", "top", "n")
-    tower = FieldTower(field_from_json(base), field_from_json(top))
+    base = field_from_json(_get(obj, "base", dict))
+    top = field_from_json(_get(obj, "top", dict))
+    n = _get(obj, "n", int)
+    try:
+        tower = FieldTower(base, top)
+    except ValueError as err:
+        raise PalFileError(f"bad tower spec: {err}") from None
     if tower.n != n:
         raise PalFileError(f"tower degree mismatch: {tower.n} != {n}")
     return tower
@@ -94,23 +135,44 @@ def tower_from_json(obj: dict) -> FieldTower:
 # -- subspaces ----------------------------------------------------------------
 
 
+def _vector(value, space: ProjSpace, what: str) -> tuple[int, ...]:
+    """A coordinate list of `space`: dim + 1 element codes of its field."""
+    _check(value, (list,), what)
+    if len(value) != space.dim + 1:
+        raise PalFileError(f"{what} has {len(value)} coordinates, "
+                           f"expected {space.dim + 1}")
+    order = space.field.order
+    for x in value:
+        if not 0 <= _check(x, (int,), "element code") < order:
+            raise PalFileError(f"element code {x} is out of range for GF({order})")
+    return tuple(value)
+
+
 def subspace_to_json(sub: Subspace) -> dict:
     return {"ambient_dim": sub.ambient.dim, "rows": [list(r) for r in sub.rows]}
 
 
 def subspace_from_json(obj: dict, space: ProjSpace) -> Subspace:
-    dim, rows = _need(obj, "ambient_dim", "rows")
+    dim = _get(obj, "ambient_dim", int)
     if dim != space.dim:
         raise PalFileError(f"subspace ambient dim {dim} != {space.dim}")
-    for row in rows:
-        if len(row) != space.dim + 1:
-            raise PalFileError("subspace row of wrong length")
-        for x in row:
-            space.field.check(x)
-    sub = space.subspace([tuple(r) for r in rows])
-    if [list(r) for r in sub.rows] != rows:
+    rows = tuple(_vector(r, space, "subspace row") for r in _get(obj, "rows", list))
+    sub = space.subspace(rows)
+    if sub.rows != rows:
         raise PalFileError("subspace rows are not in canonical form")
     return sub
+
+
+def _subspaces(obj: dict, key: str, space: ProjSpace) -> tuple[Subspace, ...]:
+    return tuple(subspace_from_json(e, space) for e in _items(obj, key, dict))
+
+
+def _carrier(obj: dict, field: FiniteField) -> Subspace | None:
+    """The optional "carrier" subspace, in the space its ambient_dim names."""
+    carrier = _get(obj, "carrier", dict, type(None), default=None)
+    if carrier is None:
+        return None
+    return subspace_from_json(carrier, _space(_get(carrier, "ambient_dim", int), field))
 
 
 # -- arcs ---------------------------------------------------------------------
@@ -123,15 +185,21 @@ def plane_arc_to_json(arc: PlaneArc) -> dict:
             "arc_kind": arc.kind}
 
 
+def plane_arc_items(obj: dict) -> tuple[ProjSpace, list[tuple[int, ...]]]:
+    """The plane and point coordinates of a plane-arc file, not verified."""
+    space = _space(2, field_from_json(_get(obj, "field", dict)))
+    points = [_vector(p, space, "point") for p in _get(obj, "points", list)]
+    if not all(any(p) for p in points):
+        raise PalFileError("a point is the zero vector")
+    return space, points
+
+
 def plane_arc_from_json(obj: dict) -> PlaneArc:
-    fld = field_from_json(_need(obj, "field")[0])
-    space = ProjSpace(2, fld)
-    pts = [tuple(p) for p in obj["points"]]
+    space, points = plane_arc_items(obj)
     try:
-        arc = make_arc(space, pts)
+        return make_arc(space, points)
     except ValueError as err:
         raise PalFileError(f"plane arc failed verification: {err}") from None
-    return arc
 
 
 def pseudo_arc_to_json(arc: PseudoArc) -> dict:
@@ -143,17 +211,23 @@ def pseudo_arc_to_json(arc: PseudoArc) -> dict:
             "witness": arc.witness}
 
 
+def pseudo_arc_items(obj: dict) -> tuple[ProjSpace, tuple[Subspace, ...]]:
+    """The ambient PG(3n-1, q) and elements of a pseudo-arc file, not verified."""
+    field = field_from_json(_get(obj, "field", dict))
+    space = _space(3 * _get(obj, "n", int) - 1, field)
+    return space, _subspaces(obj, "elements", space)
+
+
 def pseudo_arc_from_json(obj: dict) -> PseudoArc:
-    fld = field_from_json(_need(obj, "field")[0])
-    n, elements = _need(obj, "n", "elements")
-    space = ProjSpace(3 * n - 1, fld)
-    subs = [subspace_from_json(e, space) for e in elements]
+    space, elements = pseudo_arc_items(obj)
+    declared = _get(obj, "arc_kind", str)
+    witness = _get(obj, "witness", dict, type(None), default=None)
     try:
-        arc = make_pseudo_arc(space, subs, obj.get("witness"))
+        arc = make_pseudo_arc(space, elements, witness)
     except ValueError as err:
         raise PalFileError(f"pseudo-arc failed verification: {err}") from None
-    if arc.kind != obj.get("arc_kind"):
-        raise PalFileError(f"arc kind {arc.kind!r} != declared {obj.get('arc_kind')!r}")
+    if arc.kind != declared:
+        raise PalFileError(f"arc kind {arc.kind!r} != declared {declared!r}")
     return arc
 
 
@@ -161,54 +235,36 @@ def pseudo_arc_from_json(obj: dict) -> PseudoArc:
 
 
 def spread_to_json(spread: Spread) -> dict:
-    out = {"schema": SCHEMA, "kind": "spread",
-           "field": field_to_json(spread.space.field),
-           "ambient_dim": spread.space.dim,
-           "elements": [subspace_to_json(e) for e in spread.elements],
-           "origin": spread.origin,
-           "carrier": None}
-    if spread.carrier is not None:
-        out["carrier"] = {"ambient_dim": spread.carrier.ambient.dim,
-                          "rows": [list(r) for r in spread.carrier.rows]}
-    return out
+    return {"schema": SCHEMA, "kind": "spread",
+            "field": field_to_json(spread.space.field),
+            "ambient_dim": spread.space.dim,
+            "elements": [subspace_to_json(e) for e in spread.elements],
+            "origin": spread.origin,
+            "carrier": None if spread.carrier is None
+            else subspace_to_json(spread.carrier)}
 
 
 def spread_from_json(obj: dict) -> Spread:
-    fld = field_from_json(_need(obj, "field")[0])
-    dim, elements = _need(obj, "ambient_dim", "elements")
-    space = ProjSpace(dim, fld)
-    subs = tuple(subspace_from_json(e, space) for e in elements)
-    carrier = None
-    if obj.get("carrier") is not None:
-        cspace = ProjSpace(obj["carrier"]["ambient_dim"], fld)
-        carrier = subspace_from_json(obj["carrier"], cspace)
-    return Spread(space, subs, carrier, obj.get("origin", ""))
+    field = field_from_json(_get(obj, "field", dict))
+    space = _space(_get(obj, "ambient_dim", int), field)
+    return Spread(space, _subspaces(obj, "elements", space),
+                  _carrier(obj, field), _get(obj, "origin", str, default=""))
 
 
 def regulus_to_json(reg: Regulus) -> dict:
-    out = {"schema": SCHEMA, "kind": "regulus",
-           "field": field_to_json(reg.space.field),
-           "ambient_dim": reg.space.dim,
-           "generators": [subspace_to_json(e) for e in reg.generators],
-           "elements": [subspace_to_json(e) for e in reg.elements],
-           "carrier": None}
-    if reg.carrier is not None:
-        out["carrier"] = {"ambient_dim": reg.carrier.ambient.dim,
-                          "rows": [list(r) for r in reg.carrier.rows]}
-    return out
+    return {"schema": SCHEMA, "kind": "regulus",
+            "field": field_to_json(reg.space.field),
+            "ambient_dim": reg.space.dim,
+            "generators": [subspace_to_json(e) for e in reg.generators],
+            "elements": [subspace_to_json(e) for e in reg.elements],
+            "carrier": None if reg.carrier is None else subspace_to_json(reg.carrier)}
 
 
 def regulus_from_json(obj: dict) -> Regulus:
-    fld = field_from_json(_need(obj, "field")[0])
-    dim, gens, elements = _need(obj, "ambient_dim", "generators", "elements")
-    space = ProjSpace(dim, fld)
-    g = tuple(subspace_from_json(e, space) for e in gens)
-    els = tuple(subspace_from_json(e, space) for e in elements)
-    carrier = None
-    if obj.get("carrier") is not None:
-        cspace = ProjSpace(obj["carrier"]["ambient_dim"], fld)
-        carrier = subspace_from_json(obj["carrier"], cspace)
-    return Regulus(space, g, els, carrier)
+    field = field_from_json(_get(obj, "field", dict))
+    space = _space(_get(obj, "ambient_dim", int), field)
+    return Regulus(space, _subspaces(obj, "generators", space),
+                   _subspaces(obj, "elements", space), _carrier(obj, field))
 
 
 # -- maps and designs -----------------------------------------------------------
@@ -222,9 +278,11 @@ def reduction_map_to_json(rmap: ReductionMap) -> dict:
 
 
 def reduction_map_from_json(obj: dict) -> ReductionMap:
-    if obj.get("convention") != "powerbasis-v1":
-        raise PalFileError(f"unknown reduction convention {obj.get('convention')!r}")
-    return ReductionMap(tower_from_json(obj["tower"]), obj.get("source_dim", 2))
+    convention = _get(obj, "convention", str)
+    if convention != "powerbasis-v1":
+        raise PalFileError(f"unknown reduction convention {convention!r}")
+    return ReductionMap(tower_from_json(_get(obj, "tower", dict)),
+                        _get(obj, "source_dim", int, default=2))
 
 
 def design_to_json(spec: DesignSpec) -> dict:
@@ -236,11 +294,68 @@ def design_to_json(spec: DesignSpec) -> dict:
 
 
 def design_from_json(obj: dict) -> DesignSpec:
-    points, blocks, t, v, k = _need(obj, "points", "blocks", "t", "v", "k")
-    lam = obj.get("lambda", 1)
-    pts = tuple(tuple(p) if isinstance(p, list) else p for p in points)
-    blks = tuple(frozenset(tuple(x) if isinstance(x, list) else x for x in b)
-                 for b in blocks)
-    exc = frozenset(tuple(x) if isinstance(x, list) else x
-                    for x in obj.get("exceptions", []))
-    return DesignSpec(pts, blks, t, v, k, lam, exc)
+    """A design file; its points, block members and exceptions are integers."""
+    points = tuple(_items(obj, "points", int))
+    blocks = tuple(frozenset(_check(x, (int,), "block point") for x in b)
+                   for b in _items(obj, "blocks", list))
+    t, v, k = _get(obj, "t", int), _get(obj, "v", int), _get(obj, "k", int)
+    lam = _get(obj, "lambda", int, default=1)
+    if min(t, v, k, lam) < 0:
+        raise PalFileError("design parameters must be non-negative")
+    exc = frozenset(_items(obj, "exceptions", int, default=[]))
+    return DesignSpec(points, blocks, t, v, k, lam, exc)
+
+
+# -- summaries ------------------------------------------------------------------
+
+
+def summary(obj: dict) -> list[str]:
+    """The lines `pal report` prints for a loaded file, read like any other."""
+    kind = kind_of(obj)
+    lines = [f"pal-v1 file: kind={kind}"]
+    if kind == "pseudo-arc":
+        space, elements = pseudo_arc_items(obj)
+        arc_kind = _get(obj, "arc_kind", str)
+        witness = _get(obj, "witness", dict, type(None), default=None)
+        m = space.field.m
+        lines.append(f"  q=2^{m}={2 ** m}, n={(space.dim + 1) // 3}, "
+                     f"{len(elements)} elements, kind={arc_kind}")
+        if witness:
+            lines.append(f"  witness: {witness.get('source_kind')} "
+                         f"via {witness.get('convention')}")
+    elif kind == "plane-arc":
+        _, points = plane_arc_items(obj)
+        lines.append(f"  |points|={len(points)}, kind={_get(obj, 'arc_kind', str)}")
+    elif kind == "spread":
+        spread = spread_from_json(obj)
+        lines.append(f"  {len(spread)} elements in PG({spread.space.dim}, "
+                     f"{spread.space.field.order}), origin={spread.origin or 'n/a'}")
+    elif kind == "theorem-report":
+        theorem, verdict, forward, converse = (
+            _get(obj, key, str) for key in ("theorem", "verdict", "forward", "converse"))
+        lines.append(f"  theorem {theorem}: {verdict} "
+                     f"(forward={forward}, converse={converse})")
+    elif kind == "design-report":
+        t, v, k, lam, blocks = (
+            _get(obj, key, int) for key in ("t", "v", "k", "lambda", "blocks"))
+        lines.append(f"  {t}-({v},{k},{lam}): ok={_get(obj, 'ok', bool)}, "
+                     f"blocks={blocks}")
+    elif kind == "regulus":
+        reg = regulus_from_json(obj)
+        contained = _get(obj, "contained_in_spread", bool, default=None)
+        lines.append(f"  {len(reg)} elements in PG({reg.space.dim}, ...), "
+                     f"contained_in_spread={contained}")
+    elif kind == "dual-arc":
+        betas = _items(obj, "betas", dict)
+        gammas = _items(obj, "gammas", dict)
+        regular = sum(_get(g, "regular", bool) for g in gammas)
+        lines.append(f"  {len(betas)} dual elements; "
+                     f"regular spreads: {regular}/{len(gammas)}")
+    elif kind in ("verify-report", "regularity-report", "derive-report",
+                  "tangents-report", "design", "reduction-map"):
+        types = {"ok": bool, "reason": str, "count": int, "regular": bool}
+        lines.append("  " + ", ".join(f"{key}={_get(obj, key, typ)}"
+                                      for key, typ in types.items() if key in obj))
+    else:
+        lines.append("  (no summary available)")
+    return lines

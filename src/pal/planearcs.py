@@ -13,7 +13,7 @@ from math import gcd
 
 from .fields import FiniteField, gf
 from .projective import (Point, ProjSpace, Subspace, _normalized_vectors, kernel,
-                         meet, span, vec_mat)
+                         meet, vec_mat)
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,6 @@ def translation_oval(Q: int | FiniteField, k: int) -> PlaneArc:
     coords = [(1, t, field.pow(t, e)) for t in field.elements()]
     coords.append((0, 0, 1))
     return _arc(ambient, coords, "oval")
-
-
-def line_through(a: Point, b: Point) -> Subspace:
-    return span([a, b])
 
 
 def lines_through_point(p: Point) -> list[Subspace]:

@@ -383,12 +383,6 @@ class QuotientMap:
             raise ValueError("ambient spaces differ")
         return self.space.subspace([self.image_vec(r) for r in s.rows])
 
-    def image_point(self, p: Point) -> Point:
-        v = self.image_vec(p.coords)
-        if not any(v):
-            raise ValueError("point lies in the center")
-        return self.space.point(v)
-
     def lift_vec(self, u: Vec) -> Vec:
         v = [0] * (self.ambient.dim + 1)
         for x, j in zip(u, self._nonpivot):

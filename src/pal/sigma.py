@@ -27,7 +27,7 @@ from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
 from .spreads import (Regulus, Spread, _graph_map, _graph_rows, dual_arc,
-                      is_regular_spread, regulus_through, verify_spread)
+                      is_regular_spread, regulus_through, verified_spread)
 
 
 class NotRegularError(ValueError):
@@ -306,10 +306,8 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     expected = q ** (2 * n) + q**n + 1
     if len(set(elements)) != expected:
         raise AssertionError("generated spread has repeated elements")
-    sigma = Spread(ambient, tuple(elements), origin="sigma(gamma, Gamma_i)")
-    report = verify_spread(sigma)
-    if not report.ok:
-        raise AssertionError("generated spread failed verification: " + report.reason)
+    sigma = verified_spread(
+        Spread(ambient, tuple(elements), origin="sigma(gamma, Gamma_i)"), "generated spread")
     present = sigma.element_set()
     for e in gamma_amb + gamma_i_amb:
         if e not in present:
@@ -327,12 +325,6 @@ class PlaneModel:
     lines: tuple[Subspace, ...]
     members: tuple[frozenset[int], ...]
     points_per_line: int
-
-    def line_of(self, i: int, j: int) -> int:
-        for idx, mem in enumerate(self.members):
-            if i in mem and j in mem:
-                return idx
-        raise KeyError((i, j))
 
 
 def plane_model(sigma: Spread) -> PlaneModel:

@@ -36,6 +36,10 @@ from .projective import (Chart, ComplementProjection, ProjSpace, QuotientMap,
                          rank, span, vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces
 
+# 'auto' regularity sweeps all triples up to this many; above it (spreads of
+# --force instances past q^n = 64) only the triples through element 0
+FULL_SWEEP_CAP = 10**5
+
 
 @dataclass(frozen=True)
 class Spread:
@@ -117,7 +121,7 @@ def verify_spread(spread: Spread) -> SpreadReport:
         return SpreadReport(False, len(elems), -1, {"kind": "mixed-dimensions"},
                             "elements have mixed dimensions")
     r = ranks.pop()
-    if (space.dim + 1) % r:
+    if r == 0 or (space.dim + 1) % r:
         return SpreadReport(False, len(elems), -1, {"kind": "dimension-mismatch"},
                             f"rank-{r} elements cannot partition {space}")
     expected = (q ** (space.dim + 1) - 1) // (q**r - 1)
@@ -145,6 +149,15 @@ def verify_spread(spread: Spread) -> SpreadReport:
                             {"kind": "uncovered-points", "missing": missing},
                             f"{missing} points uncovered")
     return SpreadReport(True, len(elems), expected, None, "ok")
+
+
+def verified_spread(spread: Spread, label: str) -> Spread:
+    """`spread` after verify_spread; a failure breaks an invariant of the
+    construction that built it, so it raises AssertionError, not ValueError."""
+    report = verify_spread(spread)
+    if not report.ok:
+        raise AssertionError(f"{label} failed verification: {report.reason}")
+    return spread
 
 
 def _graph_map(fld, m_inv, rows, n):
@@ -262,6 +275,8 @@ def distinct_reguli(spread: Spread, triples):
     members=None; regulus_through runs only for the others.
     """
     elems = spread.elements
+    if not elems:
+        return
     fld = spread.space.field
     full_rank = 2 * elems[0].rank
     needs_filter = spread.space.dim + 1 > full_rank
@@ -289,15 +304,14 @@ def _closure_witness(spread: Spread, triple, reg: Regulus, members) -> dict:
             "missing_element": [list(r) for r in missing.rows]}
 
 
-def is_regular_spread(spread: Spread, mode: str = "auto",
-                      full_sweep_cap: int = 10**5) -> RegularityReport:
+def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
     """Regulus-closure test over distinct_reguli.
 
     mode 'full' sweeps every triple, 'fixed' only triples containing the
-    first element, 'auto' picks 'full' when the triple count is below the
-    cap.  Covered triples count as checked without rebuilding their
-    regulus; the sweep stops at the first triple whose regulus leaves the
-    spread, so the witness is the first failing triple of the order.
+    first element, 'auto' picks 'full' when the triple count is at most
+    FULL_SWEEP_CAP.  Covered triples count as checked without rebuilding
+    their regulus; the sweep stops at the first triple whose regulus leaves
+    the spread, so the witness is the first failing triple of the order.
     """
     elems = spread.elements
     k = len(elems)
@@ -306,7 +320,7 @@ def is_regular_spread(spread: Spread, mode: str = "auto",
         return RegularityReport(True, True, "vacuous", 0, None)
     n_triples = k * (k - 1) * (k - 2) // 6
     if mode == "auto":
-        mode = "full" if n_triples <= full_sweep_cap else "fixed"
+        mode = "full" if n_triples <= FULL_SWEEP_CAP else "fixed"
     if mode == "full":
         triples = combinations(range(k), 3)
     elif mode == "fixed":
@@ -346,11 +360,8 @@ def derive_spread_from_element(arc: PseudoArc, i: int,
                 elements.append(proj.image(tangent_spaces(arc)[i]))
             continue
         elements.append(proj.image(e))
-    spread = Spread(proj.space, tuple(elements), origin=f"delta[{i}]")
-    report = verify_spread(spread)
-    if not report.ok:
-        raise AssertionError(f"derived spread {i} failed verification: {report.reason}")
-    return spread
+    return verified_spread(Spread(proj.space, tuple(elements), origin=f"delta[{i}]"),
+                           f"derived spread {i}")
 
 
 def derive_spread_from_nucleus(arc: PseudoArc,
@@ -362,11 +373,8 @@ def derive_spread_from_nucleus(arc: PseudoArc,
     center = arc_nucleus(arc)
     proj = ComplementProjection(center) if explicit_complement else QuotientMap(center)
     elements = tuple(proj.image(e) for e in arc.elements)
-    spread = Spread(proj.space, elements, origin="delta[nucleus]")
-    report = verify_spread(spread)
-    if not report.ok:
-        raise AssertionError(f"nucleus-derived spread failed verification: {report.reason}")
-    return spread
+    return verified_spread(Spread(proj.space, elements, origin="delta[nucleus]"),
+                           "nucleus-derived spread")
 
 
 def derive_tangent_spread_odd(arc: PseudoArc, i: int) -> Spread:
@@ -384,12 +392,8 @@ def derive_tangent_spread_odd(arc: PseudoArc, i: int) -> Spread:
             if delta.rank != arc.n:
                 raise AssertionError(f"tau_{i} ^ tau_{j} has rank {delta.rank}")
             elements.append(chart.to_internal(delta))
-    spread = Spread(chart.space, tuple(elements), carrier=taus[i],
-                    origin=f"delta-star[{i}]")
-    report = verify_spread(spread)
-    if not report.ok:
-        raise AssertionError(f"tangent spread failed verification: {report.reason}")
-    return spread
+    return verified_spread(Spread(chart.space, tuple(elements), carrier=taus[i],
+                                  origin=f"delta-star[{i}]"), "tangent spread")
 
 
 @dataclass(frozen=True)
@@ -429,11 +433,9 @@ def dual_arc(arc: PseudoArc) -> DualArc:
     for i in range(k):
         chart = Chart(betas[i])
         elements = tuple(chart.to_internal(alphas[i][j]) for j in range(k) if j != i)
-        spread = Spread(chart.space, elements, carrier=betas[i], origin=f"gamma[{i}]")
-        report = verify_spread(spread)
-        if not report.ok:
-            raise AssertionError(f"Gamma_{i} failed spread verification: {report.reason}")
-        gammas.append(spread)
+        gammas.append(verified_spread(
+            Spread(chart.space, elements, carrier=betas[i], origin=f"gamma[{i}]"),
+            f"Gamma_{i}"))
     return DualArc(arc, betas, tuple(gammas))
 
 

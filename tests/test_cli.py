@@ -92,6 +92,68 @@ def test_report_missing_field_exits_2(arc_file, tmp_path, capsys):
         assert capsys.readouterr().err == "error: missing field 'field'\n"
 
 
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Files written by construct, derive --index 0 and dualize at (4,2), plus a plane arc."""
+    d = tmp_path_factory.mktemp("written")
+    assert main(["construct", "--q", "4", "--n", "2", "--source", "conic",
+                 "-o", str(d / "oval.json")]) == 0
+    assert main(["derive", str(d / "oval.json"), "--index", "0", "--outdir", str(d)]) == 0
+    assert main(["dualize", str(d / "oval.json"), "-o", str(d / "dual.json")]) == 0
+    from pal import conic
+    io.save(d / "plane.json", io.plane_arc_to_json(conic(4)))
+    return d
+
+
+def _probes(name, path, value, commands):
+    return [(name, path, value, c) for c in commands]
+
+
+MALFORMED = [
+    *_probes("oval.json", ["field"], 5, ["verify", "tangents", "report"]),
+    *_probes("oval.json", ["n"], "2", ["verify", "tangents", "report"]),
+    *_probes("oval.json", ["elements", 0], 5, ["verify", "report"]),
+    *_probes("oval.json", ["elements"], 5, ["verify", "report"]),
+    *_probes("oval.json", ["elements", 0, "rows", 0, 0], True, ["verify", "report"]),
+    *_probes("delta_0.json", ["carrier"], {}, ["verify", "check-regular"]),
+    *_probes("delta_0.json", ["carrier"], 3, ["verify", "check-regular"]),
+    *_probes("delta_0.json", ["ambient_dim"], "3", ["verify", "check-regular"]),
+    *_probes("delta_0.json", ["field", "m"], "2", ["verify", "report"]),
+    *_probes("delta_0.json", ["field", "modulus_bits"], "7", ["verify", "check-regular"]),
+    *_probes("delta_0.json", ["elements", 0, "rows"], 5, ["verify", "check-regular"]),
+    *_probes("delta_0.json", ["elements", 0, "rows", 0], 5, ["verify", "check-regular"]),
+    *_probes("oval.json", ["witness"], 5, ["report"]),
+    *_probes("dual.json", ["gammas", 0], 5, ["report"]),
+    *_probes("plane.json", ["points", 0], [1, 0], ["verify", "report"]),
+    *_probes("plane.json", ["points", 0, 1], 9, ["verify", "report"]),
+    *_probes("plane.json", ["points", 0], [0, 0, 0], ["verify", "report"]),
+]
+
+
+@pytest.mark.parametrize("name, path, value, command", MALFORMED)
+def test_malformed_file_exits_2_with_one_line(written, tmp_path, capsys,
+                                              name, path, value, command):
+    obj = io.load(written / name)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(io.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tangents_of_hyperoval_exits_2(hyper_file, tmp_path, capsys):
+    out = tmp_path / "tang.json"
+    assert main(["tangents", str(hyper_file), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: tangent spaces exist for pseudo-ovals, not pseudo-hyperoval\n"
+    assert not out.exists()
+
+
 def test_tangents(arc_file, tmp_path):
     out = tmp_path / "tang.json"
     assert main(["tangents", str(arc_file), "-o", str(out)]) == 0

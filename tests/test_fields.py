@@ -49,6 +49,8 @@ def test_field_make_errors():
         field_make(5)  # no default modulus for m=5
     with pytest.raises(ValueError):
         field_make(0)
+    with pytest.raises(ValueError, match="leading"):
+        field_make(3, -9)  # degree-3 bit length, but negative
 
 
 def test_explicit_modulus_accepted():

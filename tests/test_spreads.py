@@ -55,6 +55,13 @@ def test_verify_spread_meeting_pair(pg34_spread):
     assert rep.witness["kind"] in ("not-skew", "uncovered-points")
 
 
+
+def test_degenerate_spreads_are_rejected_not_raised(pg34_spread):
+    space = pg34_spread.space
+    rep = verify_spread(Spread(space, (space.empty(),) * 17))
+    assert not rep.ok and rep.witness["kind"] == "dimension-mismatch"
+    assert spread_reguli_design(Spread(space, ())).blocks == ()
+
 # -- regulus_through -----------------------------------------------------------
 
 
