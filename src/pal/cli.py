@@ -24,7 +24,7 @@ from .spreads import (derive_spread_from_element, derive_spread_from_nucleus,
                       dual_arc, is_regular_spread, opposite_regulus,
                       regulus_through, verify_spread)
 from .theorems import (DesignSpec, TheoremParams, check_design, check_theorem,
-                       regulus_blocks, spread_reguli_design)
+                       lines_design, regulus_blocks, spread_reguli_design)
 
 DEFAULT_CAP = 64
 
@@ -277,8 +277,7 @@ def _pg2_lines_design(q: int) -> DesignSpec:
     for coeff in [p.coords for p in pts]:
         line = space.subspace(kernel(space.field, [coeff], 3))
         lines.append(frozenset(index[x.coords] for x in line.points()))
-    return DesignSpec(tuple(range(len(pts))), tuple(sorted(set(lines), key=sorted)),
-                      2, len(pts), q + 1, 1)
+    return lines_design(range(len(pts)), sorted(set(lines), key=sorted))
 
 
 def cmd_design(args) -> int:
@@ -298,9 +297,7 @@ def cmd_design(args) -> int:
             print("error: arc was not recognized as regular", file=sys.stderr)
             return FAIL
         model = plane_model(res.sigma)
-        spec = DesignSpec(tuple(range(len(model.spread.elements))),
-                          tuple(model.members), 2,
-                          len(model.spread.elements), model.points_per_line, 1)
+        spec = lines_design(range(len(model.spread.elements)), model.members)
     elif args.dual_blocks:
         arc = _load_arc(args.dual_blocks)
         spec = regulus_blocks(dual_arc(arc))

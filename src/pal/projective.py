@@ -22,6 +22,7 @@ operation is `[a ^ T[c][b] ...]`; odd prime fields and m > 8 call
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .fields import FiniteField
@@ -191,8 +192,10 @@ class ProjSpace:
             raise ValueError("projective dimension must be >= 1")
         self.dim = dim
         self.field = field
-        q = field.order
-        self.n_points = (q ** (dim + 1) - 1) // (q - 1)
+
+    @cached_property
+    def n_points(self) -> int:
+        return (self.field.order ** (self.dim + 1) - 1) // (self.field.order - 1)
 
     def __eq__(self, other):
         return (isinstance(other, ProjSpace)

@@ -20,14 +20,14 @@ from itertools import combinations
 
 from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
-from .projective import (Chart, ProjSpace, Subspace, Vec, _normalized_vectors,
+from .projective import (Chart, ProjSpace, QuotientMap, Subspace, Vec, _normalized_vectors,
                          dual as dual_subspace, kernel, lin_solve, mat_inv,
                          mat_mul, meet, normalize_point, span, vec_mat)
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
-from .spreads import (Regulus, Spread, _graph_map, _graph_rows, dual_arc,
-                      is_regular_spread, regulus_through, verified_spread)
+from .spreads import (Regulus, Spread, _graph_map, _graph_rows, dual_arc, is_regular_spread,
+                      regulus_through, verified_spread, verify_spread)
 
 
 class NotRegularError(ValueError):
@@ -204,13 +204,6 @@ def _embed(rows, tower: FieldTower) -> list[Vec]:
     return [tuple(tower.embed(x) for x in row) for row in rows]
 
 
-def _to_internal_top(vec: Vec, carrier: Subspace, chart_rows_ext, top) -> Vec:
-    coeff = tuple(vec[p] for p in carrier.pivots)
-    if vec_mat(top, coeff, chart_rows_ext) != tuple(vec):
-        raise ValueError("vector is not in the extended carrier")
-    return coeff
-
-
 def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     """The regular (n-1)-spread of PG(3n-1, q) generated by a regulus gamma
     (living in a carrier beta_j) and a regular spread gamma_i (in beta_i).
@@ -231,9 +224,8 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     q = tower.q
     alpha = meet(beta_i, beta_j)
     chart_j = Chart(beta_j)
-    chart_i = Chart(beta_i)
     alpha_j = chart_j.to_internal(alpha)
-    alpha_i = chart_i.to_internal(alpha)
+    alpha_i = gamma_i.chart().to_internal(alpha)
     if alpha_j not in gamma.element_set():
         raise ValueError("beta_i ^ beta_j is not an element of gamma")
     if alpha_i not in gamma_i.element_set():
@@ -245,10 +237,9 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     u_lines_int = _eigen_lines(gamma_i, tower)
 
     top_ambient = ProjSpace(ambient.dim, top)
-    rows_i_ext = _embed(beta_i.rows, tower)
-    rows_j_ext = _embed(beta_j.rows, tower)
-    u_lines = [top_ambient.subspace([vec_mat(top, r, rows_i_ext) for r in u.rows])
-               for u in u_lines_int]
+    chart_i_ext, chart_j_ext = (Chart(extend_subspace(beta, tower, top_ambient))
+                                for beta in (beta_i, beta_j))
+    u_lines = [chart_i_ext.to_ambient(u) for u in u_lines_int]
     alpha_ext = extend_subspace(alpha, tower, top_ambient)
     contact = []
     for u in u_lines:
@@ -267,7 +258,7 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     a_ext, minv_ext, g_ext = (_embed(m, tower) for m in (a_g.rows, m_inv, g_rows))
     transversals = []
     for u_amb in contact:
-        u_int = _to_internal_top(u_amb, beta_j, rows_j_ext, top)
+        u_int = chart_j_ext.to_internal_vec(u_amb)
         coeff = vec_mat(top, u_int, minv_ext)
         x = coeff[:n]
         if not any(x):
@@ -276,8 +267,7 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
             [vec_mat(top, x, a_ext), vec_mat(top, x, g_ext)])
         if not t_int.contains_point(u_int):
             raise AssertionError("transversal misses its contact point")
-        transversals.append(top_ambient.subspace(
-            [vec_mat(top, r, rows_j_ext) for r in t_int.rows]))
+        transversals.append(chart_j_ext.to_ambient(t_int))
 
     planes = []
     for t_line, u_line in zip(transversals, u_lines):
@@ -288,11 +278,12 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     for l in range(n):
         if frobenius_subspace(planes[l], tower) != planes[(l + 1) % n]:
             raise AssertionError("theta planes are not one Galois orbit")
-    gamma_amb = [Chart(beta_j).to_ambient(e) for e in gamma.elements]
-    gamma_i_amb = gamma_i.ambient_elements()
+    generators = [chart_j.to_ambient(e) for e in gamma.elements] \
+        + gamma_i.ambient_elements()
+    generators_ext = [extend_subspace(e, tower, top_ambient) for e in generators]
     for theta in planes:
-        for e in gamma_amb + gamma_i_amb:
-            if meet(theta, extend_subspace(e, tower, top_ambient)).rank != 1:
+        for e in generators_ext:
+            if meet(theta, e).rank != 1:
                 raise AssertionError("theta plane misses a generating element")
 
     theta1 = planes[0]
@@ -309,7 +300,7 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     sigma = verified_spread(
         Spread(ambient, tuple(elements), origin="sigma(gamma, Gamma_i)"), "generated spread")
     present = sigma.element_set()
-    for e in gamma_amb + gamma_i_amb:
+    for e in generators:
         if e not in present:
             raise AssertionError("generating element missing from sigma")
     scaffold = SigmaScaffold(tower, top_ambient, tuple(u_lines), tuple(contact),
@@ -328,30 +319,43 @@ class PlaneModel:
 
 
 def plane_model(sigma: Spread) -> PlaneModel:
-    """Verify the PG(2, q^n) axioms on a generated spread and return the model."""
+    """The plane of order Q = q^n whose points are the elements of a spread.
+
+    Lines are the (2n-1)-spaces spanned by two elements.  Only the lines
+    through the elements a of L0 = <e0, e1> are built: the other elements,
+    grouped by their image in the quotient by a, plus a are the members of
+    the line that is the preimage of that image.  Counting proves the rest.
+    Two distinct lines sharing two (skew) members would both be their span,
+    so N = Q^2 + Q + 1 distinct lines of Q + 1 members cover the
+    N * C(Q+1, 2) = C(N, 2) pairs of elements exactly once: a 2-(N, Q+1, 1)
+    design with N blocks, which is a projective plane (any two lines meet in
+    one point).  Raises ValueError when sigma is not a spread or the lines
+    through L0 are not N lines of Q + 1 members.
+    """
+    report = verify_spread(sigma)
+    if not report.ok:
+        raise ValueError("sigma is not a spread: " + report.reason)
     elems = sigma.elements
-    q = sigma.space.field.order
-    n = elems[0].rank
-    order = q**n
+    order = sigma.space.field.order ** elems[0].rank
     expected_pts = order**2 + order + 1
     if len(elems) != expected_pts:
         raise ValueError(f"{len(elems)} elements cannot model a plane of order {order}")
-    by_span: dict[Subspace, set[int]] = {}
-    for i, j in combinations(range(len(elems)), 2):
-        s = span([elems[i], elems[j]])
-        if s.rank != 2 * n:
-            raise ValueError("two spread elements span more than a (2n-1)-space; "
-                             "sigma is not a regular spread")
-        by_span.setdefault(s, set()).update((i, j))
-    lines = sorted(by_span, key=lambda s: s.rows)
-    members = [frozenset(by_span[s]) for s in lines]
+    l0 = span([elems[0], elems[1]])
+    by_line: dict[Subspace, frozenset[int]] = {}
+    for a in [i for i, e in enumerate(elems) if l0.contains(e)]:
+        qm = QuotientMap(elems[a])
+        groups: dict[Subspace, list[int]] = {}
+        for b, e in enumerate(elems):
+            if b != a:
+                groups.setdefault(qm.image(e), []).append(b)
+        for img, group in groups.items():
+            by_line.setdefault(qm.preimage(img), frozenset(group + [a]))
+    lines = sorted(by_line, key=lambda s: s.rows)
+    members = [by_line[s] for s in lines]
     if len(lines) != expected_pts:
         raise ValueError(f"{len(lines)} model lines, expected {expected_pts}")
     if any(len(m) != order + 1 for m in members):
         raise ValueError("some model line does not carry q^n + 1 elements")
-    for a, b in combinations(range(len(lines)), 2):
-        if len(members[a] & members[b]) != 1:
-            raise ValueError(f"model lines {a},{b} do not meet in exactly one point")
     return PlaneModel(sigma, tuple(lines), tuple(members), order + 1)
 
 
@@ -458,15 +462,14 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None,
                  "triple": list(gen_idx)})
         reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[j])
         sigma, scaffold = build_sigma(reg, da.gammas[i], tower)
-        counts = tuple(sum(1 for e in sigma.elements if beta.contains(e))
-                       for beta in da.betas)
+        inside = [[e for e in sigma.elements if beta.contains(e)] for beta in da.betas]
+        counts = tuple(len(els) for els in inside)
         choice = {"j": j, "i": i, "generators": list(gen_idx)}
         if all(c == order + 1 for c in counts):
-            result = _recover(arc, ext, da, sigma, scaffold, tower, choice,
-                              counts, was_oval)
+            plane, ident = _recover(arc, ext, inside, scaffold, tower, was_oval)
+            result = RecognitionResult(True, plane, ident, sigma, scaffold, choice, counts)
         else:
-            result = RecognitionResult(False, None, None, sigma, scaffold,
-                                       choice, counts)
+            result = RecognitionResult(False, None, None, sigma, scaffold, choice, counts)
         if not exhaustive:
             if result.regular:
                 return result
@@ -483,7 +486,8 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None,
     return RecognitionResult(False, None, None, None, None, {}, None)
 
 
-def _recover(arc, ext, da, sigma, scaffold, tower, choice, counts, was_oval):
+def _recover(arc, ext, inside, scaffold, tower, was_oval):
+    """The plane arc and its identification (frame) of a recognized arc."""
     top = tower.top
     rmap = ReductionMap(tower)
     points = []
@@ -500,12 +504,10 @@ def _recover(arc, ext, da, sigma, scaffold, tower, choice, counts, was_oval):
         points = []
         theta1 = scaffold.planes[0]
         chart_rows = theta1.rows
-        order = arc.q ** arc.n
-        for idx, beta in enumerate(da.betas):
-            inside = [scaffold.plane_coords[e] for e in sigma.elements
-                      if beta.contains(e)]
-            line = ProjSpace(2, top).subspace(inside[:2])
-            if line.rank != 2 or not all(line.contains_point(c) for c in inside):
+        for idx, els in enumerate(inside):
+            coords = [scaffold.plane_coords[e] for e in els]
+            line = ProjSpace(2, top).subspace(coords[:2])
+            if line.rank != 2 or not all(line.contains_point(c) for c in coords):
                 raise AssertionError("model points of a dual element are not collinear")
             coeff = kernel(top, line.rows, 3)
             points.append(normalize_point(top, coeff[0]))
@@ -530,5 +532,4 @@ def _recover(arc, ext, da, sigma, scaffold, tower, choice, counts, was_oval):
     if was_oval:
         points = points[:-1]
         ident["dropped_nucleus"] = True
-    plane = make_arc(ProjSpace(2, top), points)
-    return RecognitionResult(True, plane, ident, sigma, scaffold, choice, counts)
+    return make_arc(ProjSpace(2, top), points), ident

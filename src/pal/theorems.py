@@ -11,8 +11,10 @@ or n composite run anyway but are labelled out-of-hypothesis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .pseudoarcs import PseudoArc
 from .sigma import NotRegularError, recognize_regular
@@ -174,7 +176,8 @@ class DesignCheckReport:
 
 
 def check_design(spec: DesignSpec) -> DesignCheckReport:
-    """Exhaustive t-subset cover check with the exception rule."""
+    """t-subset cover check with the exception rule.  The histogram comes
+    from the block counts; t-subsets are walked only to find the witness."""
     pts = list(spec.points)
     if len(pts) != spec.v or len(set(pts)) != spec.v:
         return DesignCheckReport(False, {}, {"kind": "point-count"},
@@ -192,24 +195,20 @@ def check_design(spec: DesignSpec) -> DesignCheckReport:
             return DesignCheckReport(False, {}, {"kind": "stray-block",
                                                  "block": sorted(b)},
                                      "block contains unknown points")
-    counts: dict[tuple, int] = {}
-    for b in spec.blocks:
-        for sub in combinations(sorted(b), spec.t):
-            counts[sub] = counts.get(sub, 0) + 1
-    mult: dict[int, int] = {}
+    counts = Counter(sub for b in spec.blocks for sub in combinations(sorted(b), spec.t))
+    mult = Counter(counts.values())
+    uncovered = comb(spec.v, spec.t) - len(counts)
+    if uncovered > 0:
+        mult[0] = uncovered
     witness = None
-    for sub in combinations(sorted(pts), spec.t):
-        c = counts.get(sub, 0)
-        mult[c] = mult.get(c, 0) + 1
-        if witness is None:
+    if any(m != spec.lam for m in mult):
+        for sub in combinations(sorted(pts), spec.t):
+            c = counts.get(sub, 0)
             excess = len(set(sub) & spec.exceptions) > 1
-            if excess:
-                bad = c > spec.lam
-            else:
-                bad = c != spec.lam
-            if bad:
+            if c > spec.lam if excess else c != spec.lam:
                 witness = {"kind": "cover", "subset": list(sub), "count": c,
                            "expected": f"<= {spec.lam}" if excess else spec.lam}
+                break
     if witness is not None:
         return DesignCheckReport(False, mult, witness,
                                  f"{spec.t}-subset {witness['subset']} lies in "
@@ -221,8 +220,7 @@ def lines_design(space_points, lines) -> DesignSpec:
     """(points, lines) of a projective plane as a 2-(v, k, 1) candidate."""
     pts = tuple(space_points)
     blocks = tuple(frozenset(l) for l in lines)
-    ksize = len(blocks[0])
-    return DesignSpec(pts, blocks, 2, len(pts), ksize, 1)
+    return DesignSpec(pts, blocks, 2, len(pts), len(blocks[0]), 1)
 
 
 def spread_reguli_design(spread: Spread, exceptions=()) -> DesignSpec:

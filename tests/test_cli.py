@@ -127,6 +127,7 @@ MALFORMED = [
     *_probes("plane.json", ["points", 0], [1, 0], ["verify", "report"]),
     *_probes("plane.json", ["points", 0, 1], 9, ["verify", "report"]),
     *_probes("plane.json", ["points", 0], [0, 0, 0], ["verify", "report"]),
+    *_probes("delta_0.json", ["ambient_dim"], 30_000_000, ["verify", "check-regular"]),
 ]
 
 
@@ -259,6 +260,28 @@ def test_design_check_deleted_block(tmp_path):
                  "-o", str(tmp_path / "rep.json")]) == 1
     rep = io.load(tmp_path / "rep.json")
     assert rep["witness"]["kind"] == "cover" and rep["witness"]["count"] == 0
+
+
+def test_design_plane_model_byte_deterministic(arc_file, tmp_path, capsys):
+    outputs = []
+    for name in ("a.json", "b.json"):
+        assert main(["design", "--plane-model-from", str(arc_file), "--save-design",
+                     "-o", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    rep = io.load(tmp_path / "a.json", "design-report")
+    assert rep["ok"] and (rep["v"], rep["k"], rep["blocks"]) == (273, 17, 273)
+
+
+def test_design_plane_model_of_non_plane_exits_2(arc_file, tmp_path, capsys, monkeypatch):
+    from types import SimpleNamespace
+    from pal import cli, desarguesian_spread
+    monkeypatch.setattr(cli, "recognize_regular", lambda arc: SimpleNamespace(
+        regular=True, sigma=desarguesian_spread(4, 2)))  # 17 elements, no plane
+    capsys.readouterr()
+    assert main(["design", "--plane-model-from", str(arc_file),
+                 "-o", str(tmp_path / "d.json")]) == 2
+    assert capsys.readouterr().err == "error: 17 elements cannot model a plane of order 16\n"
 
 
 def test_design_dual_blocks_tabulation(hyper_file, tmp_path):

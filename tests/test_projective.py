@@ -35,6 +35,13 @@ def test_point_counts():
     assert PG34.empty().points() == []
 
 
+def test_point_count_is_lazy():
+    huge = ProjSpace(30_000_000, F2)  # 2^30000001 - 1 points
+    assert huge == ProjSpace(30_000_000, F2)
+    assert "n_points" not in vars(huge)
+    assert ProjSpace(3, F4).n_points == 85
+
+
 def test_points_counts_all_ranks_small_spaces():
     # every subspace of PG(2,2) and PG(3,2), by brute force over row sets
     for space in (ProjSpace(2, F2), ProjSpace(3, F2)):

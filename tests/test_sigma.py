@@ -12,7 +12,7 @@ from pal import (NotRegularError, ProjSpace, Regulus, Spread, build_sigma,
                  regulus_through, span, spread_transversals, verify_spread)
 from pal.projective import mat_inv, rref, vec_mat
 from pal.reduction import extend_subspace, frobenius_subspace
-from pal.sigma import _matrix_field
+from pal.sigma import PlaneModel, _matrix_field
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +293,70 @@ def test_plane_model_axioms(sigma_setup):
 def test_plane_model_rejects_wrong_count(pg34_spread):
     with pytest.raises(ValueError):
         plane_model(pg34_spread)
+
+
+def pair_span_plane_model(sigma):
+    """Reference model: span every pair of elements, then intersect every
+    pair of lines."""
+    elems = sigma.elements
+    order = sigma.space.field.order ** elems[0].rank
+    expected = order**2 + order + 1
+    if len(elems) != expected:
+        raise ValueError("wrong element count")
+    by_span = {}
+    for i, j in combinations(range(len(elems)), 2):
+        s = span([elems[i], elems[j]])
+        if s.rank != 2 * elems[0].rank:
+            raise ValueError("two elements span too much")
+        by_span.setdefault(s, set()).update((i, j))
+    lines = sorted(by_span, key=lambda s: s.rows)
+    members = [frozenset(by_span[s]) for s in lines]
+    if len(lines) != expected or any(len(m) != order + 1 for m in members):
+        raise ValueError("wrong line count or size")
+    for a, b in combinations(members, 2):
+        if len(a & b) != 1:
+            raise ValueError("two lines do not meet in one point")
+    return PlaneModel(sigma, tuple(lines), tuple(members), order + 1)
+
+
+def test_plane_model_matches_pair_span_oracle(sigma_setup, small_arc):
+    _, _, sigma42, _ = sigma_setup
+    da = dual_arc(small_arc)
+    gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
+    reg = regulus_through(*gens)
+    reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
+    sigma23, _ = build_sigma(reg, da.gammas[0], make_tower(1, 3))
+    for sigma in (sigma42, sigma23):
+        assert plane_model(sigma) == pair_span_plane_model(sigma)
+
+
+@pytest.mark.parametrize("line_index", [0, 5])
+def test_plane_model_rejects_regulus_switch(rmap42, line_index):
+    """All 273 reduced points of PG(2, 16) with one regulus inside a model
+    line swapped for its opposite: still a spread, no longer a plane.  Line 0
+    is <e0, e1>, where the model starts; line 5 is away from it."""
+    full = Spread(rmap42.target,
+                  tuple(rmap42.reduce_point(p) for p in rmap42.source.points()))
+    model = plane_model(full)
+    on_line = sorted(model.members[line_index])
+    reg = regulus_through(*(full.elements[i] for i in on_line[:3]))
+    switched = Spread(full.space,
+                      tuple(e for e in full.elements if e not in reg.element_set())
+                      + opposite_regulus(reg).elements)
+    assert verify_spread(switched).ok
+    assert (span(switched.elements[:2]) == model.lines[line_index]) == (line_index == 0)
+    with pytest.raises(ValueError):
+        pair_span_plane_model(switched)
+    with pytest.raises(ValueError):
+        plane_model(switched)
+
+
+def test_plane_model_rejects_non_spread(sigma_setup):
+    _, _, sigma, _ = sigma_setup
+    elems = list(sigma.elements)
+    elems[1] = sigma.space.subspace([elems[0].rows[0], elems[1].rows[0]])  # meets element 0
+    with pytest.raises(ValueError, match="not a spread"):
+        plane_model(Spread(sigma.space, tuple(elems)))
 
 
 # -- recognition -------------------------------------------------------------------

@@ -166,6 +166,52 @@ def test_regulus_blocks_rejects_irregular_gamma(conic_dual):
     assert err.value.witness == is_regular_spread(hall).witness
 
 
+def enumerated_check(spec):
+    """Reference check: walk every t-subset and count its blocks; returns
+    (ok, multiplicities, witness) for a spec that passes the block checks."""
+    mult, witness = {}, None
+    for sub in combinations(sorted(spec.points), spec.t):
+        c = sum(1 for b in spec.blocks if set(sub) <= b)
+        mult[c] = mult.get(c, 0) + 1
+        excess = len(set(sub) & spec.exceptions) > 1
+        if witness is None and (c > spec.lam if excess else c != spec.lam):
+            witness = {"kind": "cover", "subset": list(sub), "count": c,
+                       "expected": f"<= {spec.lam}" if excess else spec.lam}
+    return witness is None, mult, witness
+
+
+def _design_cases():
+    pg2 = _pg2_lines_design(4)
+    reguli = spread_reguli_design(desarguesian_spread(4, 2), exceptions=(0, 1))
+    pair = next(b for b in reguli.blocks if {0, 1} <= b)
+    return {
+        "valid": pg2,
+        "missing-block": DesignSpec(pg2.points, pg2.blocks[:7] + pg2.blocks[8:],
+                                    2, pg2.v, pg2.k, 1),
+        "duplicated-block": DesignSpec(pg2.points, pg2.blocks + pg2.blocks[9:10],
+                                       2, pg2.v, pg2.k, 1),
+        "exceptions-valid": reguli,
+        "exceptions-under-cover": DesignSpec(
+            reguli.points, tuple(b for b in reguli.blocks if b != pair),
+            3, reguli.v, reguli.k, 1, reguli.exceptions),
+        "exceptions-over-cover": DesignSpec(
+            reguli.points, reguli.blocks + (pair,),
+            3, reguli.v, reguli.k, 1, reguli.exceptions),
+        # a missing line whose points are all exceptions leaves only pairs
+        # with two exception points uncovered, which the rule allows
+        "exceptions-uncovered-valid": DesignSpec(
+            pg2.points, pg2.blocks[1:], 2, pg2.v, pg2.k, 1, pg2.blocks[0]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_design_cases()))
+def test_check_design_matches_enumeration(case):
+    spec = _design_cases()[case]
+    rep = check_design(spec)
+    assert (rep.ok, rep.multiplicities, rep.witness) == enumerated_check(spec)
+    assert rep.ok == case.endswith("valid")
+
+
 def test_lines_design_builder():
     pts = ("a", "b", "c")
     blocks = [("a", "b"), ("b", "c"), ("a", "c")]
