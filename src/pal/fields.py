@@ -198,6 +198,13 @@ class FiniteField:
             self._table = _mul_table(self.m, self.modulus)
         return self._table
 
+    def mul_bytes(self) -> tuple[bytes, ...] | None:
+        """`bytes.translate` tables B with B[c][b] = c*b, beside `mul_table`.
+
+        Each of the q tables is padded to 256 bytes; None where mul_table is.
+        """
+        return _mul_bytes(self.m, self.modulus) if self.mul_table() is not None else None
+
     def elements(self) -> range:
         return range(self.order)
 
@@ -231,6 +238,12 @@ def _mul_table(m: int, modulus: int) -> tuple[tuple[int, ...], ...]:
         la = log[a]
         rows.append((0,) + tuple(exp[la + log[b]] for b in rest))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _mul_bytes(m: int, modulus: int) -> tuple[bytes, ...]:
+    pad = bytes(256 - (1 << m))
+    return tuple(bytes(row) + pad for row in _mul_table(m, modulus))
 
 
 def field_make(m: int, modulus: int | None = None) -> FiniteField:

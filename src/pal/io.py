@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from .fields import FieldTower, FiniteField
-from .planearcs import PlaneArc, make_arc
+from .planearcs import PlaneArc
 from .projective import ProjSpace, Subspace
 from .pseudoarcs import PseudoArc, make_pseudo_arc
 from .reduction import ReductionMap
@@ -192,14 +192,6 @@ def plane_arc_items(obj: dict) -> tuple[ProjSpace, list[tuple[int, ...]]]:
     if not all(any(p) for p in points):
         raise PalFileError("a point is the zero vector")
     return space, points
-
-
-def plane_arc_from_json(obj: dict) -> PlaneArc:
-    space, points = plane_arc_items(obj)
-    try:
-        return make_arc(space, points)
-    except ValueError as err:
-        raise PalFileError(f"plane arc failed verification: {err}") from None
 
 
 def pseudo_arc_to_json(arc: PseudoArc) -> dict:

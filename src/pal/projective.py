@@ -17,6 +17,13 @@ with m <= 8 these read the field's shared multiplication table, so a row
 operation is `[a ^ T[c][b] ...]`; odd prime fields and m > 8 call
 `field.mul` once per entry.  `rank` is forward elimination only, for the
 "do these span?" checks that need no canonical basis.
+
+Point sets are keyed on point codes: a normalized coordinate vector packed
+big-endian into one int, one byte per coordinate when the field has at most
+256 elements (two bytes up to GF(2^16)).  In characteristic 2 with m <= 8
+the xor of two codes is the code of the vector sum, so
+`Subspace.point_codes` builds each point as one xor per basis row, and
+`point_vectors` is its decode, in the same order.
 """
 
 from __future__ import annotations
@@ -218,6 +225,22 @@ class ProjSpace:
                     for i in range(self.dim + 1))
         return Subspace(self, eye, tuple(range(self.dim + 1)))
 
+    @cached_property
+    def _code_width(self) -> int:
+        """Bytes per coordinate in a point code."""
+        return ((self.field.order - 1).bit_length() + 7) // 8
+
+    def encode(self, vec: Vec) -> int:
+        """The point code of a coordinate vector (see the module docstring)."""
+        w = self._code_width
+        return int.from_bytes(b"".join(x.to_bytes(w, "big") for x in vec), "big")
+
+    def decode(self, code: int) -> Vec:
+        """The coordinate vector of a point code; inverse of `encode`."""
+        w = self._code_width
+        raw = code.to_bytes(w * (self.dim + 1), "big")
+        return tuple(int.from_bytes(raw[i:i + w], "big") for i in range(0, len(raw), w))
+
     def point(self, coords) -> Point:
         return Point(self, normalize_point(self.field, tuple(coords)))
 
@@ -269,7 +292,8 @@ class Subspace:
         return len(self.rows) - 1
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient == other.ambient
+        return (isinstance(other, Subspace)
+                and (self.ambient is other.ambient or self.ambient == other.ambient)
                 and self.rows == other.rows)
 
     def __hash__(self):
@@ -304,21 +328,46 @@ class Subspace:
 
     def points(self) -> list[Point]:
         """All points, sorted lexicographically by normalized coordinates."""
-        if self.rank == 0:
-            return []
         if self.n_points() > POINT_ENUM_CAP:
             raise ValueError("subspace is over the point-enumeration cap")
+        # codes are fixed-width big-endian, so they sort like their vectors
+        decode = self.ambient.decode
+        return [Point(self.ambient, decode(c)) for c in sorted(self.point_codes())]
+
+    def point_codes(self) -> list[int]:
+        """Point codes of all points, in the order of `point_vectors`.
+
+        The order is that of the coefficient vectors in `_normalized_vectors`:
+        lead row index descending, then the later rows' multipliers in
+        `product` order.  Over a table field a point is the lead row's code
+        xor one multiple of each later row.  Since c -> c*row is additive,
+        the multiples c*row, c = 0..q-1, are the xor combinations of the m
+        multiples x^j * row (`bytes.translate` reads each one), and doubling
+        the list once per j keeps c in increasing order.  Other fields pack
+        `vec_mat` per point.
+        """
         field = self.ambient.field
-        vecs = [vec_mat(field, c, self.rows)
-                for c in _normalized_vectors(field, self.rank)]
-        vecs.sort()
-        return [Point(self.ambient, v) for v in vecs]
+        tables = field.mul_bytes()
+        if tables is None:
+            pack = self.ambient.encode
+            return [pack(vec_mat(field, c, self.rows))
+                    for c in _normalized_vectors(field, self.rank)]
+        out: list[int] = []
+        tails = [0]  # codes of the combinations of the rows after the lead
+        for k in range(self.rank - 1, -1, -1):
+            row = bytes(self.rows[k])
+            lead = int.from_bytes(row, "big")
+            out += [lead ^ t for t in tails]
+            if k:
+                for j in range(field.m):
+                    b = int.from_bytes(row.translate(tables[1 << j]), "big")
+                    tails += [b ^ t for t in tails]
+        return out
 
     def point_vectors(self) -> list[Vec]:
         """Normalized coordinate vectors of all points (unsorted, fast path)."""
-        field = self.ambient.field
-        return [vec_mat(field, c, self.rows)
-                for c in _normalized_vectors(field, self.rank)]
+        decode = self.ambient.decode
+        return [decode(c) for c in self.point_codes()]
 
 
 def span(parts) -> Subspace:

@@ -128,14 +128,14 @@ def _tangent(arc: PseudoArc, i: int) -> Subspace:
     for img in images:
         if img.rank != arc.n:
             raise ValueError(f"element {i} meets another element: not a pseudo-oval")
-        covered.update(img.point_vectors())
+        covered.update(img.point_codes())
     q = arc.q
     expected = (q**arc.n - 1) // (q - 1)
-    uncovered = [p.coords for p in qm.space.points() if p.coords not in covered]
+    uncovered = [c for c in qm.space.whole().point_codes() if c not in covered]
     if len(uncovered) != expected:
         raise ValueError(f"quotient by element {i} leaves {len(uncovered)} uncovered "
                          f"points, expected {expected}: not a pseudo-oval")
-    gap = qm.space.subspace(uncovered)
+    gap = qm.space.subspace([qm.space.decode(c) for c in uncovered])
     if gap.rank != arc.n or gap.n_points() != expected:
         raise ValueError(f"uncovered points in the quotient by element {i} "
                          "do not form an (n-1)-space: not a pseudo-oval")
@@ -171,11 +171,19 @@ def nucleus(arc: PseudoArc) -> Subspace:
 
 
 def extend_to_hyperoval(arc: PseudoArc) -> PseudoArc:
-    """Append the nucleus as element q^n + 1; re-verifies as a pseudo-hyperoval."""
+    """Append the nucleus as element q^n + 1, a verified pseudo-hyperoval.
+
+    The oval's own triples were verified when it was built (every PseudoArc
+    comes from `make_pseudo_arc`), so only the C(q^n + 1, 2) triples through
+    the nucleus are checked.
+    """
     if arc.kind != "pseudo-oval":
         raise ValueError(f"only pseudo-ovals extend; got {arc.kind} with {len(arc)} elements")
     nuc = nucleus(arc)
-    extended = make_pseudo_arc(arc.ambient, list(arc.elements) + [nuc], arc.witness)
-    if extended.kind != "pseudo-hyperoval":
-        raise AssertionError("extension did not verify as a pseudo-hyperoval")
-    return extended
+    fld = arc.ambient.field
+    for i, j in combinations(range(len(arc)), 2):
+        if rank(fld, arc.elements[i].rows + arc.elements[j].rows + nuc.rows) != 3 * arc.n:
+            raise AssertionError(f"elements {i},{j} and the nucleus do not span the space: "
+                                 "extension is not a pseudo-hyperoval")
+    return PseudoArc(arc.ambient, arc.n, arc.elements + (nuc,), "pseudo-hyperoval",
+                     arc.witness)

@@ -112,7 +112,12 @@ class RegularityReport:
 
 
 def verify_spread(spread: Spread) -> SpreadReport:
-    """Count, pairwise skewness and exact point cover, with witnesses."""
+    """Count, pairwise skewness and exact point cover, with witnesses.
+
+    Points are keyed on their codes (`Subspace.point_codes`); a code met
+    twice is decoded back to the coordinate vector that names the meeting
+    pair, the same witness a walk over `point_vectors` finds.
+    """
     elems = spread.elements
     space = spread.space
     q = space.field.order
@@ -131,18 +136,20 @@ def verify_spread(spread: Spread) -> SpreadReport:
     if len(elems) != expected:
         return SpreadReport(False, len(elems), expected, {"kind": "wrong-count"},
                             f"{len(elems)} elements, expected {expected}")
-    # disjointness and cover in one pass: a repeated point vector names a
+    # disjointness and cover in one pass: a repeated point code names a
     # meeting pair, and with the count right, disjoint + exact cover is a
     # partition, which implies pairwise skewness
-    covered: dict[tuple, int] = {}
+    covered: dict[int, int] = {}
     for idx, e in enumerate(elems):
-        for v in e.point_vectors():
-            other = covered.setdefault(v, idx)
-            if other != idx:
-                return SpreadReport(False, len(elems), expected,
-                                    {"kind": "not-skew", "pair": [other, idx],
-                                     "point": list(v)},
-                                    f"elements {other} and {idx} meet")
+        codes = e.point_codes()
+        if not covered.keys().isdisjoint(codes):
+            code = next(c for c in codes if c in covered)
+            other = covered[code]
+            return SpreadReport(False, len(elems), expected,
+                                {"kind": "not-skew", "pair": [other, idx],
+                                 "point": list(space.decode(code))},
+                                f"elements {other} and {idx} meet")
+        covered.update(dict.fromkeys(codes, idx))
     if len(covered) != space.n_points:
         missing = space.n_points - len(covered)
         return SpreadReport(False, len(elems), expected,

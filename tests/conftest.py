@@ -46,5 +46,11 @@ def small_arc(rmap23):
 
 
 @pytest.fixture(scope="session")
+def arc_q4n3():
+    """65-element pseudo-oval of PG(8, 4) from the conic over GF(64)."""
+    return reduction_map(4, 3).reduce_arc(conic(64))
+
+
+@pytest.fixture(scope="session")
 def conic_dual(conic_hyperoval):
     return dual_arc(conic_hyperoval)

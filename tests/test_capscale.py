@@ -18,11 +18,6 @@ def arc_q8n2():
     return reduction_map(8, 2).reduce_arc(conic(64))
 
 
-@pytest.fixture(scope="module")
-def arc_q4n3():
-    return reduction_map(4, 3).reduce_arc(conic(64))
-
-
 def test_q8_construction(arc_q8n2):
     assert arc_q8n2.kind == "pseudo-oval"
     assert len(arc_q8n2.elements) == 65

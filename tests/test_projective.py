@@ -5,11 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from pal import (ComplementProjection, ProjSpace, QuotientMap, Subspace, dual,
-                 gf, meet, prime_field, span)
+from pal import (ComplementProjection, ProjSpace, QuotientMap, Spread,
+                 Subspace, derive_spread_from_element, desarguesian_spread, dual,
+                 gf, meet, opposite_regulus, prime_field, regulus_through, span,
+                 verify_spread)
 from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
-from pal.projective import (Chart, lex_least_complement, lin_solve, mat_inv,
-                            mat_mul, rank, reduce_mod, rref, vec_mat)
+from pal.projective import (Chart, _normalized_vectors, lex_least_complement,
+                            lin_solve, mat_inv, mat_mul, rank, reduce_mod, rref,
+                            vec_mat)
+from pal.spreads import SpreadReport
 
 F2 = gf(2)
 F4 = gf(4)
@@ -265,3 +269,101 @@ def test_kernel_table_and_per_entry_paths_agree(field, monkeypatch):
     for rows, (rr, pivots, r, _, _) in zip(cases, chosen):
         assert (rr, pivots) == _reference_rref(field, rows)
         assert r == len(rr)
+
+
+def _reference_points(sub):
+    """Normalized point vectors of `sub` by one vec_mat per coefficient vector."""
+    field = sub.ambient.field
+    return [vec_mat(field, c, sub.rows) for c in _normalized_vectors(field, sub.rank)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_point_codes_decode_to_point_vectors(field, monkeypatch):
+    # the largest length <= 6 whose spaces have at most ~4096 points
+    length = 2
+    while length < 6 and field.order ** length <= 4096:
+        length += 1
+    space = ProjSpace(length - 1, field)
+    rnd = random.Random(field.order)
+    subs = []
+    for r in range(length + 1):
+        while len(subs) < 3 * (r + 1):
+            sub = rand_subspace(space, rnd, r)
+            if sub.rank == r:
+                subs.append(sub)
+    codes = [s.point_codes() for s in subs]
+    for sub, cs in zip(subs, codes):
+        ref = _reference_points(sub)
+        assert len(cs) == sub.n_points() if sub.rank else cs == []
+        assert [space.decode(c) for c in cs] == sub.point_vectors() == ref
+        assert [space.encode(v) for v in ref] == cs
+        assert [p.coords for p in sub.points()] == sorted(ref)
+    monkeypatch.setattr(field, "mul_table", lambda: None)
+    assert [s.point_codes() for s in subs] == codes
+
+
+def _reference_verify_spread(spread):
+    """verify_spread by a walk over plain point tuples, for equal-rank,
+    duplicate-free element lists."""
+    space, elems = spread.space, spread.elements
+    q = space.field.order
+    expected = (q ** (space.dim + 1) - 1) // (q ** elems[0].rank - 1)
+    if len(elems) != expected:
+        return SpreadReport(False, len(elems), expected, {"kind": "wrong-count"},
+                            f"{len(elems)} elements, expected {expected}")
+    covered = {}
+    for idx, e in enumerate(elems):
+        for v in _reference_points(e):
+            other = covered.setdefault(v, idx)
+            if other != idx:
+                return SpreadReport(False, len(elems), expected,
+                                    {"kind": "not-skew", "pair": [other, idx],
+                                     "point": list(v)},
+                                    f"elements {other} and {idx} meet")
+    if len(covered) != space.n_points:
+        missing = space.n_points - len(covered)
+        return SpreadReport(False, len(elems), expected,
+                            {"kind": "uncovered-points", "missing": missing},
+                            f"{missing} points uncovered")
+    return SpreadReport(True, len(elems), expected, None, "ok")
+
+
+def _hall_spread(q, rnd):
+    """The Desarguesian spread of PG(3, q) with one regulus switched, shuffled."""
+    desarg = desarguesian_spread(q, 2)
+    elems = desarg.elements
+    reg = regulus_through(*(elems[i] for i in rnd.sample(range(len(elems)), 3)))
+    inside = reg.element_set()
+    lines = [e for e in elems if e not in inside] + list(opposite_regulus(reg).elements)
+    rnd.shuffle(lines)
+    return Spread(desarg.space, tuple(lines), origin=f"hall({q})")
+
+
+def _variants(spread, rnd):
+    """The spread, three copies with one element replaced by a subspace through
+    points of two others (a meeting pair), and one with an element dropped."""
+    space, elems = spread.space, list(spread.elements)
+    out = [spread]
+    for _ in range(3):
+        a, b, k = rnd.sample(range(len(elems)), 3)
+        pa = rnd.choice(_reference_points(elems[a]))
+        pb = rnd.choice(_reference_points(elems[b]))
+        rows = [pa, pb] + list(elems[k].rows[2:])
+        planted = elems[:k] + [space.subspace(rows)] + elems[k + 1:]
+        out.append(Spread(space, tuple(planted), origin="planted"))
+    k = rnd.randrange(len(elems))
+    out.append(Spread(space, tuple(elems[:k] + elems[k + 1:]), origin="dropped"))
+    return out
+
+
+def test_verify_spread_matches_point_tuple_reference(arc_q4n3):
+    rnd = random.Random(7)
+    spreads = [_hall_spread(q, rnd) for q in (4, 4, 8, 8)]
+    spreads.append(derive_spread_from_element(arc_q4n3, 11))
+    kinds = []
+    for spread in spreads:
+        for variant in _variants(spread, rnd):
+            report = verify_spread(variant)
+            assert report == _reference_verify_spread(variant)
+            kinds.append((report.witness or {}).get("kind"))
+    assert kinds == [None, "not-skew", "not-skew", "not-skew", "wrong-count"] * 5

@@ -65,8 +65,8 @@ def _odd_q_arc():
     return arc5.ambient, [span([p]) for p in arc5.points]
 
 
-def test_pair_dual_sweep_matches_triple_sweep(conic_oval):
-    oval43 = reduction_map(4, 3).reduce_arc(conic(64))
+def test_pair_dual_sweep_matches_triple_sweep(conic_oval, arc_q4n3):
+    oval43 = arc_q4n3
     space42, elems42 = conic_oval.ambient, list(conic_oval.elements)
     space5, elems5 = _odd_q_arc()
     # element 1, or the last one, replaced by a line through a point of e_0
@@ -164,6 +164,24 @@ def test_extension(conic_oval):
     assert hyper.elements[:17] == conic_oval.elements  # nucleus appended last
     with pytest.raises(ValueError):
         extend_to_hyperoval(hyper)
+
+
+def test_extension_rejects_wrong_nucleus(conic_oval, monkeypatch):
+    import random
+    space, elems = conic_oval.ambient, conic_oval.elements
+    # a line through a point of element 0 and a point of element 1
+    meeting = space.subspace([elems[0].rows[0], elems[1].rows[0]])
+    # a line skew to every element that is not the nucleus
+    rnd = random.Random(3)
+    while True:
+        skew = space.subspace([tuple(rnd.randrange(4) for _ in range(6)) for _ in range(2)])
+        if (skew.rank == 2 and skew != nucleus(conic_oval)
+                and all(span([skew, e]).rank == 4 for e in elems)):
+            break
+    for wrong in (meeting, skew):
+        monkeypatch.setattr("pal.pseudoarcs.nucleus", lambda arc: wrong)
+        with pytest.raises(AssertionError, match="not a pseudo-hyperoval"):
+            extend_to_hyperoval(conic_oval)
 
 
 def test_exhaustive_maximality_q2_n2():
