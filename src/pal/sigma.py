@@ -27,7 +27,7 @@ from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
 from .spreads import (Regulus, Spread, _graph_map, _graph_rows, dual_arc, is_regular_spread,
-                      regulus_through, verified_spread, verify_spread)
+                      regulus_through, spread_set, verified_spread, verify_spread)
 
 
 class NotRegularError(ValueError):
@@ -51,27 +51,18 @@ class SigmaScaffold:
     plane_coords: dict | None = None                   # element -> theta_1 coords
 
 
-def _matrix_field(spread: Spread, tower: FieldTower):
+def _matrix_field(spread: Spread):
     """Spread-set matrices of a spread of PG(2n-1, q), checked to be a field.
 
-    Returns (a, c, fmap, mats).  Raises NotRegularError when closure under
-    addition/multiplication or commutativity fails; that is the regularity
-    certificate that stays meaningful at q = 2 where regulus closure is
-    vacuous.
+    Returns (a, c, fmap, mats) as `spread_set` does, with mats a dict.
+    Raises NotRegularError when closure under addition/multiplication or
+    commutativity fails; that is the regularity certificate that stays
+    meaningful at q = 2 where regulus closure is vacuous.
     """
-    elems = spread.elements
-    space = spread.space
-    fld = space.field
-    n = elems[0].rank
-    if space.dim + 1 != 2 * n:
-        raise ValueError("spread-set structure needs a spread of PG(2n-1, q)")
-    a, c = elems[0], elems[1]
-    m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-    maps = {idx: _graph_map(fld, m_inv, e.rows, n)
-            for idx, e in enumerate(elems) if idx > 1}
-    fmap = maps[2]
-    f_inv = mat_inv(fld, fmap)
-    mats = {idx: tuple(mat_mul(fld, g, f_inv)) for idx, g in maps.items()}
+    a, c, fmap, mats = spread_set(spread)
+    mats = dict(mats)
+    fld = spread.space.field
+    n = a.rank
     zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     mat_set = set(mats.values()) | {zero}
     if len(mat_set) != len(mats) + 1:
@@ -144,7 +135,7 @@ def _eigen_lines(spread: Spread, tower: FieldTower):
     fld = spread.space.field
     top = tower.top
     n = tower.n
-    a, c, fmap, mats = _matrix_field(spread, tower)
+    a, c, fmap, mats = _matrix_field(spread)
     gen = None
     for idx in sorted(mats):
         mp = _minpoly(fld, mats[idx])

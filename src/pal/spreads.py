@@ -24,6 +24,22 @@ count as checked, and a sweep that stops at the first regulus leaving the
 spread stops at the same triple as a plain sweep, since a covered triple
 has a regulus that was already found inside the spread; counts and
 witnesses are those of the plain sweep.
+
+A spread of PG(2n-1, q) also has a spread set: with elements 0 and 1 as
+A and C, every other element is the graph of a map A -> C, and dividing by
+the map of element 2 makes that one the identity (`spread_set`).  When the
+q^n - 1 normalized maps are exactly the nonzero elements of a field of
+order q^n, the spread is Desarguesian: A + C is a 2-dimensional vector
+space over that field and the elements are its 1-dimensional subspaces.  A
+Desarguesian spread is regular for every q > 2 and every n: the regulus
+through elements 0, 1 and 2 is {A, C} plus the graphs of the scalars, so it
+lies in the spread, and the field's PGL(2, q^n), which preserves reguli, is
+3-transitive on the elements.  So `is_regular_spread` returns "regular" on
+such a certificate without sweeping, with the report a sweep would give: a
+sweep of a regular spread never stops early, so it checks every triple of
+its mode.  Bruck's converse (Bruck-Bose 1964; Bruck 1969: for q > 2 a
+regular spread is Desarguesian) explains why every regular input takes
+this path; the verdicts do not rest on it.
 """
 
 from __future__ import annotations
@@ -33,12 +49,16 @@ from itertools import combinations
 
 from .projective import (Chart, ComplementProjection, ProjSpace, QuotientMap,
                          Subspace, _normalized_vectors, mat_inv, mat_mul, meet,
-                         rank, span, vec_mat)
+                         rank, reduce_mod, rref, span, vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces
 
 # 'auto' regularity sweeps all triples up to this many; above it (spreads of
 # --force instances past q^n = 64) only the triples through element 0
 FULL_SWEEP_CAP = 10**5
+
+# distinct reguli a regularity sweep builds before it tries the spread-set
+# certificate: most irregular inputs show a witness by then, so they skip it
+CERTIFICATE_AFTER = 4
 
 
 @dataclass(frozen=True)
@@ -136,9 +156,10 @@ def verify_spread(spread: Spread) -> SpreadReport:
     if len(elems) != expected:
         return SpreadReport(False, len(elems), expected, {"kind": "wrong-count"},
                             f"{len(elems)} elements, expected {expected}")
-    # disjointness and cover in one pass: a repeated point code names a
-    # meeting pair, and with the count right, disjoint + exact cover is a
-    # partition, which implies pairwise skewness
+    # a repeated point code names a meeting pair; once the count is right,
+    # pairwise disjoint elements cover expected * (q^r-1)/(q-1) distinct
+    # points, which is every point of the space, so the cover needs no
+    # check of its own
     covered: dict[int, int] = {}
     for idx, e in enumerate(elems):
         codes = e.point_codes()
@@ -150,11 +171,6 @@ def verify_spread(spread: Spread) -> SpreadReport:
                                  "point": list(space.decode(code))},
                                 f"elements {other} and {idx} meet")
         covered.update(dict.fromkeys(codes, idx))
-    if len(covered) != space.n_points:
-        missing = space.n_points - len(covered)
-        return SpreadReport(False, len(elems), expected,
-                            {"kind": "uncovered-points", "missing": missing},
-                            f"{missing} points uncovered")
     return SpreadReport(True, len(elems), expected, None, "ok")
 
 
@@ -189,6 +205,29 @@ def _graph_rows(fld, a_rows, fmap, c_rows):
     """
     return [tuple(fld.add(x, y) for x, y in zip(arow, w))
             for arow, w in zip(a_rows, mat_mul(fld, fmap, c_rows))]
+
+
+def spread_set(spread: Spread):
+    """The spread set of a spread of PG(2n-1, q), read over A + C.
+
+    A and C are elements 0 and 1, and element i >= 2 is the graph of a map
+    M_i: A -> C.  Returns (a, c, fmap, mats): fmap is M_2, and mats lazily
+    yields (i, M_i . M_2^-1) for i = 2, 3, ..., so element 2 gives the
+    identity.  A singular frame or map raises ValueError when reached.
+    """
+    elems = spread.elements
+    space = spread.space
+    fld = space.field
+    n = elems[0].rank
+    if space.dim + 1 != 2 * n:
+        raise ValueError("spread-set structure needs a spread of PG(2n-1, q)")
+    a, c = elems[0], elems[1]
+    m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
+    fmap = _graph_map(fld, m_inv, elems[2].rows, n)
+    f_inv = mat_inv(fld, fmap)
+    mats = ((i, tuple(mat_mul(fld, _graph_map(fld, m_inv, elems[i].rows, n), f_inv)))
+            for i in range(2, len(elems)))
+    return a, c, fmap, mats
 
 
 def _regulus_frame(a: Subspace, b: Subspace, c: Subspace):
@@ -311,14 +350,71 @@ def _closure_witness(spread: Spread, triple, reg: Regulus, members) -> dict:
             "missing_element": [list(r) for r in missing.rows]}
 
 
+def _field_spread_set(spread: Spread) -> bool:
+    """Whether `spread` is q^n + 1 elements of PG(2n-1, q) whose spread set
+    is a field of order q^n, which makes it Desarguesian (module docstring).
+
+    Walks `spread_set` one element at a time and stops at the first
+    failure.  X is the first matrix whose minimal polynomial has degree n
+    (for n >= 2 it is not scalar), so GF(q)[X], spanned by I, X, ...,
+    X^(n-1), has q^n elements.  The q^n - 1 matrices must be distinct,
+    invertible and in GF(q)[X]: then they are all of its nonzero elements,
+    each invertible, so GF(q)[X] is a field.  An input of any other shape
+    (ambient, count, ranks, an element that is not a graph) is not
+    certified; the caller's sweep judges it.
+    """
+    elems = spread.elements
+    space = spread.space
+    fld = space.field
+    n = elems[0].rank
+    if (space.dim + 1 != 2 * n or len(elems) != fld.order**n + 1
+            or any(e.rank != n or e.ambient != space for e in elems)):
+        return False
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen: set[tuple] = set()
+    basis = None  # RREF basis of GF(q)[X], matrices flattened
+    try:
+        *_, mats = spread_set(spread)
+        for _, m in mats:
+            flat = tuple(x for row in m for x in row)
+            if flat in seen or rank(fld, m) != n:
+                return False
+            seen.add(flat)
+            if basis is None:
+                powers = [identity]
+                while len(powers) < n:
+                    powers.append(tuple(mat_mul(fld, powers[-1], m)))
+                rows, pivots = rref(fld, [tuple(x for r in p for x in r) for p in powers])
+                if len(rows) < n:
+                    continue
+                basis, pending = (rows, pivots), seen
+            else:
+                pending = (flat,)
+            if any(any(reduce_mod(fld, v, *basis)) for v in pending):
+                return False
+    except ValueError:  # A and C meet, or an element meets one of them
+        return False
+    return basis is not None
+
+
 def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
-    """Regulus-closure test over distinct_reguli.
+    """Regulus-closure test over distinct_reguli, shortened by the spread-set
+    certificate.
 
     mode 'full' sweeps every triple, 'fixed' only triples containing the
     first element, 'auto' picks 'full' when the triple count is at most
     FULL_SWEEP_CAP.  Covered triples count as checked without rebuilding
     their regulus; the sweep stops at the first triple whose regulus leaves
     the spread, so the witness is the first failing triple of the order.
+
+    Once the sweep has built CERTIFICATE_AFTER reguli, all inside, it tries
+    `_field_spread_set`: when the spread set is a field, the spread is
+    Desarguesian, hence regular (module docstring), and the sweep could
+    only have checked every triple of its mode without stopping, so the
+    report is returned as the finished sweep would give it: regular, no
+    witness, C(k, 3) triples in 'full' and C(k-1, 2) in 'fixed'.  Without
+    the certificate the same sweep resumes, and its witness, ValueError or
+    count is the report.
     """
     elems = spread.elements
     k = len(elems)
@@ -332,14 +428,20 @@ def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
         triples = combinations(range(k), 3)
     elif mode == "fixed":
         triples = ((0, i, j) for i, j in combinations(range(1, k), 2))
+        n_triples = (k - 1) * (k - 2) // 2
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    checked = 0
+    checked = built = 0
     for t, reg, members in distinct_reguli(spread, triples):
         checked += 1
-        if members is not None and len(members) < len(reg):
+        if members is None:
+            continue
+        if len(members) < len(reg):
             witness = _closure_witness(spread, t, reg, members)
             return RegularityReport(False, False, mode, checked, witness)
+        built += 1
+        if built == CERTIFICATE_AFTER and _field_spread_set(spread):
+            return RegularityReport(True, False, mode, n_triples, None)
     return RegularityReport(True, False, mode, checked, None)
 
 

@@ -223,6 +223,19 @@ def lines_design(space_points, lines) -> DesignSpec:
     return DesignSpec(pts, blocks, 2, len(pts), len(blocks[0]), 1)
 
 
+def _inside_reguli(spread: Spread, reason: str):
+    """Yield (regulus, members) for the distinct reguli of `spread`, in sweep
+    order; the first one leaving it raises NotRegularError(reason) with
+    the regularity sweep's witness."""
+    triples = combinations(range(len(spread.elements)), 3)
+    for t, reg, members in distinct_reguli(spread, triples):
+        if members is None:
+            continue
+        if len(members) < len(reg):
+            raise NotRegularError(reason, _closure_witness(spread, t, reg, members))
+        yield reg, members
+
+
 def spread_reguli_design(spread: Spread, exceptions=()) -> DesignSpec:
     """Blocks = the distinct reguli of a regular spread, as index sets.
 
@@ -230,14 +243,8 @@ def spread_reguli_design(spread: Spread, exceptions=()) -> DesignSpec:
     structure behind the improvement hypothesis.
     """
     k = len(spread.elements)
-    blocks = []
-    for t, reg, members in distinct_reguli(spread, combinations(range(k), 3)):
-        if members is None:
-            continue
-        if len(members) < len(reg):
-            raise NotRegularError("spread is not regular: a regulus leaves it",
-                                  _closure_witness(spread, t, reg, members))
-        blocks.append(frozenset(members))
+    blocks = [frozenset(members) for _, members in
+              _inside_reguli(spread, "spread is not regular: a regulus leaves it")]
     q = spread.space.field.order
     return DesignSpec(tuple(range(k)), tuple(sorted(blocks, key=sorted)),
                       3, k, q + 1, 1, frozenset(exceptions))
@@ -251,22 +258,32 @@ def regulus_blocks(da: DualArc) -> DesignSpec:
     result is tabulated against the 4-(q^n+2, q+2, 1) parameters but is not
     expected to verify for q > 2: a valid 4-design of these parameters
     exists only at q = 2, so the checker reports multiplicities instead.
+
+    The reguli of a spread depend only on its element set, which the Gamma_s
+    often share (all of them, for the conic), so each distinct set is swept
+    once, at its first Gamma_s; its reguli are kept as member indices of
+    that Gamma_s and read in every Gamma_s with the set through the
+    Gamma_s's own indices.  An irregular set raises at its first Gamma_s,
+    with that Gamma_s's witness.
     """
     k = len(da.betas)
     q = da.arc.q
     blocks: set[frozenset] = set()
+    reguli_of: dict[frozenset, tuple] = {}  # element set -> (swept Gamma_s, reguli)
     for s in range(k):
         gamma = da.gammas[s]
-        # element m of Gamma_s is beta_s ^ beta_partner[m], as dual_arc lists them
+        key = gamma.element_set()
+        if key not in reguli_of:
+            reguli_of[key] = (gamma, [members for _, members in
+                                      _inside_reguli(gamma, f"Gamma_{s} is not regular")])
+        swept, reguli = reguli_of[key]
+        index_of = {e: m for m, e in enumerate(gamma.elements)}
+        # element m of Gamma_s is beta_s ^ beta_partner[m], as dual_arc lists
+        # them; label[m] is that partner for element m of the swept Gamma
         partner = [j for j in range(k) if j != s]
-        triples = combinations(range(len(gamma.elements)), 3)
-        for t, reg, members in distinct_reguli(gamma, triples):
-            if members is None:
-                continue
-            if len(members) < len(reg):
-                raise NotRegularError(f"Gamma_{s} is not regular",
-                                      _closure_witness(gamma, t, reg, members))
-            block = frozenset({s} | {partner[m] for m in members})
+        label = [partner[index_of[e]] for e in swept.elements]
+        for members in reguli:
+            block = frozenset({s} | {label[m] for m in members})
             if len(block) != q + 2:
                 raise AssertionError(f"block of size {len(block)}, expected {q + 2}")
             blocks.add(block)

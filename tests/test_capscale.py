@@ -8,14 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from pal import (conic, derive_spread_from_element, extend_to_hyperoval,
+from pal import (derive_spread_from_element, extend_to_hyperoval,
                  is_regular_spread, make_pseudo_arc, nucleus, recognize_regular,
                  reduction_map, tangent_spaces, verify_spread)
-
-
-@pytest.fixture(scope="module")
-def arc_q8n2():
-    return reduction_map(8, 2).reduce_arc(conic(64))
 
 
 def test_q8_construction(arc_q8n2):

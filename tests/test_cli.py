@@ -372,3 +372,55 @@ def test_dualize_cli(arc_file, tmp_path):
     assert len(obj["betas"]) == 18
     assert obj["extended"]
     assert all(g["regular"] for g in obj["gammas"])
+
+
+def test_certificate_keeps_cli_bytes(tmp_path, capsys, monkeypatch, shuffled_hall):
+    """Every file, stdout and exit code of the commands that read regularity
+    at (4,2) is the same with is_regular_spread's certificate on and off."""
+    import pal.spreads
+    from pal import desarguesian_spread
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for name, source in (("oval", "conic"), ("hyper", "hyperoval-from:conic")):
+        assert main(["construct", "--q", "4", "--n", "2", "--source", source,
+                     "-o", str(inputs / f"{name}.json")]) == 0
+    # the q = 8 Hall spread reaches the certificate before its witness
+    for q, seed in ((4, 1), (8, 213)):
+        io.save(inputs / f"hall{q}.json", io.spread_to_json(shuffled_hall(q, seed)))
+    io.save(inputs / "desarg.json", io.spread_to_json(desarguesian_spread(4, 2)))
+    commands = [
+        ["derive", "in/hyper.json", "--all", "--outdir", "deltas"],
+        ["derive", "in/oval.json", "--all", "--outdir", "deltas_oval"],
+        ["dualize", "in/hyper.json", "-o", "dual.json"],
+        ["theorem", "--id", "6.1", "in/hyper.json", "-o", "t61.json"],
+        ["theorem", "--id", "6.2", "in/oval.json", "-o", "t62.json"],
+        ["design", "--dual-blocks", "in/hyper.json", "--tabulate", "-o", "blocks.json"],
+        ["design", "--spread-reguli", "in/desarg.json", "-o", "reguli.json"],
+    ]
+    for spread in ("desarg", "hall4", "hall8"):
+        for mode in ("full", "fixed"):
+            for extra in ([], ["--transversals"]):
+                commands.append(["check-regular", f"in/{spread}.json", "--mode", mode,
+                                 *extra, "-o", f"{spread}-{mode}{''.join(extra)}.json"])
+    certified = []
+
+    def run(name):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "in").symlink_to(inputs)
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        results = [(main(cmd), capsys.readouterr()) for cmd in commands]
+        files = {str(p.relative_to(work)): p.read_bytes()
+                 for p in sorted(work.rglob("*.json")) if "in" not in p.parts}
+        return results, files
+
+    certify = pal.spreads._field_spread_set
+    monkeypatch.setattr(pal.spreads, "_field_spread_set",
+                        lambda spread: certified.append(certify(spread)) or certified[-1])
+    on = run("on")
+    monkeypatch.setattr(pal.spreads, "_field_spread_set", lambda spread: False)
+    off = run("off")
+    assert on == off
+    assert len(on[1]) == len(commands) - 2 + 2 * 19  # each derive writes 18 spreads, 1 report
+    assert certified.count(True) > 50 and False in certified

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import pal.spreads
 from pal import (NotRegularError, ProjSpace, Regulus, Spread, build_sigma,
                  conic, derive_spread_from_element, desarguesian_spread,
                  dual_arc, gf, is_regular_spread, make_pseudo_arc, make_tower,
@@ -112,24 +113,28 @@ def test_transversals_reject_irregular(pg34_spread, tower42):
     assert err.value.witness["kind"] == "regulus-closure"
 
 
-def test_matrix_field_agrees_with_regulus_closure(pg34_spread, conic_hyperoval,
-                                                  conic_dual, tower42):
-    """The spread-set field certificate and regulus closure give one verdict."""
+def test_matrix_field_agrees_with_regulus_closure(pg34_spread, conic_hyperoval, conic_dual,
+                                                  arc_q4n3, shuffled_hall, monkeypatch):
+    """The spread-set field test and the full regulus-closure sweep (with
+    is_regular_spread's certificate off) give one verdict."""
+    monkeypatch.setattr(pal.spreads, "_field_spread_set", lambda spread: False)
     reg = regulus_through(*pg34_spread.elements[:3])
     hall = Spread(pg34_spread.space,
                   tuple(e for e in pg34_spread.elements if e not in reg.element_set())
                   + opposite_regulus(reg).elements)
     derived = [derive_spread_from_element(conic_hyperoval, i) for i in range(18)]
+    derived_q4n3 = derive_spread_from_element(arc_q4n3, 0)
+    halls_q8 = [shuffled_hall(8, seed) for seed in (1, 2, 3)]
     verdicts = []
-    for spread in derived + list(conic_dual.gammas) + [hall]:
+    for spread in derived + list(conic_dual.gammas) + [derived_q4n3, hall] + halls_q8:
         try:
-            _matrix_field(spread, tower42)
+            _matrix_field(spread)
             field = True
         except NotRegularError:
             field = False
         assert field == is_regular_spread(spread).regular
         verdicts.append(field)
-    assert verdicts == [True] * 36 + [False]
+    assert verdicts == [True] * 37 + [False] * 4
 
 
 def test_transversals_reject_n1():

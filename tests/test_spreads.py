@@ -13,6 +13,7 @@ from pal import (NotRegularError, ProjSpace, Spread, conic, count_reguli_through
                  prime_field, reduction_map, regulus_through, span,
                  spread_reguli_design, tangent_spaces, transversal_lines,
                  verify_spread)
+from pal.spreads import RegularityReport
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ def test_verify_spread_meeting_pair(pg34_spread):
     elems = pg34_spread.elements[:-1] + (crooked,)
     rep = verify_spread(Spread(space, elems))
     assert not rep.ok
-    assert rep.witness["kind"] in ("not-skew", "uncovered-points")
+    assert rep.witness["kind"] == "not-skew"
 
 
 
@@ -234,9 +235,110 @@ def test_full_sweep_builds_each_regulus_once(pg34_spread, monkeypatch):
         return regulus_through(*gens)
 
     monkeypatch.setattr(pal.spreads, "regulus_through", counting)
+    sweep = list(pal.spreads.distinct_reguli(pg34_spread, combinations(range(17), 3)))
+    assert len(sweep) == 680  # every triple is yielded
+    built = [frozenset(members) for _, _, members in sweep if members is not None]
+    assert len(calls) == len(built) == len(set(built)) == 68  # q^2 (q^2 + 1), not C(17, 3)
+    assert all(len(members) == 5 for members in built)
+    # the regularity test stops building at the certificate
+    calls.clear()
     rep = is_regular_spread(pg34_spread, mode="full")
     assert rep.regular and rep.checked_triples == 680
-    assert len(calls) == 68  # q^2 (q^2 + 1) reguli, not C(17, 3)
+    assert len(calls) == pal.spreads.CERTIFICATE_AFTER
+
+
+# -- the spread-set certificate against the plain regulus sweep -------------------
+
+
+def _graph_set(fld, mats):
+    """A = <e0, e1>, C = <e2, e3> of PG(3, q), then the graphs y = x.M of `mats`."""
+    space = ProjSpace(3, fld)
+    elems = [space.subspace([(1, 0, 0, 0), (0, 1, 0, 0)]),
+             space.subspace([(0, 0, 1, 0), (0, 0, 0, 1)])]
+    elems += [space.subspace([(1, 0) + m[0], (0, 1) + m[1]]) for m in mats]
+    return Spread(space, tuple(elems))
+
+
+def _lin(fld, a, b, x):
+    """a.I + b.X for a 2x2 matrix X."""
+    return tuple(tuple(fld.add(a if i == j else 0, fld.mul(b, x[i][j])) for j in range(2))
+                 for i in range(2))
+
+
+def zero_divisor_set(q):
+    """q^2 + 1 subspaces whose spread set is GF(q)[x]/(x^2): scalars, then the
+    invertible a.I + b.N, then the singular b.N, with N^2 = 0.  The reguli
+    through elements 0 and 1 stay inside, so a sweep reaches the certificate,
+    which must refuse the singular maps."""
+    fld = gf(q)
+    nil = ((0, 1), (0, 0))
+    scalars = [(a, 0) for a in range(1, q)]
+    units = [(a, b) for a in range(1, q) for b in range(1, q)]
+    singular = [(0, b) for b in range(1, q)]
+    return _graph_set(fld, [_lin(fld, a, b, nil) for a, b in scalars + units + singular])
+
+
+def subfield_closed_set(q):
+    """q^2 + 1 subspaces whose spread set is closed under the scalars GF(q) of
+    GF(q^2) but not under GF(q^2): the field GF(q)[X] with the class of X
+    replaced by the multiples of an invertible Y outside it.  Every regulus
+    through elements 0 and 1 stays inside, so a sweep reaches the
+    certificate, which must refuse Y."""
+    fld = gf(q)
+    t, d = next((t, d) for t in range(q) for d in range(1, q)
+                if all(fld.add(fld.add(fld.mul(r, r), fld.mul(t, r)), d) for r in range(q)))
+    x = ((0, 1), (d, t))  # companion matrix of the irreducible x^2 + t x + d
+    field = {_lin(fld, a, b, x) for a in range(q) for b in range(q)}
+    y = next(m for m in (((a, b), (c, e)) for a, b, c, e in product(range(q), repeat=4))
+             if m not in field and fld.add(fld.mul(m[0][0], m[1][1]), fld.mul(m[0][1], m[1][0])))
+    # a.I + b.X with a != 0 is GF(q)[X] without 0 and the class of X
+    mats = [_lin(fld, a, b, x) for a in range(1, q) for b in range(q)]
+    return _graph_set(fld, mats + [_lin(fld, 0, lam, y) for lam in range(1, q)])
+
+
+def _outcome(spread, mode):
+    try:
+        return is_regular_spread(spread, mode=mode)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def test_certificate_keeps_reports(pg34_spread, conic_hyperoval, arc_q8n2, arc_q4n3,
+                                   hall_fixtures, monkeypatch):
+    """Reports and raised errors with the certificate equal those of the
+    plain sweep (certificate off) in every mode."""
+    regular = ([pg34_spread]
+               + [derive_spread_from_element(conic_hyperoval, i) for i in (0, 17)]
+               + [derive_spread_from_element(arc_q8n2, i) for i in (0, 64)]
+               + [derive_spread_from_element(arc_q4n3, 5)])
+    # element 14 lies on the last of the five reguli through elements 0 and
+    # 1; moved to the end and then dropped or overwritten, it leaves the
+    # other four inside, so the sweep reaches the certificate
+    elems = pg34_spread.elements
+    elems = elems[:14] + elems[15:] + (elems[14],)
+    planted = [zero_divisor_set(4), subfield_closed_set(4),
+               Spread(pg34_spread.space, elems[:-1] + (elems[5],)),  # a repeat
+               Spread(pg34_spread.space, elems[:-1])]                # q^n elements
+    inputs = regular + hall_fixtures + planted
+    certify = pal.spreads._field_spread_set
+    verdicts = {}
+
+    def spy(spread):
+        verdicts[id(spread)] = certify(spread)
+        return verdicts[id(spread)]
+
+    monkeypatch.setattr(pal.spreads, "_field_spread_set", spy)
+    modes = ("full", "fixed", "auto")
+    on = [[_outcome(s, m) for m in modes] for s in inputs]
+    monkeypatch.setattr(pal.spreads, "_field_spread_set", lambda spread: False)
+    off = [[_outcome(s, m) for m in modes] for s in inputs]
+    assert on == off
+    # the regular inputs take the certificate; the planted ones reach it, are
+    # refused, and then fail the sweep
+    assert [verdicts.get(id(s)) for s in regular] == [True] * len(regular)
+    assert [verdicts.get(id(s)) for s in planted] == [False] * len(planted)
+    assert not any(isinstance(o, RegularityReport) and o.regular
+                   for row in off[-len(planted):] for o in row)
 
 
 def test_reguli_design_and_pair_count_match_plain_sweep(pg34_spread, hall_fixtures):

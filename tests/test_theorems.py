@@ -148,6 +148,33 @@ def test_regulus_blocks_tabulation(conic_dual):
     assert set(rep.multiplicities) == {1, 4, 13}
 
 
+def test_regulus_blocks_match_per_gamma_sweep(conic_dual, monkeypatch):
+    """One sweep per distinct element set gives the blocks of a sweep of every
+    Gamma_s, also when some Gamma_s list the shared set in another order."""
+    import pal.spreads
+    from pal import DualArc, Spread, regulus_through
+    from pal.spreads import distinct_reguli
+    assert len({g.element_set() for g in conic_dual.gammas}) == 1
+    gammas = list(conic_dual.gammas)
+    for s in (3, 7):
+        g = gammas[s]
+        gammas[s] = Spread(g.space, tuple(reversed(g.elements)), carrier=g.carrier)
+    k = len(gammas)
+    expected = set()
+    for s, g in enumerate(gammas):
+        partner = [j for j in range(k) if j != s]
+        for _, _, members in distinct_reguli(g, combinations(range(k - 1), 3)):
+            if members is not None:
+                expected.add(frozenset({s} | {partner[m] for m in members}))
+    calls = []
+    monkeypatch.setattr(pal.spreads, "regulus_through",
+                        lambda *gens: calls.append(gens) or regulus_through(*gens))
+    spec = regulus_blocks(DualArc(conic_dual.arc, conic_dual.betas, tuple(gammas)))
+    assert set(spec.blocks) == expected
+    assert len(calls) == 68  # the shared set's q^2 (q^2 + 1) reguli, built once
+    assert spec.blocks != regulus_blocks(conic_dual).blocks
+
+
 def test_regulus_blocks_rejects_irregular_gamma(conic_dual):
     """The block pass is also the closure check: a Hall spread in place of
     Gamma_2 fails with the witness of is_regular_spread."""
