@@ -3,14 +3,17 @@ plane model, and the recognition of regular pseudo-arcs.
 
 A regular (n-1)-spread of PG(2n-1, q) carries a field structure: writing
 every element as the graph of a map A -> C and normalizing by one of them
-turns the element set into a field of matrices isomorphic to GF(q^n).  Its
-simultaneous eigenvectors over GF(q^n) give the n conjugate transversal
-lines U_l that every extended spread element meets in one point.  Together
-with the transversals T_l of a regulus through the contact points u_l they
-span the planes theta_l, and the rational (n-1)-spaces meeting the planes
-are the generated spread, whose elements are the points of a plane of order
-q^n.  Recognition runs exactly that construction on the dual of an arc and
-asks whether every dual element is a line of the model plane.
+turns the element set into a field of matrices isomorphic to GF(q^n).
+`spreads.spread_field` is the one test of that field, shared with the
+regularity certificate, and it hands over the matrices, a generator X and
+its minimal polynomial.  Their simultaneous eigenvectors over GF(q^n) give
+the n conjugate transversal lines U_l that every extended spread element
+meets in one point.  Together with the transversals T_l of a regulus
+through the contact points u_l they span the planes theta_l, and the
+rational (n-1)-spaces meeting the planes are the generated spread, whose
+elements are the points of a plane of order q^n.  Recognition runs exactly
+that construction on the dual of an arc and asks whether every dual
+element is a line of the model plane.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from itertools import combinations
 from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, Vec, _normalized_vectors,
-                         dual as dual_subspace, kernel, lin_solve, mat_inv,
-                         mat_mul, meet, normalize_point, span, vec_mat)
+                         dual as dual_subspace, kernel, mat_inv, meet,
+                         normalize_point, span, vec_mat)
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
 from .spreads import (Regulus, Spread, _graph_map, _graph_rows, dual_arc, is_regular_spread,
-                      regulus_through, spread_set, verified_spread, verify_spread)
+                      regulus_through, spread_field, verified_spread, verify_spread)
 
 
 class NotRegularError(ValueError):
@@ -51,75 +54,21 @@ class SigmaScaffold:
     plane_coords: dict | None = None                   # element -> theta_1 coords
 
 
-def _matrix_field(spread: Spread):
-    """Spread-set matrices of a spread of PG(2n-1, q), checked to be a field.
-
-    Returns (a, c, fmap, mats) as `spread_set` does, with mats a dict.
-    Raises NotRegularError when closure under addition/multiplication or
-    commutativity fails; that is the regularity certificate that stays
-    meaningful at q = 2 where regulus closure is vacuous.
-    """
-    a, c, fmap, mats = spread_set(spread)
-    mats = dict(mats)
-    fld = spread.space.field
-    n = a.rank
-    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    mat_set = set(mats.values()) | {zero}
-    if len(mat_set) != len(mats) + 1:
-        raise NotRegularError("spread set has repeated maps",
-                              {"kind": "spread-set-degenerate"})
-    items = list(mats.items())
-    for (i1, m1), (i2, m2) in combinations(items, 2):
-        s = tuple(tuple(fld.add(x, y) for x, y in zip(r1, r2))
-                  for r1, r2 in zip(m1, m2))
-        if s not in mat_set:
-            raise NotRegularError(
-                f"spread set not closed under addition at elements {i1},{i2}",
-                {"kind": "spread-set-addition", "pair": [i1, i2]})
-        p12 = tuple(mat_mul(fld, m1, m2))
-        if p12 not in mat_set:
-            raise NotRegularError(
-                f"spread set not closed under multiplication at {i1},{i2}",
-                {"kind": "spread-set-multiplication", "pair": [i1, i2]})
-        if p12 != tuple(mat_mul(fld, m2, m1)):
-            raise NotRegularError(
-                f"spread set not commutative at {i1},{i2}",
-                {"kind": "spread-set-commutativity", "pair": [i1, i2]})
-    return a, c, fmap, mats
-
-
-def _minpoly(fld, mat) -> list[int]:
-    """Monic minimal polynomial of a square matrix, low-degree coefficients first."""
-    n = len(mat)
-    powers = []
-    cur = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    while True:
-        flat = tuple(x for row in cur for x in row)
-        sol = lin_solve(fld, [tuple(x for row in p for x in row) for p in powers], flat) \
-            if powers else (None if any(flat) else ())
-        if sol is not None:
-            return [fld.neg(s) for s in sol] + [1]
-        powers.append(cur)
-        cur = tuple(mat_mul(fld, mat, cur))
-
-
 def spread_transversals(spread: Spread, tower: FieldTower) -> SigmaScaffold:
     """The n conjugate lines over GF(q^n) meeting every extended element.
 
-    Requires a verified regular spread (n >= 2); fails with a certificate
-    otherwise: the regulus-closure witness when that test is non-vacuous,
-    or the spread-set closure witness at q = 2.
+    Requires a verified regular spread of PG(2n-1, q) (n >= 2) and fails
+    with a witness otherwise (see `_eigen_lines`): for q > 2 the
+    regulus-closure witness of the regularity sweep, and at q = 2, where
+    regulus closure is vacuous, the spread-set witness
+    {"kind": "spread-set-not-field"}.
     """
     if tower.n < 2:
         raise ValueError("transversal lines need n >= 2")
     n = spread.elements[0].rank
     if n != tower.n or spread.space.field != tower.base:
         raise ValueError("tower does not match the spread")
-    closure = is_regular_spread(spread)
-    if not closure.regular:
-        raise NotRegularError("spread is not regular: " + closure.reason,
-                              closure.witness)
-    u_lines = _eigen_lines(spread, tower)
+    u_lines = _eigen_lines(spread, tower, "spread")
     top_space = u_lines[0].ambient
     for e in spread.elements:
         ext = extend_subspace(e, tower, top_space)
@@ -129,22 +78,30 @@ def spread_transversals(spread: Spread, tower: FieldTower) -> SigmaScaffold:
     return SigmaScaffold(tower, top_space, tuple(u_lines))
 
 
-def _eigen_lines(spread: Spread, tower: FieldTower):
+def _eigen_lines(spread: Spread, tower: FieldTower, label: str):
     """The transversal lines U_l of a regular spread, via eigenvectors of its
-    matrix field, ordered as one Frobenius orbit."""
+    matrix field, ordered as one Frobenius orbit.
+
+    Checks, in this order: regularity (NotRegularError with the sweep's
+    witness), the shape PG(2n-1, q) (ValueError), and `spread_field`
+    (NotRegularError with the spread-set witness); `label` names the spread
+    in the messages.  The eigenvalues are the roots of the minimal
+    polynomial of the field's generator X.
+    """
+    closure = is_regular_spread(spread)
+    if not closure.regular:
+        raise NotRegularError(f"{label} is not regular: " + closure.reason,
+                              closure.witness)
+    if spread.space.dim + 1 != 2 * spread.elements[0].rank:
+        raise ValueError("spread-set structure needs a spread of PG(2n-1, q)")
+    field = spread_field(spread)
+    if field is None:
+        raise NotRegularError(f"{label} is not regular: its spread set is not "
+                              "a field of order q^n", {"kind": "spread-set-not-field"})
+    a, c, fmap, mats, gen, mp = field
     fld = spread.space.field
     top = tower.top
     n = tower.n
-    a, c, fmap, mats = _matrix_field(spread)
-    gen = None
-    for idx in sorted(mats):
-        mp = _minpoly(fld, mats[idx])
-        if len(mp) == n + 1:
-            gen = mats[idx]
-            break
-    if gen is None:
-        raise NotRegularError("no spread-set matrix generates GF(q^n)",
-                              {"kind": "spread-set-no-generator"})
     coeffs = [tower.embed(x) for x in mp]
     roots = sorted(r for r in top.elements()
                    if _eval_poly(top, coeffs, r) == 0)
@@ -221,11 +178,7 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
         raise ValueError("beta_i ^ beta_j is not an element of gamma")
     if alpha_i not in gamma_i.element_set():
         raise ValueError("beta_i ^ beta_j is not an element of gamma_i")
-    closure = is_regular_spread(gamma_i)
-    if not closure.regular:
-        raise NotRegularError("gamma_i is not regular: " + closure.reason,
-                              closure.witness)
-    u_lines_int = _eigen_lines(gamma_i, tower)
+    u_lines_int = _eigen_lines(gamma_i, tower, "gamma_i")
 
     top_ambient = ProjSpace(ambient.dim, top)
     chart_i_ext, chart_j_ext = (Chart(extend_subspace(beta, tower, top_ambient))

@@ -27,19 +27,21 @@ witnesses are those of the plain sweep.
 
 A spread of PG(2n-1, q) also has a spread set: with elements 0 and 1 as
 A and C, every other element is the graph of a map A -> C, and dividing by
-the map of element 2 makes that one the identity (`spread_set`).  When the
-q^n - 1 normalized maps are exactly the nonzero elements of a field of
-order q^n, the spread is Desarguesian: A + C is a 2-dimensional vector
-space over that field and the elements are its 1-dimensional subspaces.  A
-Desarguesian spread is regular for every q > 2 and every n: the regulus
-through elements 0, 1 and 2 is {A, C} plus the graphs of the scalars, so it
-lies in the spread, and the field's PGL(2, q^n), which preserves reguli, is
-3-transitive on the elements.  So `is_regular_spread` returns "regular" on
-such a certificate without sweeping, with the report a sweep would give: a
-sweep of a regular spread never stops early, so it checks every triple of
-its mode.  Bruck's converse (Bruck-Bose 1964; Bruck 1969: for q > 2 a
-regular spread is Desarguesian) explains why every regular input takes
-this path; the verdicts do not rest on it.
+the map of element 2 makes that one the identity.  When the q^n - 1
+normalized maps are exactly the nonzero elements of a field of order q^n,
+the spread is Desarguesian: A + C is a 2-dimensional vector space over
+that field and the elements are its 1-dimensional subspaces.
+`spread_field` is the one test of this; it returns the field's data, which
+serves both the regularity certificate below and the transversal lines of
+`sigma`.  A Desarguesian spread is regular for every q > 2 and every n:
+the regulus through elements 0, 1 and 2 is {A, C} plus the graphs of the
+scalars, so it lies in the spread, and the field's PGL(2, q^n), which
+preserves reguli, is 3-transitive on the elements.  So `is_regular_spread`
+returns "regular" on such a certificate without sweeping, with the report
+a sweep would give: a sweep of a regular spread never stops early, so it
+checks every triple of its mode.  Bruck's converse (Bruck-Bose 1964;
+Bruck 1969: for q > 2 a regular spread is Desarguesian) explains why every
+regular input takes this path; the verdicts do not rest on it.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .projective import (Chart, ComplementProjection, ProjSpace, QuotientMap,
-                         Subspace, _normalized_vectors, mat_inv, mat_mul, meet,
-                         rank, reduce_mod, rref, span, vec_mat)
+                         Subspace, _normalized_vectors, lin_solve, mat_inv, mat_mul,
+                         meet, rank, reduce_mod, rref, span, vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces
 
 # 'auto' regularity sweeps all triples up to this many; above it (spreads of
@@ -207,29 +209,6 @@ def _graph_rows(fld, a_rows, fmap, c_rows):
             for arow, w in zip(a_rows, mat_mul(fld, fmap, c_rows))]
 
 
-def spread_set(spread: Spread):
-    """The spread set of a spread of PG(2n-1, q), read over A + C.
-
-    A and C are elements 0 and 1, and element i >= 2 is the graph of a map
-    M_i: A -> C.  Returns (a, c, fmap, mats): fmap is M_2, and mats lazily
-    yields (i, M_i . M_2^-1) for i = 2, 3, ..., so element 2 gives the
-    identity.  A singular frame or map raises ValueError when reached.
-    """
-    elems = spread.elements
-    space = spread.space
-    fld = space.field
-    n = elems[0].rank
-    if space.dim + 1 != 2 * n:
-        raise ValueError("spread-set structure needs a spread of PG(2n-1, q)")
-    a, c = elems[0], elems[1]
-    m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-    fmap = _graph_map(fld, m_inv, elems[2].rows, n)
-    f_inv = mat_inv(fld, fmap)
-    mats = ((i, tuple(mat_mul(fld, _graph_map(fld, m_inv, elems[i].rows, n), f_inv)))
-            for i in range(2, len(elems)))
-    return a, c, fmap, mats
-
-
 def _regulus_frame(a: Subspace, b: Subspace, c: Subspace):
     """The frame of three pairwise-skew (n-1)-spaces spanning a (2n-1)-space.
 
@@ -350,18 +329,23 @@ def _closure_witness(spread: Spread, triple, reg: Regulus, members) -> dict:
             "missing_element": [list(r) for r in missing.rows]}
 
 
-def _field_spread_set(spread: Spread) -> bool:
-    """Whether `spread` is q^n + 1 elements of PG(2n-1, q) whose spread set
-    is a field of order q^n, which makes it Desarguesian (module docstring).
+def spread_field(spread: Spread):
+    """The spread set of `spread` when it is a field of order q^n, else None.
 
-    Walks `spread_set` one element at a time and stops at the first
+    With elements 0 and 1 as A and C, element i >= 2 is the graph of a map
+    M_i: A -> C, and M_i . M_2^-1 is its normalized matrix, so element 2
+    gives the identity.  The walk over i = 2, 3, ... stops at the first
     failure.  X is the first matrix whose minimal polynomial has degree n
     (for n >= 2 it is not scalar), so GF(q)[X], spanned by I, X, ...,
     X^(n-1), has q^n elements.  The q^n - 1 matrices must be distinct,
     invertible and in GF(q)[X]: then they are all of its nonzero elements,
-    each invertible, so GF(q)[X] is a field.  An input of any other shape
-    (ambient, count, ranks, an element that is not a graph) is not
-    certified; the caller's sweep judges it.
+    each invertible, so GF(q)[X] is a field and the spread is Desarguesian
+    (module docstring).  An input of any other shape (ambient, count,
+    ranks, an element that is not a graph) gives None.
+
+    Returns (a, c, fmap, mats, x, minpoly): fmap is M_2, mats maps each
+    index i >= 2 to its normalized matrix, and minpoly is the monic minimal
+    polynomial of X, low-degree coefficients first.
     """
     elems = spread.elements
     space = spread.space
@@ -369,32 +353,44 @@ def _field_spread_set(spread: Spread) -> bool:
     n = elems[0].rank
     if (space.dim + 1 != 2 * n or len(elems) != fld.order**n + 1
             or any(e.rank != n or e.ambient != space for e in elems)):
-        return False
+        return None
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    a, c = elems[0], elems[1]
+    mats: dict[int, tuple] = {}
     seen: set[tuple] = set()
     basis = None  # RREF basis of GF(q)[X], matrices flattened
     try:
-        *_, mats = spread_set(spread)
-        for _, m in mats:
+        m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
+        fmap = _graph_map(fld, m_inv, elems[2].rows, n)
+        f_inv = mat_inv(fld, fmap)
+        for i in range(2, len(elems)):
+            m = tuple(mat_mul(fld, _graph_map(fld, m_inv, elems[i].rows, n), f_inv))
             flat = tuple(x for row in m for x in row)
             if flat in seen or rank(fld, m) != n:
-                return False
+                return None
             seen.add(flat)
+            mats[i] = m
             if basis is None:
                 powers = [identity]
                 while len(powers) < n:
                     powers.append(tuple(mat_mul(fld, powers[-1], m)))
-                rows, pivots = rref(fld, [tuple(x for r in p for x in r) for p in powers])
+                flats = [tuple(x for r in p for x in r) for p in powers]
+                rows, pivots = rref(fld, flats)
                 if len(rows) < n:
                     continue
-                basis, pending = (rows, pivots), seen
+                basis, pending, gen = (rows, pivots), seen, m
             else:
                 pending = (flat,)
             if any(any(reduce_mod(fld, v, *basis)) for v in pending):
-                return False
+                return None
     except ValueError:  # A and C meet, or an element meets one of them
-        return False
-    return basis is not None
+        return None
+    if basis is None:
+        return None
+    # powers and flats are still those of X: X^n is a combination of them
+    x_n = tuple(x for r in mat_mul(fld, powers[-1], gen) for x in r)
+    minpoly = [fld.neg(s) for s in lin_solve(fld, flats, x_n)] + [1]
+    return a, c, fmap, mats, gen, minpoly
 
 
 def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
@@ -408,7 +404,7 @@ def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
     the spread, so the witness is the first failing triple of the order.
 
     Once the sweep has built CERTIFICATE_AFTER reguli, all inside, it tries
-    `_field_spread_set`: when the spread set is a field, the spread is
+    `spread_field`: when the spread set is a field, the spread is
     Desarguesian, hence regular (module docstring), and the sweep could
     only have checked every triple of its mode without stopping, so the
     report is returned as the finished sweep would give it: regular, no
@@ -440,7 +436,7 @@ def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
             witness = _closure_witness(spread, t, reg, members)
             return RegularityReport(False, False, mode, checked, witness)
         built += 1
-        if built == CERTIFICATE_AFTER and _field_spread_set(spread):
+        if built == CERTIFICATE_AFTER and spread_field(spread) is not None:
             return RegularityReport(True, False, mode, n_triples, None)
     return RegularityReport(True, False, mode, checked, None)
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
-from pal import (Spread, conic, desarguesian_spread, dual_arc, extend_to_hyperoval,
-                 make_tower, opposite_regulus, reduction_map, regulus_through,
-                 translation_oval)
+from pal import (ProjSpace, Spread, conic, desarguesian_spread, dual_arc,
+                 extend_to_hyperoval, gf, make_tower, opposite_regulus, reduction_map,
+                 regulus_through, translation_oval)
 
 
 @pytest.fixture(scope="session")
@@ -77,4 +78,59 @@ def shuffled_hall():
         lines += opposite_regulus(reg).elements
         random.Random(seed).shuffle(lines)
         return Spread(desarg.space, tuple(lines))
+    return make
+
+
+def _graph_set(fld, mats):
+    """A = <e0, e1>, C = <e2, e3> of PG(3, q), then the graphs y = x.M of `mats`."""
+    space = ProjSpace(3, fld)
+    elems = [space.subspace([(1, 0, 0, 0), (0, 1, 0, 0)]),
+             space.subspace([(0, 0, 1, 0), (0, 0, 0, 1)])]
+    elems += [space.subspace([(1, 0) + m[0], (0, 1) + m[1]]) for m in mats]
+    return Spread(space, tuple(elems))
+
+
+def _lin(fld, a, b, x):
+    """a.I + b.X for a 2x2 matrix X."""
+    return tuple(tuple(fld.add(a if i == j else 0, fld.mul(b, x[i][j])) for j in range(2))
+                 for i in range(2))
+
+
+@pytest.fixture(scope="session")
+def zero_divisor_set():
+    """zero_divisor_set(q): q^2 + 1 subspaces whose spread set is
+    GF(q)[x]/(x^2): scalars, then the invertible a.I + b.N, then the
+    singular b.N, with N^2 = 0.  The reguli through elements 0 and 1 stay
+    inside, so a sweep reaches the spread-set field test, which must refuse
+    the singular maps."""
+    def make(q):
+        fld = gf(q)
+        nil = ((0, 1), (0, 0))
+        scalars = [(a, 0) for a in range(1, q)]
+        units = [(a, b) for a in range(1, q) for b in range(1, q)]
+        singular = [(0, b) for b in range(1, q)]
+        return _graph_set(fld, [_lin(fld, a, b, nil) for a, b in scalars + units + singular])
+    return make
+
+
+@pytest.fixture(scope="session")
+def subfield_closed_set():
+    """subfield_closed_set(q): q^2 + 1 subspaces whose spread set is closed
+    under the scalars GF(q) of GF(q^2) but not under GF(q^2): the field
+    GF(q)[X] with the class of X replaced by the multiples of an invertible
+    Y outside it.  Every regulus through elements 0 and 1 stays inside, so
+    a sweep reaches the spread-set field test, which must refuse Y."""
+    def make(q):
+        fld = gf(q)
+        t, d = next((t, d) for t in range(q) for d in range(1, q)
+                    if all(fld.add(fld.add(fld.mul(r, r), fld.mul(t, r)), d)
+                           for r in range(q)))
+        x = ((0, 1), (d, t))  # companion matrix of the irreducible x^2 + t x + d
+        field = {_lin(fld, a, b, x) for a in range(q) for b in range(q)}
+        y = next(m for m in (((a, b), (c, e)) for a, b, c, e in product(range(q), repeat=4))
+                 if m not in field
+                 and fld.add(fld.mul(m[0][0], m[1][1]), fld.mul(m[0][1], m[1][0])))
+        # a.I + b.X with a != 0 is GF(q)[X] without 0 and the class of X
+        mats = [_lin(fld, a, b, x) for a in range(1, q) for b in range(q)]
+        return _graph_set(fld, mats + [_lin(fld, 0, lam, y) for lam in range(1, q)])
     return make

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pal import io
+from pal import Spread, io, reduction_map
 from pal.cli import main
 
 
@@ -202,7 +202,6 @@ def test_regulus_and_negative_control(hyper_file, tmp_path):
     spread = io.spread_from_json(io.load(spread_file, "spread"))
     regulus = io.regulus_from_json(reg)
     opposite = io.regulus_from_json(reg["opposite"])
-    from pal import Spread
     keep = tuple(e for e in spread.elements if e not in regulus.element_set())
     bad = Spread(spread.space, keep + opposite.elements)
     bad_file = tmp_path / "bad_spread.json"
@@ -223,12 +222,55 @@ def test_theorem_cli(hyper_file, tmp_path):
                  "-o", str(tmp_path / "t3.json")]) == 0
 
 
-def test_theorem_report_byte_deterministic(arc_file, tmp_path):
-    outs = [tmp_path / "t1.json", tmp_path / "t2.json"]
-    for out in outs:
-        assert main(["theorem", "--id", "6.2", str(arc_file), "-o", str(out)]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert "seconds" not in io.load(outs[0], "theorem-report")
+def test_artifacts_byte_deterministic(tmp_path, capsys, monkeypatch):
+    """Every artifact-writing command, run twice at (4,2), writes the same
+    bytes, stdout and exit codes."""
+    commands = [
+        ["construct", "--q", "4", "--n", "2", "--source", "conic", "-o", "oval.json"],
+        ["construct", "--q", "4", "--n", "2", "--source", "hyperoval-from:conic",
+         "-o", "hyper.json"],
+        ["verify", "oval.json", "-o", "verify.json"],
+        ["tangents", "oval.json", "-o", "tangents.json"],
+        ["derive", "hyper.json", "--all", "--outdir", "deltas"],
+        ["dualize", "hyper.json", "-o", "dual.json"],
+        ["regulus", "deltas/delta_0.json", "--elements", "0,1,2", "--opposite",
+         "-o", "regulus.json"],
+        ["check-regular", "deltas/delta_0.json", "--transversals", "-o", "regular.json"],
+        ["theorem", "--id", "6.2", "oval.json", "-o", "theorem.json"],
+        ["design", "--spread-reguli", "deltas/delta_0.json", "--save-design",
+         "-o", "design.json"],
+    ]
+    runs = []
+    for name in ("a", "b"):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        codes = [main(cmd) for cmd in commands]
+        files = {str(p.relative_to(work)): p.read_bytes()
+                 for p in sorted(work.rglob("*.json"))}
+        runs.append((codes, capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [0] * len(commands)
+    assert len(runs[0][2]) == len(commands) - 1 + 19  # derive --all: 18 spreads, 1 report
+    assert "seconds" not in io.load(tmp_path / "a" / "theorem.json", "theorem-report")
+
+
+@pytest.mark.parametrize("q,count", [(2, 21), (4, 273)])
+def test_transversals_need_pg_2n_minus_1(q, count, tmp_path):
+    """On the reduced points of PG(2, q^2), a regular spread of PG(5, q)
+    (vacuously so at q = 2), --transversals reports the shape error."""
+    rm = reduction_map(q, 2)
+    spread = Spread(rm.target, tuple(rm.reduce_point(p) for p in rm.source.points()))
+    assert len(spread) == count
+    io.save(tmp_path / "s.json", io.spread_to_json(spread))
+    assert main(["check-regular", str(tmp_path / "s.json"), "--transversals",
+                 "-o", str(tmp_path / "r.json")]) == 1
+    rep = io.load(tmp_path / "r.json", "regularity-report")
+    assert rep["regular"] and rep["vacuous"] == (q == 2)
+    assert rep["transversals"] == {
+        "ok": False, "reason": "spread-set structure needs a spread of PG(2n-1, q)",
+        "witness": None}
 
 
 def test_theorem_out_of_hypothesis(tmp_path):
@@ -327,7 +369,7 @@ def test_golden_construction_bytes():
     """Canonical forms and the fixed conventions pin the serialized output of
     a construction down to the byte; drift here means a convention changed."""
     import hashlib
-    from pal import conic, reduction_map
+    from pal import conic
     rm = reduction_map(2, 2)
     arc = rm.reduce_arc(conic(4))
     assert [e.rows for e in arc.elements] == [
@@ -415,12 +457,20 @@ def test_certificate_keeps_cli_bytes(tmp_path, capsys, monkeypatch, shuffled_hal
                  for p in sorted(work.rglob("*.json")) if "in" not in p.parts}
         return results, files
 
-    certify = pal.spreads._field_spread_set
-    monkeypatch.setattr(pal.spreads, "_field_spread_set",
-                        lambda spread: certified.append(certify(spread)) or certified[-1])
+    certify = pal.spreads.spread_field
+
+    def spy(spread):
+        field = certify(spread)
+        certified.append(field is not None)
+        return field
+
+    monkeypatch.setattr(pal.spreads, "spread_field", spy)
     on = run("on")
-    monkeypatch.setattr(pal.spreads, "_field_spread_set", lambda spread: False)
+    asked = len(certified)
+    # the sweep compares CERTIFICATE_AFTER with a count of at least 1
+    monkeypatch.setattr(pal.spreads, "CERTIFICATE_AFTER", 0)
     off = run("off")
     assert on == off
+    assert len(certified) == asked  # the sweep no longer asks the certificate
     assert len(on[1]) == len(commands) - 2 + 2 * 19  # each derive writes 18 spreads, 1 report
     assert certified.count(True) > 50 and False in certified

@@ -11,9 +11,10 @@ from pal import (NotRegularError, ProjSpace, Regulus, Spread, build_sigma,
                  dual_arc, gf, is_regular_spread, make_pseudo_arc, make_tower,
                  meet, opposite_regulus, plane_model, recognize_regular,
                  regulus_through, span, spread_transversals, verify_spread)
-from pal.projective import mat_inv, rref, vec_mat
+from pal.projective import mat_inv, mat_mul, rref, vec_mat
 from pal.reduction import extend_subspace, frobenius_subspace
-from pal.sigma import PlaneModel, _matrix_field
+from pal.sigma import PlaneModel
+from pal.spreads import spread_field
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +118,8 @@ def test_matrix_field_agrees_with_regulus_closure(pg34_spread, conic_hyperoval, 
                                                   arc_q4n3, shuffled_hall, monkeypatch):
     """The spread-set field test and the full regulus-closure sweep (with
     is_regular_spread's certificate off) give one verdict."""
-    monkeypatch.setattr(pal.spreads, "_field_spread_set", lambda spread: False)
+    # the sweep compares CERTIFICATE_AFTER with a count of at least 1
+    monkeypatch.setattr(pal.spreads, "CERTIFICATE_AFTER", 0)
     reg = regulus_through(*pg34_spread.elements[:3])
     hall = Spread(pg34_spread.space,
                   tuple(e for e in pg34_spread.elements if e not in reg.element_set())
@@ -127,14 +129,59 @@ def test_matrix_field_agrees_with_regulus_closure(pg34_spread, conic_hyperoval, 
     halls_q8 = [shuffled_hall(8, seed) for seed in (1, 2, 3)]
     verdicts = []
     for spread in derived + list(conic_dual.gammas) + [derived_q4n3, hall] + halls_q8:
-        try:
-            _matrix_field(spread)
-            field = True
-        except NotRegularError:
-            field = False
+        field = spread_field(spread) is not None
         assert field == is_regular_spread(spread).regular
         verdicts.append(field)
     assert verdicts == [True] * 37 + [False] * 4
+
+
+def _closed_matrix_field(fld, mats):
+    """Reference: the matrices plus zero are closed under + and x and commute
+    (the pairwise O(k^2) check)."""
+    n = len(next(iter(mats)))
+    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    members = set(mats) | {zero}
+    for m1, m2 in combinations(mats, 2):
+        total = tuple(tuple(fld.add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2))
+        prod = tuple(mat_mul(fld, m1, m2))
+        if total not in members or prod not in members or prod != tuple(mat_mul(fld, m2, m1)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (4, 2), (8, 2), (4, 3)])
+def test_spread_field_is_a_closed_matrix_field(q, n):
+    spread = desarguesian_spread(q, n)
+    field = spread_field(spread)
+    assert field is not None
+    a, c, _, mats, x, minpoly = field
+    fld = spread.space.field
+    assert (a, c) == spread.elements[:2] and sorted(mats) == list(range(2, q**n + 1))
+    assert len(set(mats.values())) == q**n - 1
+    assert _closed_matrix_field(fld, mats.values())
+    assert x in mats.values() and len(minpoly) == n + 1 and minpoly[-1] == 1
+    value = [[0] * n for _ in range(n)]  # Horner: minpoly(X) must vanish
+    for coeff in reversed(minpoly):
+        value = mat_mul(fld, value, x)
+        for i in range(n):
+            value[i] = tuple(fld.add(v, coeff if i == j else 0)
+                             for j, v in enumerate(value[i]))
+    assert not any(any(row) for row in value)
+
+
+def test_transversals_reject_ring_spread_set(zero_divisor_set):
+    """At q = 2 regulus closure is vacuous, so the spread-set field test is the
+    witness: GF(2)[x]/(x^2) is closed and commutative but has a zero divisor."""
+    spread = zero_divisor_set(2)
+    assert is_regular_spread(spread).vacuous
+    # A and C are the coordinate planes and M_2 = I, so each graph's rows read
+    # (I | M_i); the ring passes the pairwise check
+    mats = [tuple(row[2:] for row in e.rows) for e in spread.elements[2:]]
+    assert _closed_matrix_field(spread.space.field, mats)
+    assert spread_field(spread) is None
+    with pytest.raises(NotRegularError) as err:
+        spread_transversals(spread, make_tower(1, 2))
+    assert err.value.witness == {"kind": "spread-set-not-field"}
 
 
 def test_transversals_reject_n1():

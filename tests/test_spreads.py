@@ -250,52 +250,6 @@ def test_full_sweep_builds_each_regulus_once(pg34_spread, monkeypatch):
 # -- the spread-set certificate against the plain regulus sweep -------------------
 
 
-def _graph_set(fld, mats):
-    """A = <e0, e1>, C = <e2, e3> of PG(3, q), then the graphs y = x.M of `mats`."""
-    space = ProjSpace(3, fld)
-    elems = [space.subspace([(1, 0, 0, 0), (0, 1, 0, 0)]),
-             space.subspace([(0, 0, 1, 0), (0, 0, 0, 1)])]
-    elems += [space.subspace([(1, 0) + m[0], (0, 1) + m[1]]) for m in mats]
-    return Spread(space, tuple(elems))
-
-
-def _lin(fld, a, b, x):
-    """a.I + b.X for a 2x2 matrix X."""
-    return tuple(tuple(fld.add(a if i == j else 0, fld.mul(b, x[i][j])) for j in range(2))
-                 for i in range(2))
-
-
-def zero_divisor_set(q):
-    """q^2 + 1 subspaces whose spread set is GF(q)[x]/(x^2): scalars, then the
-    invertible a.I + b.N, then the singular b.N, with N^2 = 0.  The reguli
-    through elements 0 and 1 stay inside, so a sweep reaches the certificate,
-    which must refuse the singular maps."""
-    fld = gf(q)
-    nil = ((0, 1), (0, 0))
-    scalars = [(a, 0) for a in range(1, q)]
-    units = [(a, b) for a in range(1, q) for b in range(1, q)]
-    singular = [(0, b) for b in range(1, q)]
-    return _graph_set(fld, [_lin(fld, a, b, nil) for a, b in scalars + units + singular])
-
-
-def subfield_closed_set(q):
-    """q^2 + 1 subspaces whose spread set is closed under the scalars GF(q) of
-    GF(q^2) but not under GF(q^2): the field GF(q)[X] with the class of X
-    replaced by the multiples of an invertible Y outside it.  Every regulus
-    through elements 0 and 1 stays inside, so a sweep reaches the
-    certificate, which must refuse Y."""
-    fld = gf(q)
-    t, d = next((t, d) for t in range(q) for d in range(1, q)
-                if all(fld.add(fld.add(fld.mul(r, r), fld.mul(t, r)), d) for r in range(q)))
-    x = ((0, 1), (d, t))  # companion matrix of the irreducible x^2 + t x + d
-    field = {_lin(fld, a, b, x) for a in range(q) for b in range(q)}
-    y = next(m for m in (((a, b), (c, e)) for a, b, c, e in product(range(q), repeat=4))
-             if m not in field and fld.add(fld.mul(m[0][0], m[1][1]), fld.mul(m[0][1], m[1][0])))
-    # a.I + b.X with a != 0 is GF(q)[X] without 0 and the class of X
-    mats = [_lin(fld, a, b, x) for a in range(1, q) for b in range(q)]
-    return _graph_set(fld, mats + [_lin(fld, 0, lam, y) for lam in range(1, q)])
-
-
 def _outcome(spread, mode):
     try:
         return is_regular_spread(spread, mode=mode)
@@ -304,7 +258,8 @@ def _outcome(spread, mode):
 
 
 def test_certificate_keeps_reports(pg34_spread, conic_hyperoval, arc_q8n2, arc_q4n3,
-                                   hall_fixtures, monkeypatch):
+                                   hall_fixtures, zero_divisor_set, subfield_closed_set,
+                                   monkeypatch):
     """Reports and raised errors with the certificate equal those of the
     plain sweep (certificate off) in every mode."""
     regular = ([pg34_spread]
@@ -320,18 +275,22 @@ def test_certificate_keeps_reports(pg34_spread, conic_hyperoval, arc_q8n2, arc_q
                Spread(pg34_spread.space, elems[:-1] + (elems[5],)),  # a repeat
                Spread(pg34_spread.space, elems[:-1])]                # q^n elements
     inputs = regular + hall_fixtures + planted
-    certify = pal.spreads._field_spread_set
+    certify = pal.spreads.spread_field
     verdicts = {}
 
     def spy(spread):
-        verdicts[id(spread)] = certify(spread)
-        return verdicts[id(spread)]
+        field = certify(spread)
+        verdicts[id(spread)] = field is not None
+        return field
 
-    monkeypatch.setattr(pal.spreads, "_field_spread_set", spy)
+    monkeypatch.setattr(pal.spreads, "spread_field", spy)
     modes = ("full", "fixed", "auto")
     on = [[_outcome(s, m) for m in modes] for s in inputs]
-    monkeypatch.setattr(pal.spreads, "_field_spread_set", lambda spread: False)
+    verdicts_on = dict(verdicts)
+    # the sweep compares CERTIFICATE_AFTER with a count of at least 1
+    monkeypatch.setattr(pal.spreads, "CERTIFICATE_AFTER", 0)
     off = [[_outcome(s, m) for m in modes] for s in inputs]
+    assert verdicts == verdicts_on  # the sweep no longer asks the certificate
     assert on == off
     # the regular inputs take the certificate; the planted ones reach it, are
     # refused, and then fail the sweep

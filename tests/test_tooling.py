@@ -1,7 +1,9 @@
-"""The benchmark's tracer still finds every pal function it wraps."""
+"""Tooling checks: the benchmark's tracer still finds every pal function it
+wraps, and no pal module keeps an unused import."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +19,24 @@ def test_bench_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_unused_imports():
+    """Every name a pal module imports is used in it (__init__.py re-exports)."""
+    unused = []
+    for path in sorted((ROOT / "src" / "pal").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused
