@@ -1,20 +1,21 @@
 """Generalized arcs of PG(3n-1, q): pseudo-ovals and pseudo-hyperovals.
 
 A generalized k-arc is a set of k (n-1)-subspaces every three of which span
-the ambient space.  Tangent spaces are computed by partition completion in
-the quotient by an element: the other elements' images are pairwise skew
-(n-1)-spaces whose uncovered points must form exactly one (n-1)-space, and
-the tangent space is its preimage.  That route proves uniqueness while it
-computes.
+the ambient space.  Verification and tangent spaces both work in the
+quotient PG(2n-1, q) by one element, on the point codes of the other
+elements' images.  Three elements span iff, in the quotient by one of them,
+the other two images are skew (n-1)-spaces, so one pass per element checks
+every triple through it.  For a tangent space, the other elements' images
+are pairwise skew (n-1)-spaces whose uncovered points must form exactly one
+(n-1)-space, and the tangent space is its preimage.  That route proves
+uniqueness while it computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 
-from .projective import (ProjSpace, QuotientMap, Subspace, dual, mat_mul, meet,
-                         rank)
+from .projective import ProjSpace, QuotientMap, Subspace, meet
 
 
 @dataclass(frozen=True)
@@ -45,18 +46,21 @@ class PseudoArc:
 
 
 def verify_pseudo_arc(ambient: ProjSpace, elements) -> PseudoArcReport:
-    """Triple-spanning sweep plus the size bound q^n+1 / q^n+2.
+    """Triple-spanning check plus the size bound q^n+1 / q^n+2.
 
-    Pair-dual criterion: for a pair i < j, D = dual(span(e_i, e_j)) has rank
-    n when e_i and e_j are skew, and the kernel of v -> v . D^T is exactly
-    span(e_i, e_j).  So e_i, e_j, e_k span the space iff the n x n matrix
-    E_k . D^T is invertible.  Each D is computed once, and its transposed
-    products D . E_k^T for all k > j come from one matrix product with the
-    stacked element matrices.
+    Quotient criterion: e_i, e_j and e_l span PG(3n-1, q) iff the images of
+    e_j and e_l in the quotient PG(2n-1, q) by e_i both have rank n and
+    share no point.  Proof: dim span(e_i, e_j, e_l) = n + dim span(image_j,
+    image_l), and two images of rank at most n span all 2n dimensions
+    exactly when both have rank n and meet trivially.  So one pass per
+    center i <= k - 3 over the images of the later elements answers all of
+    its triples: images of rank < n are bad, and the others' point codes go
+    into one dict, where a repeated code is a meeting pair.
 
-    Triples are visited in the lexicographic order of `combinations`, and a
-    meeting pair fails at (i, j, j + 1), so the witness is the first
-    non-spanning triple, the same one a plain triple sweep reports.
+    The witness is the first non-spanning triple in `combinations` order,
+    the one a plain triple sweep reports: the first center with a failure,
+    then the lexicographically first failing pair of its images
+    (`_first_failing_pair`).
     """
     elems = list(elements)
     if len(elems) < 3:
@@ -69,30 +73,49 @@ def verify_pseudo_arc(ambient: ProjSpace, elements) -> PseudoArcReport:
         raise ValueError(f"(n-1)-elements with n={n} need ambient PG({3 * n - 1}, q)")
     q = ambient.field.order
     max_k = q**n + 2 if q % 2 == 0 else q**n + 1
-    fld = ambient.field
     k = len(elems)
     if k > max_k:
         return PseudoArcReport(False, k, n, max_k, None,
                                f"{k} elements exceed the bound {max_k}")
-    # column t of the stacked element matrices: E_0[:, t], E_1[:, t], ...
-    columns = [tuple(row[t] for e in elems for row in e.rows) for t in range(3 * n)]
-    for i, j in combinations(range(k - 1), 2):
-        pair = ambient.subspace(elems[i].rows + elems[j].rows)
-        if pair.rank != 2 * n:
-            return _non_spanning(k, n, max_k, (i, j, j + 1))
-        # D . E_m^T for every m > j, side by side in n-column blocks
-        lo = n * (j + 1)
-        blocks = mat_mul(fld, dual(pair).rows, [c[lo:] for c in columns])
-        for m in range(j + 1, k):
-            at = n * (m - j - 1)
-            if rank(fld, [b[at:at + n] for b in blocks]) != n:
-                return _non_spanning(k, n, max_k, (i, j, m))
+    for i in range(k - 2):
+        pair = _first_failing_pair(elems[i], elems[i + 1:], n)
+        if pair is not None:
+            triple = (i, i + 1 + pair[0], i + 1 + pair[1])
+            return PseudoArcReport(False, k, n, max_k, triple,
+                                   "elements {},{},{} do not span the space".format(*triple))
     return PseudoArcReport(True, k, n, max_k, None, "ok")
 
 
-def _non_spanning(k: int, n: int, max_k: int, triple) -> PseudoArcReport:
-    return PseudoArcReport(False, k, n, max_k, triple,
-                           "elements {},{},{} do not span the space".format(*triple))
+def _first_failing_pair(center: Subspace, elems, n: int) -> tuple[int, int] | None:
+    """Lexicographically first pair (a, b) of positions in `elems` such that
+    center, elems[a] and elems[b] do not span the space; None if none.
+
+    A pair fails iff one of its images in the quotient by `center` has rank
+    < n, or the two images share a point.  A first bad image b makes the
+    answer (0, 1) if b = 0 and (0, b) otherwise: every pair found before it
+    starts at a > 0, and every later pair ends past b.  A code's owner is
+    the last image that listed it, and an image b that repeats codes meets
+    the smallest of their owners.  That finds the first meeting pair
+    (a*, b*), not just the first met: the owner of a code shared by a* and
+    b* lies in [a*, b*) and meets a*, so it is a* itself, and no owner of a
+    code of b* is smaller.  Once the best pair starts at 0, later images
+    only add pairs with a larger b.
+    """
+    qm = QuotientMap(center)
+    owner: dict[int, int] = {}
+    best = None
+    for b, e in enumerate(elems):
+        img = qm.image(e)
+        if img.rank != n:
+            return (0, max(b, 1))
+        codes = img.point_codes()
+        if not owner.keys().isdisjoint(codes):
+            meets = (min(owner[c] for c in codes if c in owner), b)
+            best = meets if best is None else min(best, meets)
+            if best[0] == 0:
+                return best
+        owner.update(dict.fromkeys(codes, b))
+    return best
 
 
 def classify_kind(ambient: ProjSpace, n: int, k: int) -> str:
@@ -140,9 +163,9 @@ def _tangent(arc: PseudoArc, i: int) -> Subspace:
         raise ValueError(f"uncovered points in the quotient by element {i} "
                          "do not form an (n-1)-space: not a pseudo-oval")
     tau = qm.preimage(gap)
-    fld = arc.ambient.field
+    tau_codes = set(tau.point_codes())
     for j, e in enumerate(arc.elements):
-        if j != i and rank(fld, tau.rows + e.rows) != tau.rank + e.rank:
+        if j != i and not tau_codes.isdisjoint(e.point_codes()):
             raise AssertionError(f"tangent space at {i} meets element {j}")
     return tau
 
@@ -175,15 +198,14 @@ def extend_to_hyperoval(arc: PseudoArc) -> PseudoArc:
 
     The oval's own triples were verified when it was built (every PseudoArc
     comes from `make_pseudo_arc`), so only the C(q^n + 1, 2) triples through
-    the nucleus are checked.
+    the nucleus are checked, by one quotient pass with the nucleus as center.
     """
     if arc.kind != "pseudo-oval":
         raise ValueError(f"only pseudo-ovals extend; got {arc.kind} with {len(arc)} elements")
     nuc = nucleus(arc)
-    fld = arc.ambient.field
-    for i, j in combinations(range(len(arc)), 2):
-        if rank(fld, arc.elements[i].rows + arc.elements[j].rows + nuc.rows) != 3 * arc.n:
-            raise AssertionError(f"elements {i},{j} and the nucleus do not span the space: "
-                                 "extension is not a pseudo-hyperoval")
+    pair = _first_failing_pair(nuc, arc.elements, arc.n)
+    if pair is not None:
+        raise AssertionError("elements {},{} and the nucleus do not span the space: "
+                             "extension is not a pseudo-hyperoval".format(*pair))
     return PseudoArc(arc.ambient, arc.n, arc.elements + (nuc,), "pseudo-hyperoval",
                      arc.witness)

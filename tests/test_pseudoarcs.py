@@ -37,7 +37,7 @@ def test_corrupted_arc_fails_with_witness(conic_oval):
 
 def _triple_sweep(ambient, elements):
     """Plain sweep over every triple in order: the reference for the
-    pair-dual sweep of verify_pseudo_arc."""
+    quotient pass of verify_pseudo_arc."""
     n = elements[0].rank
     q = ambient.field.order
     max_k = q**n + 2 if q % 2 == 0 else q**n + 1
@@ -49,14 +49,14 @@ def _triple_sweep(ambient, elements):
     return PseudoArcReport(True, len(elements), n, max_k, None, "ok")
 
 
-def _near_miss(elements, p, b):
-    """Element p replaced by a space inside <e_0, e_b> skew to both: the
-    graph of the map that sends the basis of e_0 to that of e_b."""
-    e0, eb = elements[0], elements[b]
-    fld = e0.ambient.field
-    x = e0.ambient.subspace([tuple(fld.add(u, v) for u, v in zip(r0, rb))
-                             for r0, rb in zip(e0.rows, eb.rows)])
-    assert meet(x, e0).rank == 0 and meet(x, eb).rank == 0
+def _near_miss(elements, p, b, a=0):
+    """Element p replaced by a space inside <e_a, e_b> skew to both: the
+    graph of the map that sends the basis of e_a to that of e_b."""
+    ea, eb = elements[a], elements[b]
+    fld = ea.ambient.field
+    x = ea.ambient.subspace([tuple(fld.add(u, v) for u, v in zip(ra, rb))
+                             for ra, rb in zip(ea.rows, eb.rows)])
+    assert meet(x, ea).rank == 0 and meet(x, eb).rank == 0
     return elements[:p] + [x] + elements[p + 1:]
 
 
@@ -65,29 +65,68 @@ def _odd_q_arc():
     return arc5.ambient, [span([p]) for p in arc5.points]
 
 
-def test_pair_dual_sweep_matches_triple_sweep(conic_oval, arc_q4n3):
+def test_quotient_sweep_matches_triple_sweep(conic_oval, arc_q4n3):
     oval43 = arc_q4n3
     space42, elems42 = conic_oval.ambient, list(conic_oval.elements)
     space5, elems5 = _odd_q_arc()
-    # element 1, or the last one, replaced by a line through a point of e_0
-    meeting = [elems42[:x] + [space42.subspace([elems42[0].rows[0],
-                                                (0, 0, 0, 0, 1, 2)])]
-               + elems42[x + 1:] for x in (1, 16)]
+
+    def meeting(elems, x, y):
+        """Element x replaced by a line through a point of element y."""
+        line = space42.subspace([elems[y].rows[0], (0, 0, 0, 0, 1, 2)])
+        return elems[:x] + [line] + elems[x + 1:]
+
     cases = [
         (space42, _near_miss(elems42, 9, 14)),
         (space42, _near_miss(elems42, 14, 13)),
         (oval43.ambient, _near_miss(list(oval43.elements), 30, 50)),
-        (space42, meeting[0]),
-        (space42, meeting[1]),
+        (space42, meeting(elems42, 1, 0)),
+        (space42, meeting(elems42, 16, 0)),
         (space5, elems5),
         (space5, _near_miss(elems5, 3, 5)),
+        # failing pairs (1,10) and (2,5) under center 0: inserting codes in
+        # ascending order meets (2,5) first; likewise (3,12) before (2,13)
+        (space42, _near_miss(_near_miss(elems42, 10, 1), 5, 2)),
+        (space42, _near_miss(_near_miss(elems42, 13, 2), 12, 3)),
+        # in the quotient by e_0 of the full oval, a line meeting image 15
+        # also meets another image, so the last-pair case keeps 6 elements
+        (space42, meeting(elems42[:6], 5, 4)),
+        (space42, elems42[:9] + [elems42[5]] + elems42[10:]),
+        (space5, elems5[:4] + [elems5[1]]),
+        (space42, elems42[:3]),
+        (space42, elems42[:4]),
+        (space42, _near_miss(elems42[:3], 2, 1)),
+        (space42, _near_miss(elems42[:4], 3, 2, a=1)),
+        (space42, _near_miss(elems42, 2, 3)),
+        (space42, _near_miss(elems42, 3, 2, a=1)),
+        (oval43.ambient, _near_miss(list(oval43.elements), 3, 2, a=1)),
     ]
     for space, elems in cases:
         assert verify_pseudo_arc(space, elems) == _triple_sweep(space, elems)
     witnesses = [verify_pseudo_arc(space, elems).witness_triple
                  for space, elems in cases]
     assert witnesses == [(0, 9, 14), (0, 13, 14), (0, 30, 50), (0, 1, 2),
-                         (0, 1, 16), None, (0, 3, 5)]
+                         (0, 1, 16), None, (0, 3, 5),
+                         (0, 1, 10), (0, 2, 13), (0, 4, 5), (0, 5, 9), (0, 1, 4),
+                         None, None, (0, 1, 2), (1, 2, 3), (0, 2, 3), (1, 2, 3),
+                         (1, 2, 3)]
+
+
+def test_quotient_sweep_work_count(arc_q4n3, monkeypatch):
+    """One image per later element and center: sum_{i <= k-3} (k-1-i) images,
+    where a per-triple sweep would do C(k, 3) rank checks."""
+    import pal.pseudoarcs
+    calls = []
+    image = QuotientMap.image
+
+    def counted(self, s):
+        calls.append(1)
+        return image(self, s)
+
+    monkeypatch.setattr(QuotientMap, "image", counted)
+    k = len(arc_q4n3)
+    assert verify_pseudo_arc(arc_q4n3.ambient, arc_q4n3.elements).ok
+    assert len(calls) == sum(k - 1 - i for i in range(k - 2)) == 2079
+    assert not hasattr(pal.pseudoarcs, "rank")
 
 
 def test_size_bound(conic_hyperoval):
@@ -178,9 +217,11 @@ def test_extension_rejects_wrong_nucleus(conic_oval, monkeypatch):
         if (skew.rank == 2 and skew != nucleus(conic_oval)
                 and all(span([skew, e]).rank == 4 for e in elems)):
             break
-    for wrong in (meeting, skew):
+    for wrong, pair in ((meeting, "0,1"), (skew, "0,7")):
         monkeypatch.setattr("pal.pseudoarcs.nucleus", lambda arc: wrong)
-        with pytest.raises(AssertionError, match="not a pseudo-hyperoval"):
+        with pytest.raises(AssertionError,
+                           match=f"^elements {pair} and the nucleus do not span the space: "
+                                 "extension is not a pseudo-hyperoval$"):
             extend_to_hyperoval(conic_oval)
 
 

@@ -1,9 +1,11 @@
 """Tooling checks: the benchmark's tracer still finds every pal function it
-wraps, and no pal module keeps an unused import."""
+wraps, a benchmark round passes its own checks, and no pal module keeps an
+unused import."""
 
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,17 @@ def test_bench_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_reduce_workload_checks():
+    # one round of reduce-q4n3, checked by the bench's own GF(2^h) rank tests
+    # of sampled spanning triples, the tangent spaces and the extension
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "reduce-q4n3",
+                           "--seed", "1", "--seconds", "0", "--trace", "0"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
 
 
 def test_no_unused_imports():
