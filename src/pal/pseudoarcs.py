@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .projective import ProjSpace, QuotientMap, Subspace, meet
+from .projective import ProjSpace, QuotientMap, Subspace, meet, point_owners
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,12 @@ def tangent_space(arc: PseudoArc, i: int) -> Subspace:
     """The unique (2n-1)-space through element i meeting no other element."""
     if "tangents" in arc._cache:
         return arc._cache["tangents"][i]
-    return _tangent(arc, i)
+    return _tangent(arc, i, point_owners(arc.elements))
 
 
-def _tangent(arc: PseudoArc, i: int) -> Subspace:
+def _tangent(arc: PseudoArc, i: int, owner: dict[int, int]) -> Subspace:
+    """Tangent space at element i; `owner` maps each point code of the
+    elements to its element (`point_owners`: the elements are pairwise skew)."""
     if arc.kind != "pseudo-oval":
         raise ValueError(f"tangent spaces exist for pseudo-ovals, not {arc.kind}")
     qm = QuotientMap(arc.elements[i])
@@ -163,17 +165,17 @@ def _tangent(arc: PseudoArc, i: int) -> Subspace:
         raise ValueError(f"uncovered points in the quotient by element {i} "
                          "do not form an (n-1)-space: not a pseudo-oval")
     tau = qm.preimage(gap)
-    tau_codes = set(tau.point_codes())
-    for j, e in enumerate(arc.elements):
-        if j != i and not tau_codes.isdisjoint(e.point_codes()):
-            raise AssertionError(f"tangent space at {i} meets element {j}")
+    met = {owner[c] for c in tau.point_codes() if c in owner} - {i}
+    if met:
+        raise AssertionError(f"tangent space at {i} meets element {min(met)}")
     return tau
 
 
 def tangent_spaces(arc: PseudoArc) -> list[Subspace]:
     """All tangent spaces, index-aligned with the elements; cached."""
     if "tangents" not in arc._cache:
-        arc._cache["tangents"] = [_tangent(arc, i) for i in range(len(arc.elements))]
+        owner = point_owners(arc.elements)
+        arc._cache["tangents"] = [_tangent(arc, i, owner) for i in range(len(arc.elements))]
     return arc._cache["tangents"]
 
 

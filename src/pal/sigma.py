@@ -18,6 +18,7 @@ element is a line of the model plane.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, Vec, _normalized_vectors,
                          dual as dual_subspace, kernel, mat_inv, meet,
-                         normalize_point, span, vec_mat)
+                         normalize_point, point_owners, rank, span, vec_mat)
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
@@ -267,10 +268,13 @@ def plane_model(sigma: Spread) -> PlaneModel:
 
     Lines are the (2n-1)-spaces spanned by two elements.  Only the lines
     through the elements a of L0 = <e0, e1> are built: the other elements,
-    grouped by their image in the quotient by a, plus a are the members of
-    the line that is the preimage of that image.  Counting proves the rest.
-    Two distinct lines sharing two (skew) members would both be their span,
-    so N = Q^2 + Q + 1 distinct lines of Q + 1 members cover the
+    grouped by their image in the quotient by a (`_image_groups`), plus a
+    are the members of the line that is the preimage of that image.  The
+    elements of L0 are e0 and the group of e1 in the quotient by e0: an
+    element b, skew to e0, lies in L0 iff its image lies in that of e1, and
+    both images have rank n.  Counting proves the rest.  Two distinct lines
+    sharing two (skew) members would both be their span, so
+    N = Q^2 + Q + 1 distinct lines of Q + 1 members cover the
     N * C(Q+1, 2) = C(N, 2) pairs of elements exactly once: a 2-(N, Q+1, 1)
     design with N blocks, which is a projective plane (any two lines meet in
     one point).  Raises ValueError when sigma is not a spread or the lines
@@ -284,14 +288,15 @@ def plane_model(sigma: Spread) -> PlaneModel:
     expected_pts = order**2 + order + 1
     if len(elems) != expected_pts:
         raise ValueError(f"{len(elems)} elements cannot model a plane of order {order}")
-    l0 = span([elems[0], elems[1]])
+    qm = QuotientMap(elems[0])
+    groups = _image_groups(qm, elems, 0)
+    # element 1 opens the first group in the quotient by element 0
+    centers = [0, *next(iter(groups.values()))]
     by_line: dict[Subspace, frozenset[int]] = {}
-    for a in [i for i, e in enumerate(elems) if l0.contains(e)]:
-        qm = QuotientMap(elems[a])
-        groups: dict[Subspace, list[int]] = {}
-        for b, e in enumerate(elems):
-            if b != a:
-                groups.setdefault(qm.image(e), []).append(b)
+    for a in centers:
+        if a:
+            qm = QuotientMap(elems[a])
+            groups = _image_groups(qm, elems, a)
         for img, group in groups.items():
             by_line.setdefault(qm.preimage(img), frozenset(group + [a]))
     lines = sorted(by_line, key=lambda s: s.rows)
@@ -301,6 +306,60 @@ def plane_model(sigma: Spread) -> PlaneModel:
     if any(len(m) != order + 1 for m in members):
         raise ValueError("some model line does not carry q^n + 1 elements")
     return PlaneModel(sigma, tuple(lines), tuple(members), order + 1)
+
+
+def _image_groups(qm: QuotientMap, elems, center: int) -> dict[Subspace, list[int]]:
+    """The elements other than `center` grouped by their image under `qm`:
+    image -> positions, in the order in which the images first appear.
+    Equal, on every input, to grouping the positions on `qm.image(e)`.
+
+    Most elements take no rref.  Each group lists the point codes of its
+    image S, with each point's position in `S.point_codes()`, which names
+    its normalized coefficient vector in S's basis (`_normalized_vectors`
+    order).  An element b joins a group when the images of all its rows are
+    listed points of that one group and their coefficient vectors have rank
+    S.rank (one rank test per pattern of positions, within the call).
+    Proof: image(b) is spanned by its row images, so it is a subspace of S
+    of S's rank, which is S.  Every other b (a row inside the center, a
+    point not listed, rows listed under two groups, or rows of too small a
+    rank) takes its full image, which joins the group of equal image or
+    opens a new group whose points are then listed.  When images overlap
+    without being equal (elements that meet: not a spread), a shared point
+    is listed under the last group that holds it; the rule above still
+    admits b only to a group whose whole image equals its own.
+
+    On a spread whose lines through the center carry the other elements
+    (the plane model), the images partition the quotient's points, so only
+    the first element of each group takes a full image.
+    """
+    field = qm.ambient.field
+    listed: dict[int, tuple[int, int]] = {}  # point code -> (group, position)
+    spans: dict[tuple[int, ...], bool] = {}  # (rank, positions) -> full rank?
+    images: list[Subspace] = []
+    members: list[list[int]] = []
+    group_of: dict[Subspace, int] = {}
+    for b, e in enumerate(elems):
+        if b == center:
+            continue
+        hits = [listed.get(qm.point_code(r)) for r in e.rows]
+        if None not in hits and len({g for g, _ in hits}) == 1:
+            g = hits[0][0]
+            key = (images[g].rank, *(pos for _, pos in hits))
+            if key not in spans:
+                coefficients = _normalized_vectors(field, key[0])
+                spans[key] = rank(field, [coefficients[pos] for pos in key[1:]]) == key[0]
+            if spans[key]:
+                members[g].append(b)
+                continue
+        img = qm.image(e)
+        g = group_of.get(img)
+        if g is None:
+            g = group_of[img] = len(images)
+            images.append(img)
+            members.append([])
+            listed.update((c, (g, pos)) for pos, c in enumerate(img.point_codes()))
+        members[g].append(b)
+    return dict(zip(images, members))
 
 
 @dataclass(frozen=True)
@@ -406,7 +465,7 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None,
                  "triple": list(gen_idx)})
         reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[j])
         sigma, scaffold = build_sigma(reg, da.gammas[i], tower)
-        inside = [[e for e in sigma.elements if beta.contains(e)] for beta in da.betas]
+        inside = _elements_inside(sigma, da.betas)
         counts = tuple(len(els) for els in inside)
         choice = {"j": j, "i": i, "generators": list(gen_idx)}
         if all(c == order + 1 for c in counts):
@@ -428,6 +487,19 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None,
             raise AssertionError("exhaustive recognition recovered different arcs")
         return results[0]
     return RecognitionResult(False, None, None, None, None, {}, None)
+
+
+def _elements_inside(sigma: Spread, subspaces) -> list[list[Subspace]]:
+    """For each subspace, the elements of the spread sigma inside it, in
+    sigma's order.  Every point has one owner in a spread, so an element
+    lies inside S exactly when it owns all its points among the codes of S."""
+    owner = point_owners(sigma.elements)
+    per = sigma.elements[0].n_points()
+    inside = []
+    for s in subspaces:
+        owned = Counter(map(owner.__getitem__, s.point_codes()))
+        inside.append([sigma.elements[i] for i in sorted(owned) if owned[i] == per])
+    return inside
 
 
 def _recover(arc, ext, inside, scaffold, tower, was_oval):

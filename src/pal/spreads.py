@@ -534,7 +534,9 @@ def dual_arc(arc: PseudoArc) -> DualArc:
     k = len(betas)
     alphas = [[None] * k for _ in range(k)]
     for i, j in combinations(range(k), 2):
-        alphas[i][j] = alphas[j][i] = meet(betas[i], betas[j])
+        # beta_i ^ beta_j = dual(span(dual beta_i, dual beta_j)), and
+        # dual(beta_i) is element i itself: one kernel instead of three
+        alphas[i][j] = alphas[j][i] = dual_sub(span([arc.elements[i], arc.elements[j]]))
     for i in range(k):
         chart = Chart(betas[i])
         elements = tuple(chart.to_internal(alphas[i][j]) for j in range(k) if j != i)

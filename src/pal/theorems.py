@@ -176,8 +176,13 @@ class DesignCheckReport:
 
 
 def check_design(spec: DesignSpec) -> DesignCheckReport:
-    """t-subset cover check with the exception rule.  The histogram comes
-    from the block counts; t-subsets are walked only to find the witness."""
+    """t-subset cover check with the exception rule.
+
+    A linear space (t = 2, lambda = 1, no exceptions) is first checked block
+    by block (`_pair_partition`).  Otherwise, and when that finds a pair
+    covered twice or left uncovered, the histogram comes from the block
+    counts of the covered t-subsets; t-subsets are walked, in lexicographic
+    order, only to find the witness."""
     pts = list(spec.points)
     if len(pts) != spec.v or len(set(pts)) != spec.v:
         return DesignCheckReport(False, {}, {"kind": "point-count"},
@@ -195,6 +200,11 @@ def check_design(spec: DesignSpec) -> DesignCheckReport:
             return DesignCheckReport(False, {}, {"kind": "stray-block",
                                                  "block": sorted(b)},
                                      "block contains unknown points")
+    order = sorted(pts)
+    if spec.t == 2 and spec.lam == 1 and not spec.exceptions:
+        pairs = _pair_partition(order, spec.blocks)
+        if pairs is not None:
+            return DesignCheckReport(True, Counter({1: pairs} if pairs else {}), None, "ok")
     counts = Counter(sub for b in spec.blocks for sub in combinations(sorted(b), spec.t))
     mult = Counter(counts.values())
     uncovered = comb(spec.v, spec.t) - len(counts)
@@ -202,7 +212,7 @@ def check_design(spec: DesignSpec) -> DesignCheckReport:
         mult[0] = uncovered
     witness = None
     if any(m != spec.lam for m in mult):
-        for sub in combinations(sorted(pts), spec.t):
+        for sub in combinations(order, spec.t):
             c = counts.get(sub, 0)
             excess = len(set(sub) & spec.exceptions) > 1
             if c > spec.lam if excess else c != spec.lam:
@@ -214,6 +224,30 @@ def check_design(spec: DesignSpec) -> DesignCheckReport:
                                  f"{spec.t}-subset {witness['subset']} lies in "
                                  f"{witness['count']} blocks")
     return DesignCheckReport(True, mult, None, "ok")
+
+
+def _pair_partition(order, blocks) -> int | None:
+    """C(v, 2) when every pair of the v points in `order` lies in exactly
+    one block; None at the first pair covered twice, or when one is left
+    uncovered.
+
+    Each point keeps an int bitmask of the points that share a block with
+    it, and a block whose mask meets a member's bitmask covers a pair twice.
+    With no pair covered twice the blocks cover sum C(|b|, 2) distinct
+    pairs, so every pair is covered iff that sum is C(v, 2).
+    """
+    bit = {p: 1 << i for i, p in enumerate(order)}
+    seen = dict.fromkeys(order, 0)
+    covered = 0
+    for b in blocks:
+        mask = sum(map(bit.__getitem__, b))
+        for p in b:
+            others = mask ^ bit[p]
+            if seen[p] & others:
+                return None
+            seen[p] |= others
+        covered += comb(len(b), 2)
+    return covered if covered == comb(len(order), 2) else None
 
 
 def lines_design(space_points, lines) -> DesignSpec:

@@ -8,8 +8,8 @@ from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, gf,
                  make_pseudo_arc, meet, nucleus, oval_nucleus_and_complete,
                  prime_field, reduction_map, span, tangent_lines, tangent_space,
                  tangent_spaces, verify_pseudo_arc)
-from pal.projective import rref
-from pal.pseudoarcs import PseudoArcReport
+from pal.projective import point_owners, rref
+from pal.pseudoarcs import PseudoArcReport, _tangent
 
 
 def test_conic_reduction_verifies(conic_oval):
@@ -252,3 +252,13 @@ def test_small_arc(small_arc):
     assert small_arc.ambient == ProjSpace(8, gf(2))
     hyper = extend_to_hyperoval(small_arc)
     assert len(hyper.elements) == 10
+
+
+def test_tangent_meeting_an_element_is_an_invariant_failure(conic_oval):
+    """A point of the tangent space owned by another element breaks the
+    tangent invariant, which names that element."""
+    tau = tangent_spaces(conic_oval)[0]
+    owner = point_owners(conic_oval.elements)
+    owner[next(c for c in tau.point_codes() if owner.get(c) != 0)] = 3
+    with pytest.raises(AssertionError, match="tangent space at 0 meets element 3"):
+        _tangent(conic_oval, 0, owner)

@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 import pal.spreads
-from pal import (NotRegularError, ProjSpace, Spread, conic, count_reguli_through_pair,
+from pal import (Chart, NotRegularError, ProjSpace, Spread, conic, count_reguli_through_pair,
                  derive_spread_from_element, derive_spread_from_nucleus,
                  derive_tangent_spread_odd, desarguesian_spread, dual_arc, gf,
                  is_regular_spread, make_pseudo_arc, meet, opposite_regulus,
@@ -415,6 +415,20 @@ def test_dual_gamma_regularity_matches_delta(conic_hyperoval, conic_dual):
         dv = is_regular_spread(delta).regular
         gv = is_regular_spread(conic_dual.gammas[i]).regular
         assert dv == gv
+
+
+@pytest.mark.parametrize("arc_name", ["conic_hyperoval", "small_arc"])
+def test_dual_arc_alphas_match_meet(arc_name, request):
+    """Every Gamma_i element, built from dual(span(e_i, e_j)), is the meet of
+    beta_i and beta_j read in beta_i's chart, at (4, 2) and (2, 3)."""
+    da = dual_arc(request.getfixturevalue(arc_name))
+    k = len(da.betas)
+    for i in range(k):
+        chart = Chart(da.betas[i])
+        for j in range(k):
+            if j != i:
+                expected = chart.to_internal(meet(da.betas[i], da.betas[j]))
+                assert da.alpha_internal(i, j) == expected
 
 
 def test_dual_arc_of_oval_appends_nucleus(conic_oval):

@@ -7,6 +7,7 @@ import pytest
 from pal import (DesignSpec, TheoremParams, check_design, check_theorem,
                  desarguesian_spread, dual_arc, extend_to_hyperoval, gf,
                  lines_design, regulus_blocks, spread_reguli_design)
+from pal import theorems
 from pal.cli import _pg2_lines_design
 
 
@@ -237,6 +238,47 @@ def test_check_design_matches_enumeration(case):
     rep = check_design(spec)
     assert (rep.ok, rep.multiplicities, rep.witness) == enumerated_check(spec)
     assert rep.ok == case.endswith("valid")
+
+
+def _planted_designs():
+    """t = 2, lambda = 1 designs without exceptions: PG(2, 4), and PG(2, 4)
+    with a pair covered twice, with a line missing, and with both."""
+    pg2 = _pg2_lines_design(4)
+    extra = frozenset(sorted(pg2.blocks[0])[:2] + sorted(pg2.blocks[1] - pg2.blocks[0])[:3])
+    return {
+        "valid": pg2,
+        "double-cover": DesignSpec(pg2.points, pg2.blocks[:-1] + (extra,), 2, pg2.v, pg2.k, 1),
+        "uncovered": DesignSpec(pg2.points, pg2.blocks[:-1], 2, pg2.v, pg2.k, 1),
+        "duplicated-block": DesignSpec(pg2.points, pg2.blocks + pg2.blocks[:1],
+                                       2, pg2.v, pg2.k, 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_planted_designs()))
+def test_pair_bitsets_match_counting(case, monkeypatch):
+    """The block-wise pair check gives the report of the counting path,
+    which it falls back to at its first anomaly."""
+    spec = _planted_designs()[case]
+    rep = check_design(spec)
+    assert (theorems._pair_partition(sorted(spec.points), spec.blocks) is not None) == rep.ok
+    monkeypatch.setattr(theorems, "_pair_partition", lambda order, blocks: None)
+    counted = check_design(spec)
+    assert (rep.ok, rep.multiplicities, rep.witness, rep.reason) == \
+        (counted.ok, counted.multiplicities, counted.witness, counted.reason)
+    assert (rep.ok, rep.multiplicities, rep.witness) == enumerated_check(spec)
+    assert rep.ok == (case == "valid")
+
+
+@pytest.mark.parametrize("case", ["exceptions-valid", "exceptions-under-cover",
+                                  "exceptions-uncovered-valid"])
+def test_pair_bitsets_skip_exceptions_and_triples(case, monkeypatch):
+    """An exception set or t = 3 takes the counting path only."""
+    def refuse(order, blocks):
+        raise AssertionError("bitset path taken")
+    monkeypatch.setattr(theorems, "_pair_partition", refuse)
+    spec = _design_cases()[case]
+    rep = check_design(spec)
+    assert (rep.ok, rep.multiplicities, rep.witness) == enumerated_check(spec)
 
 
 def test_lines_design_builder():
