@@ -195,11 +195,12 @@ def cmd_regulus(args) -> int:
     spread = io.spread_from_json(io.load(args.input, "spread"))
     try:
         idx = [int(x) for x in args.elements.split(",")]
-        a, b, c = (spread.elements[i] for i in idx)
-    except (ValueError, IndexError):
+    except ValueError:
+        idx = []
+    if len(idx) != 3 or not all(0 <= i < len(spread) for i in idx):
         print(f"error: bad element indices {args.elements!r}", file=sys.stderr)
         return INVALID
-    reg = regulus_through(a, b, c)
+    reg = regulus_through(*(spread.elements[i] for i in idx))
     contained = reg.element_set() <= spread.element_set()
     out = io.regulus_to_json(reg)
     out["contained_in_spread"] = contained

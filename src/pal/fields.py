@@ -189,6 +189,17 @@ class FiniteField:
             e >>= 1
         return r
 
+    def roots(self, coeffs) -> list[int]:
+        """The elements x with sum coeffs[i] * x^i = 0, in increasing code order."""
+        out = []
+        for x in self.elements():
+            v = 0
+            for c in reversed(coeffs):
+                v = self.add(self.mul(v, x), c)
+            if v == 0:
+                out.append(x)
+        return out
+
     def mul_table(self) -> tuple[tuple[int, ...], ...] | None:
         """Rows T with T[a][b] = a*b for GF(2^m), m <= TABLE_MAX_DEGREE; else None.
 
@@ -302,7 +313,7 @@ class FieldTower:
         self.h = base.m
         self.n = top.m // base.m
         self.q = base.order
-        root = next(a for a in top.elements() if self._eval_base_modulus(a) == 0)
+        root = top.roots([(base.modulus >> i) & 1 for i in range(base.m + 1)])[0]
         self.root = root
         emb = [0] * base.order
         for a in base.elements():
@@ -315,28 +326,20 @@ class FieldTower:
         self._restrict = {v: a for a, v in enumerate(emb)}
         if len(self._restrict) != base.order:
             raise AssertionError("embedding is not injective")
-        self._basis_cols, self._inv_rows = self._basis_matrices()
-
-    def _eval_base_modulus(self, a: int) -> int:
-        v = 0
-        for i in range(self.base.modulus.bit_length() - 1, -1, -1):
-            v = self.top.mul(v, a)
-            if (self.base.modulus >> i) & 1:
-                v ^= 1
-        return v
-
-    def _basis_matrices(self):
-        # GF(2)-matrix of (c_0..c_{n-1}) in GF(q)^n -> sum embed(c_i) * x^i,
-        # as column bitmasks, plus its inverse.  {1, x, .., x^(n-1)} is a
-        # GF(q)-basis of GF(q^n) because x has degree n over the base.
-        hn = self.top.m
-        cols = []
-        for i in range(self.n):
-            xi = 1 << i  # x^i needs no reduction since i < hn
-            for j in range(self.h):
-                cols.append(self.top.mul(self._embed[1 << j], xi))
-        inv = _invert_gf2_columns(cols, hn)
-        return cols, inv
+        # bit j of c_i in (c_0..c_{n-1}) maps to embed(2^j) * x^i; x^i needs no
+        # reduction since i < h*n.  compress is GF(2)-linear, so its value on
+        # every bit pattern is an xor of these, and {1, x, .., x^(n-1)} is a
+        # GF(q)-basis of GF(q^n) exactly when the q^n values are distinct.
+        self._basis_cols = [top.mul(emb[1 << j], 1 << i)
+                            for i in range(self.n) for j in range(self.h)]
+        values = [0]
+        for col in self._basis_cols:
+            values += [v ^ col for v in values]
+        mask = base.order - 1
+        self._expand = {v: tuple((bits >> (i * self.h)) & mask for i in range(self.n))
+                        for bits, v in enumerate(values)}
+        if len(self._expand) != top.order:
+            raise AssertionError("expansion basis is degenerate")
 
     # -- maps ---------------------------------------------------------------
 
@@ -383,37 +386,10 @@ class FieldTower:
 
     def expand(self, v: int) -> tuple[int, ...]:
         """GF(q^n) element -> its GF(q) coordinates over the basis {x^i}."""
-        bits = 0
-        for k, row in enumerate(self._inv_rows):
-            if bin(row & v).count("1") & 1:
-                bits |= 1 << k
-        mask = (1 << self.h) - 1
-        return tuple((bits >> (i * self.h)) & mask for i in range(self.n))
+        return self._expand[self.top.check(v)]
 
     def __repr__(self) -> str:
         return f"Tower(GF(2^{self.h}) < GF(2^{self.top.m}), n={self.n})"
-
-
-def _invert_gf2_columns(cols: list[int], dim: int) -> list[int]:
-    """Invert a GF(2) matrix given as column bitmasks; returns row bitmasks
-    of the inverse (so row k & input-bits parity gives output bit k)."""
-    rows = []
-    for r in range(dim):
-        bits = 0
-        for c in range(dim):
-            if (cols[c] >> r) & 1:
-                bits |= 1 << c
-        rows.append(bits)
-    aug = [rows[r] | (1 << (dim + r)) for r in range(dim)]
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if (aug[r] >> col) & 1), None)
-        if piv is None:
-            raise AssertionError("expansion basis is degenerate")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(dim):
-            if r != col and (aug[r] >> col) & 1:
-                aug[r] ^= aug[col]
-    return [aug[r] >> dim for r in range(dim)]
 
 
 def make_tower(h: int, n: int, base_modulus: int | None = None,

@@ -65,14 +65,6 @@ def verify_karc(ambient: ProjSpace, points) -> ArcReport:
     return ArcReport(True, len(coords), max_k, None, "ok")
 
 
-def _arc(ambient: ProjSpace, coords, kind: str) -> PlaneArc:
-    pts = tuple(ambient.point(c) for c in coords)
-    report = verify_karc(ambient, pts)
-    if not report.ok:
-        raise ValueError(f"construction failed arc verification: {report.reason}")
-    return PlaneArc(ambient, pts, kind)
-
-
 def make_arc(ambient: ProjSpace, points) -> PlaneArc:
     """Verify an arbitrary point list and tag it by its size."""
     pts = tuple(ambient.point(p.coords if isinstance(p, Point) else p) for p in points)
@@ -90,7 +82,7 @@ def conic(Q: int | FiniteField) -> PlaneArc:
     ambient = ProjSpace(2, field)
     coords = [(1, t, field.mul(t, t)) for t in field.elements()]
     coords.append((0, 0, 1))
-    return _arc(ambient, coords, "oval")
+    return make_arc(ambient, coords)
 
 
 def translation_oval(Q: int | FiniteField, k: int) -> PlaneArc:
@@ -105,7 +97,7 @@ def translation_oval(Q: int | FiniteField, k: int) -> PlaneArc:
     e = 1 << k
     coords = [(1, t, field.pow(t, e)) for t in field.elements()]
     coords.append((0, 0, 1))
-    return _arc(ambient, coords, "oval")
+    return make_arc(ambient, coords)
 
 
 def lines_through_point(p: Point) -> list[Subspace]:

@@ -49,15 +49,17 @@ class ReductionMap:
 
     # -- reduction ------------------------------------------------------------
 
+    def _blow_up(self, vectors) -> list[Vec]:
+        """The expansions of x^i * w, i < n, for each w: rows spanning the
+        rational points of the GF(q^n)-multiples of the w."""
+        top = self.tower.top
+        return [self.expand_vec(tuple(top.mul(1 << i, c) for c in w))
+                for w in vectors for i in range(self.tower.n)]
+
     def reduce_point(self, p: Point | Vec) -> Subspace:
         """(n-1)-subspace of the rational expansions of the scalar multiples."""
         w = p.coords if isinstance(p, Point) else tuple(p)
-        top = self.tower.top
-        rows = []
-        for i in range(self.tower.n):
-            b = 1 << i
-            rows.append(self.expand_vec(tuple(top.mul(b, c) for c in w)))
-        sub = self.target.subspace(rows)
+        sub = self.target.subspace(self._blow_up([w]))
         if sub.rank != self.tower.n:
             raise AssertionError("reduced point has wrong rank")
         return sub
@@ -66,13 +68,7 @@ class ReductionMap:
         """(2n-1)-subspace carrying the reductions of the line's points."""
         if line.ambient != self.source or line.rank != 2:
             raise ValueError("reduce_line expects a line of the source space")
-        top = self.tower.top
-        rows = []
-        for w in line.rows:
-            for i in range(self.tower.n):
-                b = 1 << i
-                rows.append(self.expand_vec(tuple(top.mul(b, c) for c in w)))
-        sub = self.target.subspace(rows)
+        sub = self.target.subspace(self._blow_up(line.rows))
         if sub.rank != 2 * self.tower.n:
             raise AssertionError("reduced line has wrong rank")
         return sub

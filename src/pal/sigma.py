@@ -25,12 +25,12 @@ from itertools import combinations
 from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, Vec, _normalized_vectors,
-                         dual as dual_subspace, kernel, mat_inv, meet,
+                         dual as dual_subspace, kernel, meet,
                          normalize_point, point_owners, rank, span, vec_mat)
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
-from .spreads import (Regulus, Spread, _graph_map, _graph_rows, dual_arc, is_regular_spread,
+from .spreads import (Regulus, Spread, _graph_rows, dual_arc, is_regular_spread,
                       regulus_through, spread_field, verified_spread, verify_spread)
 
 
@@ -103,9 +103,7 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str):
     fld = spread.space.field
     top = tower.top
     n = tower.n
-    coeffs = [tower.embed(x) for x in mp]
-    roots = sorted(r for r in top.elements()
-                   if _eval_poly(top, coeffs, r) == 0)
+    roots = top.roots([tower.embed(x) for x in mp])
     if len(roots) != n:
         raise AssertionError(f"minimal polynomial has {len(roots)} roots in GF(q^n)")
     orbit = [roots[0]]
@@ -139,13 +137,6 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str):
         if frobenius_subspace(u_lines[l], tower) != u_lines[(l + 1) % n]:
             raise AssertionError("transversal lines are not one Galois orbit")
     return u_lines
-
-
-def _eval_poly(fld, coeffs, x):
-    v = 0
-    for c in reversed(coeffs):
-        v = fld.add(fld.mul(v, x), c)
-    return v
 
 
 def _embed(rows, tower: FieldTower) -> list[Vec]:
@@ -182,8 +173,7 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     u_lines_int = _eigen_lines(gamma_i, tower, "gamma_i")
 
     top_ambient = ProjSpace(ambient.dim, top)
-    chart_i_ext, chart_j_ext = (Chart(extend_subspace(beta, tower, top_ambient))
-                                for beta in (beta_i, beta_j))
+    chart_i_ext = Chart(extend_subspace(beta_i, tower, top_ambient))
     u_lines = [chart_i_ext.to_ambient(u) for u in u_lines_int]
     alpha_ext = extend_subspace(alpha, tower, top_ambient)
     contact = []
@@ -193,26 +183,21 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
             raise AssertionError("contact point u_l is not a single point")
         contact.append(pt.rows[0])
 
-    # transversals of gamma through the contact points, in beta_j over GF(q^n)
-    others = [e for e in gamma.elements if e != alpha_j]
-    a_g, c_g = others[0], others[1]
-    b_g = others[2] if len(others) > 2 else alpha_j
-    fld = gamma.space.field
-    m_inv = mat_inv(fld, list(a_g.rows) + list(c_g.rows))
-    g_rows = _graph_rows(fld, a_g.rows, _graph_map(fld, m_inv, b_g.rows, n), c_g.rows)
-    a_ext, minv_ext, g_ext = (_embed(m, tower) for m in (a_g.rows, m_inv, g_rows))
+    # the transversal of gamma through u_l is the line through u_l meeting two
+    # other elements a and c: a + c = beta_j, so <u_l, a> meets c in one point
+    generators = [chart_j.to_ambient(e) for e in gamma.elements] \
+        + gamma_i.ambient_elements()
+    generators_ext = [extend_subspace(e, tower, top_ambient) for e in generators]
+    a_ext, c_ext = [g for e, g in zip(gamma.elements, generators_ext) if e != alpha_j][:2]
     transversals = []
-    for u_amb in contact:
-        u_int = chart_j_ext.to_internal_vec(u_amb)
-        coeff = vec_mat(top, u_int, minv_ext)
-        x = coeff[:n]
-        if not any(x):
-            raise AssertionError("contact point lies on a chart generator")
-        t_int = ProjSpace(gamma.space.dim, top).subspace(
-            [vec_mat(top, x, a_ext), vec_mat(top, x, g_ext)])
-        if not t_int.contains_point(u_int):
-            raise AssertionError("transversal misses its contact point")
-        transversals.append(chart_j_ext.to_ambient(t_int))
+    for u in contact:
+        pt = meet(top_ambient.subspace([u, *a_ext.rows]), c_ext)
+        if pt.rank != 1:
+            raise AssertionError("<u_l, a> does not meet c in one point")
+        t_line = top_ambient.subspace([u, pt.rows[0]])
+        if t_line.rank != 2:
+            raise AssertionError("transversal through u_l is not a line")
+        transversals.append(t_line)
 
     planes = []
     for t_line, u_line in zip(transversals, u_lines):
@@ -223,9 +208,6 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     for l in range(n):
         if frobenius_subspace(planes[l], tower) != planes[(l + 1) % n]:
             raise AssertionError("theta planes are not one Galois orbit")
-    generators = [chart_j.to_ambient(e) for e in gamma.elements] \
-        + gamma_i.ambient_elements()
-    generators_ext = [extend_subspace(e, tower, top_ambient) for e in generators]
     for theta in planes:
         for e in generators_ext:
             if meet(theta, e).rank != 1:

@@ -510,10 +510,6 @@ class DualArc:
     betas: tuple[Subspace, ...]
     gammas: tuple[Spread, ...]
 
-    def alpha(self, i: int, j: int) -> Subspace:
-        """beta_i ^ beta_j in ambient coordinates."""
-        return meet(self.betas[i], self.betas[j])
-
     def alpha_internal(self, i: int, j: int) -> Subspace:
         """beta_i ^ beta_j in beta_i's chart: element j (index-aligned) of Gamma_i."""
         k = j if j < i else j - 1

@@ -75,7 +75,6 @@ def check_theorem(arc: PseudoArc, params: TheoremParams) -> TheoremReport:
                                 hyp["n_prime"]))
     k = len(arc.elements)
     given = _given_indices(params, q, n, k)
-    threshold = len(given) if params.given is not None else _threshold(params, q, n, k)
     if params.theorem == "6.3" and len(given) < q**n - 1:
         raise ValueError(f"theorem 6.3 needs rho >= q^n - 1 = {q ** n - 1}")
     if params.theorem == "7.1" and len(given) < q**n + 1 - params.delta0:
@@ -95,7 +94,7 @@ def check_theorem(arc: PseudoArc, params: TheoremParams) -> TheoremReport:
     recognition = None
     rec_given = tuple(sorted(given)) if params.theorem in ("6.3", "7.1") else None
     converse = "not-applicable"
-    if sum(regular_flags[i] for i in given) >= threshold:
+    if all(regular_flags[i] for i in given):
         try:
             res = recognize_regular(arc, given=list(rec_given) if rec_given else None)
             recognition = {"regular": res.regular, "choice": res.choice,
@@ -135,19 +134,15 @@ def _given_indices(params: TheoremParams, q: int, n: int, k: int) -> set[int]:
         rho = params.rho if params.rho is not None else k
         if rho < q**n - 1:
             raise ValueError(f"theorem 6.3 needs rho >= q^n - 1 = {q ** n - 1}")
+        if rho > k:
+            raise ValueError(f"theorem 6.3 needs rho <= k = {k}")
         return set(range(k - rho, k))
-    rho = q**n + 1 - params.delta0
     if params.delta0 > q - 2:
         raise ValueError(f"theorem 7.1 needs delta0 <= q - 2 = {q - 2}")
+    if params.delta0 < 0:
+        raise ValueError("theorem 7.1 needs delta0 >= 0")
+    rho = q**n + 1 - params.delta0
     return set(range(k - rho, k))
-
-
-def _threshold(params: TheoremParams, q: int, n: int, k: int) -> int:
-    if params.theorem in ("6.1", "6.2"):
-        return k
-    if params.theorem == "6.3":
-        return params.rho if params.rho is not None else k
-    return q**n + 1 - params.delta0
 
 
 # -- incidence-structure checking --------------------------------------------

@@ -213,6 +213,16 @@ def test_regulus_and_negative_control(hyper_file, tmp_path):
     assert rep["witness"]["kind"] == "regulus-closure"
 
 
+@pytest.mark.parametrize("elements", ["-1,0,1", "0,1,17", "0,1"])
+def test_regulus_rejects_bad_indices(hyper_file, tmp_path, capsys, elements):
+    main(["derive", str(hyper_file), "--index", "0", "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert main(["regulus", str(tmp_path / "delta_0.json"), f"--elements={elements}",
+                 "-o", str(tmp_path / "reg.json")]) == 2
+    assert capsys.readouterr().err == f"error: bad element indices {elements!r}\n"
+    assert not (tmp_path / "reg.json").exists()
+
+
 def test_theorem_cli(hyper_file, tmp_path):
     assert main(["theorem", "--id", "6.1", str(hyper_file),
                  "-o", str(tmp_path / "t.json")]) == 0
@@ -279,6 +289,19 @@ def test_theorem_out_of_hypothesis(tmp_path):
           "--source", "hyperoval-from:conic", "-o", str(arc)])
     assert main(["theorem", "--id", "6.1", str(arc),
                  "-o", str(tmp_path / "t.json")]) == 4
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--id", "6.3", "--rho", "100"], "error: theorem 6.3 needs rho <= k = 18\n"),
+    (["--id", "7.1", "--delta0", "-3"], "error: theorem 7.1 needs delta0 >= 0\n"),
+])
+def test_theorem_given_range_below_zero_exits_2(hyper_file, tmp_path, capsys, args, message):
+    """A rho above k, or a negative delta0, would start the given range below
+    index 0 on the 18-element (4,2) hyperoval."""
+    capsys.readouterr()
+    assert main(["theorem", *args, str(hyper_file), "-o", str(tmp_path / "t.json")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_theorem_kind_mismatch(arc_file, tmp_path):

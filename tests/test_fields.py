@@ -147,13 +147,22 @@ def test_embed_is_field_homomorphism():
 
 
 def test_expand_compress_roundtrip():
-    for h, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
-        t = make_tower(h, n)
+    towers = [make_tower(h, n) for h, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                             (3, 3), (2, 6))]
+    # GF(4) < GF(16) over x^4 + x^3 + 1, not the default top modulus
+    towers.append(make_tower(2, 2, top_modulus=0b11001))
+    assert towers[5].top.mul_table() is None  # GF(512): no multiplication table
+    for t in towers:
+        n = t.n
         for v in t.top.elements():
             chunks = t.expand(v)
             assert len(chunks) == n
             assert all(0 <= c < t.base.order for c in chunks)
             assert t.compress(chunks) == v
+    t = make_tower(2, 2)
+    for bad in (-1, 16, 2.0, None):
+        with pytest.raises(ValueError):
+            t.expand(bad)
 
 
 def test_tower_requires_divisibility():

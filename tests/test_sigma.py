@@ -237,30 +237,34 @@ def test_sigma_scaffold_planes(sigma_setup, tower42):
         assert t_line.contains_point(pt)
 
 
-def test_regulus_transversal_oracle(sigma_setup, tower42):
-    """T_l is the unique line inside the extended carrier through u_l meeting
-    every extended regulus element."""
-    da, reg, _, scaffold = sigma_setup
-    top = tower42.top
-    top_amb = scaffold.top_space
-    beta_ext = extend_subspace(da.betas[1], tower42, top_amb)
+def _extended_regulus(da, reg, tower, top_amb):
+    """The elements of reg, in the carrier beta_1, read over GF(q^n)."""
     from pal.projective import Chart
     chart = Chart(da.betas[1])
-    reg_ext = [extend_subspace(chart.to_ambient(e), tower42, top_amb)
-               for e in reg.elements]
-    u0 = scaffold.contact_points[0]
-    seen = set()
-    hits = []
-    for w in beta_ext.point_vectors():
-        if w == u0:
-            continue
-        line = top_amb.subspace([u0, w])
-        if line in seen:
-            continue
-        seen.add(line)
-        if all(meet(line, e).rank == 1 for e in reg_ext):
-            hits.append(line)
-    assert hits == [scaffold.regulus_transversals[0]]
+    return [extend_subspace(chart.to_ambient(e), tower, top_amb) for e in reg.elements]
+
+
+def test_regulus_transversal_oracle(sigma_setup, tower42):
+    """Each T_l is the unique line inside the extended carrier through u_l
+    meeting every extended regulus element."""
+    da, reg, _, scaffold = sigma_setup
+    top_amb = scaffold.top_space
+    beta_ext = extend_subspace(da.betas[1], tower42, top_amb)
+    reg_ext = _extended_regulus(da, reg, tower42, top_amb)
+    assert len(scaffold.regulus_transversals) == 2
+    for u, t_line in zip(scaffold.contact_points, scaffold.regulus_transversals):
+        seen = set()
+        hits = []
+        for w in beta_ext.point_vectors():
+            if w == u:
+                continue
+            line = top_amb.subspace([u, w])
+            if line in seen:
+                continue
+            seen.add(line)
+            if all(meet(line, e).rank == 1 for e in reg_ext):
+                hits.append(line)
+        assert hits == [t_line]
 
 
 def test_sigma_closed_under_reguli_sampled(sigma_setup):
@@ -326,6 +330,17 @@ def test_sigma_q2_n3(small_arc):
     assert len(sigma.elements) == 73  # 64 + 8 + 1
     assert verify_spread(sigma).ok
     assert len(scaffold.planes) == 3
+    # at q = 2 the regulus is its three generators; each T_l is a line through
+    # u_l, inside the extended carrier, meeting every one of them in a point
+    assert len(reg.elements) == 3
+    top_amb = scaffold.top_space
+    beta_ext = extend_subspace(da.betas[1], tower, top_amb)
+    reg_ext = _extended_regulus(da, reg, tower, top_amb)
+    assert len(scaffold.regulus_transversals) == 3
+    for u, t_line in zip(scaffold.contact_points, scaffold.regulus_transversals):
+        assert t_line.rank == 2 and t_line.contains_point(u)
+        assert beta_ext.contains(t_line)
+        assert all(meet(t_line, e).rank == 1 for e in reg_ext)
 
 
 # -- plane model ------------------------------------------------------------------

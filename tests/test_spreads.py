@@ -406,7 +406,7 @@ def test_dual_arc_structure(conic_dual):
 
 def test_dual_alpha_dimensions(conic_dual):
     for i, j in ((0, 1), (3, 11), (16, 17)):
-        assert conic_dual.alpha(i, j).dim == 1
+        assert meet(conic_dual.betas[i], conic_dual.betas[j]).dim == 1
 
 
 def test_dual_gamma_regularity_matches_delta(conic_hyperoval, conic_dual):

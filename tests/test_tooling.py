@@ -1,5 +1,5 @@
 """Tooling checks: the benchmark's tracer still finds every pal function it
-wraps, a round of two benchmark workloads passes its own checks, and no pal
+wraps, a round of each benchmark workload passes its own checks, and no pal
 module keeps an unused import."""
 
 from __future__ import annotations
@@ -38,6 +38,17 @@ def test_bench_theorem_workload_checks():
     # one round of theorem-q4n2: the CLI from construct to theorems 6.1/6.2
     # and both designs, checked by the bench's own GF(2^h) routines
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "theorem-q4n2",
+                           "--seed", "1", "--seconds", "0", "--trace", "0"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+
+
+def test_bench_reject_workload_checks():
+    # one round of reject-q4q8: Hall spreads and near-miss pseudo-ovals, each
+    # checked against the bench's own witnesses
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "reject-q4q8",
                            "--seed", "1", "--seconds", "0", "--trace", "0"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
