@@ -51,8 +51,10 @@ def _load_arc(path) -> PseudoArc:
 
 def cmd_construct(args) -> int:
     q, n = args.q, args.n
-    h = q.bit_length() - 1
-    if q != 1 << h or h < 1:
+    if q < 2 or n < 1:
+        print(f"error: construct needs q >= 2 and n >= 1, got q={q}, n={n}", file=sys.stderr)
+        return INVALID
+    if q & (q - 1):
         print(f"error: q={q} is not a power of two", file=sys.stderr)
         return INVALID
     if q**n > args.cap and not args.force:
@@ -284,7 +286,7 @@ def _pg2_lines_design(q: int) -> DesignSpec:
 def cmd_design(args) -> int:
     if args.check:
         spec = io.design_from_json(io.load(args.check, "design"))
-    elif args.pg2_lines:
+    elif args.pg2_lines is not None:
         spec = _pg2_lines_design(args.pg2_lines)
     elif args.spread_reguli:
         spread = io.spread_from_json(io.load(args.spread_reguli, "spread"))

@@ -276,10 +276,9 @@ def gf(order: int) -> FiniteField:
     """Field of the given order: a power of two (default modulus) or an odd prime."""
     if order in ODD_PRIMES:
         return FiniteField(order, 1)
-    m = order.bit_length() - 1
-    if order != 1 << m:
+    if order < 2 or order & (order - 1):
         raise ValueError(f"unsupported field order {order}")
-    return _cached_gf2(m, None)
+    return _cached_gf2(order.bit_length() - 1, None)
 
 
 def field_arith(field: FiniteField, a: int, b: int, kind: str) -> int:
@@ -330,11 +329,11 @@ class FieldTower:
         # reduction since i < h*n.  compress is GF(2)-linear, so its value on
         # every bit pattern is an xor of these, and {1, x, .., x^(n-1)} is a
         # GF(q)-basis of GF(q^n) exactly when the q^n values are distinct.
-        self._basis_cols = [top.mul(emb[1 << j], 1 << i)
-                            for i in range(self.n) for j in range(self.h)]
+        # values[bits] is the compress of the chunks packed h bits each, c_0 lowest.
         values = [0]
-        for col in self._basis_cols:
+        for col in [top.mul(emb[1 << j], 1 << i) for i in range(self.n) for j in range(self.h)]:
             values += [v ^ col for v in values]
+        self._compress = values
         mask = base.order - 1
         self._expand = {v: tuple((bits >> (i * self.h)) & mask for i in range(self.n))
                         for bits, v in enumerate(values)}
@@ -375,14 +374,10 @@ class FieldTower:
 
     def compress(self, chunks: tuple[int, ...]) -> int:
         """(c_0..c_{n-1}) over GF(q) -> sum embed(c_i) * x^i in GF(q^n)."""
-        v = 0
-        k = 0
-        for c in chunks:
-            for j in range(self.h):
-                if (c >> j) & 1:
-                    v ^= self._basis_cols[k]
-                k += 1
-        return v
+        bits = 0
+        for i, c in enumerate(chunks):
+            bits |= self.base.check(c) << (i * self.h)
+        return self._compress[bits]
 
     def expand(self, v: int) -> tuple[int, ...]:
         """GF(q^n) element -> its GF(q) coordinates over the basis {x^i}."""

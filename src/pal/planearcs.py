@@ -1,5 +1,9 @@
 """Arcs, ovals and hyperovals of PG(2, Q).
 
+A k-arc is a generalized arc with n = 1, its points read as rank-1
+subspaces, so the arc check, the tangent lines, the nucleus and the
+hyperoval completion are those of `pseudoarcs`.
+
 Q is a power of two for everything; odd prime Q is admitted only so the
 odd-order facts (no nucleus, no hyperoval completion, tangent-spread spot
 checks) can be demonstrated.
@@ -8,12 +12,12 @@ checks) can be demonstrated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .fields import FiniteField, gf
-from .projective import (Point, ProjSpace, Subspace, _normalized_vectors, kernel,
-                         meet, vec_mat)
+from .projective import Point, ProjSpace, Subspace, _normalized_vectors, kernel, vec_mat
+from .pseudoarcs import (PseudoArc, extend_to_hyperoval, make_pseudo_arc, tangent_spaces,
+                         verify_pseudo_arc)
 
 
 @dataclass(frozen=True)
@@ -36,33 +40,29 @@ class PlaneArc:
         return self.ambient.field
 
 
-def det3(field: FiniteField, a, b, c) -> int:
-    m, s = field.mul, field.sub
-    t1 = m(a[0], s(m(b[1], c[2]), m(b[2], c[1])))
-    t2 = m(a[1], s(m(b[0], c[2]), m(b[2], c[0])))
-    t3 = m(a[2], s(m(b[0], c[1]), m(b[1], c[0])))
-    return field.add(s(t1, t2), t3)
-
-
 def verify_karc(ambient: ProjSpace, points) -> ArcReport:
-    """No-three-collinear sweep plus the k <= Q+1 / Q+2 size bound."""
+    """No-three-collinear check plus the k <= Q+1 / Q+2 size bound.
+
+    `verify_pseudo_arc` with n = 1: nonzero vectors are collinear iff they do
+    not span the plane.  Duplicates are raw coordinates, so scaled copies of
+    one point are reported as a collinear triple.
+    """
     pts = list(points)
     if len(pts) < 3:
         raise ValueError("an arc needs at least 3 points")
     coords = [p.coords if isinstance(p, Point) else tuple(p) for p in pts]
+    if not all(any(c) for c in coords):
+        raise ValueError("a point is the zero vector")
     if len(set(coords)) != len(coords):
         raise ValueError("duplicate points")
-    field = ambient.field
-    q = field.order
-    max_k = q + 2 if q % 2 == 0 else q + 1
-    if len(coords) > max_k:
-        return ArcReport(False, len(coords), max_k, None,
-                         f"{len(coords)} points exceed the bound {max_k} for q={q}")
-    for i, j, k in combinations(range(len(coords)), 3):
-        if det3(field, coords[i], coords[j], coords[k]) == 0:
-            return ArcReport(False, len(coords), max_k, (i, j, k),
-                             f"points {i},{j},{k} are collinear")
-    return ArcReport(True, len(coords), max_k, None, "ok")
+    rep = verify_pseudo_arc(ambient, [ambient.subspace([c]) for c in coords])
+    if rep.ok:
+        reason = "ok"
+    elif rep.witness_triple is None:
+        reason = f"{rep.k} points exceed the bound {rep.max_k} for q={ambient.field.order}"
+    else:
+        reason = "points {},{},{} are collinear".format(*rep.witness_triple)
+    return ArcReport(rep.ok, rep.k, rep.max_k, rep.witness_triple, reason)
 
 
 def make_arc(ambient: ProjSpace, points) -> PlaneArc:
@@ -111,36 +111,26 @@ def lines_through_point(p: Point) -> list[Subspace]:
     return lines
 
 
-def tangent_lines(arc: PlaneArc) -> list[Subspace]:
-    """Per oval point, the unique line meeting the arc only there."""
+def _pseudo_oval(arc: PlaneArc) -> PseudoArc:
+    """The oval as a pseudo-oval with n = 1: each point a rank-1 subspace."""
     if arc.kind != "oval":
         raise ValueError("tangent lines are computed for ovals")
-    out = []
-    for p in arc.points:
-        tangents = []
-        for line in lines_through_point(p):
-            hits = sum(1 for x in arc.points if line.contains_point(x))
-            if hits == 1:
-                tangents.append(line)
-        if len(tangents) != 1:
-            raise ValueError(f"point {p} has {len(tangents)} tangent lines; not an oval")
-        out.append(tangents[0])
-    return out
+    return make_pseudo_arc(arc.ambient, [arc.ambient.subspace([p.coords]) for p in arc.points])
+
+
+def tangent_lines(arc: PlaneArc) -> list[Subspace]:
+    """Per oval point, the unique line meeting the arc only there."""
+    return tangent_spaces(_pseudo_oval(arc))
 
 
 def oval_nucleus_and_complete(arc: PlaneArc) -> tuple[Point, PlaneArc]:
-    """Common point of all tangents and the completed hyperoval (Q even)."""
+    """Common point of all tangents and the completed hyperoval (Q even).
+
+    `extend_to_hyperoval` finds the nucleus and checks the triples through it.
+    """
     field = arc.field
     if field.p != 2:
         raise ValueError(f"q={field.order} is odd: ovals have no nucleus and do not complete")
-    tangents = tangent_lines(arc)
-    common = tangents[0]
-    for t in tangents[1:]:
-        common = meet(common, t)
-    if common.rank != 1:
-        raise ValueError("tangent lines do not concur")
-    nucleus = arc.ambient.point(common.rows[0])
-    completed = make_arc(arc.ambient, list(arc.points) + [nucleus])
-    if completed.kind != "hyperoval":
-        raise AssertionError("completion did not verify as a hyperoval")
-    return nucleus, completed
+    hyper = extend_to_hyperoval(_pseudo_oval(arc))
+    nucleus = arc.ambient.point(hyper.elements[-1].rows[0])
+    return nucleus, PlaneArc(arc.ambient, (*arc.points, nucleus), "hyperoval")

@@ -45,6 +45,23 @@ def test_construct_rejects_bad_translation(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (["construct", "--q", "4", "--n", "-1"], "construct needs q >= 2 and n >= 1, got q=4, n=-1"),
+    (["construct", "--q", "4", "--n", "0"], "construct needs q >= 2 and n >= 1, got q=4, n=0"),
+    (["construct", "--q", "0", "--n", "2"], "construct needs q >= 2 and n >= 1, got q=0, n=2"),
+    (["design", "--pg2-lines", "0"], "unsupported field order 0"),
+], ids=["n=-1", "n=0", "q=0", "pg2-lines=0"])
+def test_bad_orders_exit_2_with_one_line(tmp_path, capsys, args, message):
+    """q**n = 0.25 used to reach gf and end in a traceback, q = 0 to print
+    "negative shift count", and --pg2-lines 0 to read as no design source."""
+    out = tmp_path / "x.json"
+    extra = ["--source", "conic"] if args[0] == "construct" else []
+    capsys.readouterr()
+    assert main([*args, *extra, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_construct_cap(tmp_path):
     code = main(["construct", "--q", "4", "--n", "4", "--source", "conic",
                  "-o", str(tmp_path / "x.json")])

@@ -53,6 +53,14 @@ def test_field_make_errors():
         field_make(3, -9)  # degree-3 bit length, but negative
 
 
+def test_gf_rejects_unsupported_orders():
+    # orders below 2 used to reach a negative shift or an AttributeError
+    for order in (0, 1, -4, 0.25, 6, 9, 17):
+        with pytest.raises(ValueError, match="unsupported field order"):
+            gf(order)
+    assert gf(2).order == 2 and gf(13).order == 13
+
+
 def test_explicit_modulus_accepted():
     # the other irreducible quartic
     f = field_make(4, 0b11001)  # x^4 + x^3 + 1
@@ -163,6 +171,10 @@ def test_expand_compress_roundtrip():
     for bad in (-1, 16, 2.0, None):
         with pytest.raises(ValueError):
             t.expand(bad)
+    # chunks must be GF(4) codes: (5, 0) is not read as (1, 0), nor (4, 0) as 0
+    for bad in ((5, 0), (4, 0), (0, -1), (1, 2.0)):
+        with pytest.raises(ValueError):
+            t.compress(bad)
 
 
 def test_tower_requires_divisibility():

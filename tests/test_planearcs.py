@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+from math import gcd
+
 import pytest
 
-from pal import (ProjSpace, conic, gf, make_arc, meet, oval_nucleus_and_complete,
+from pal import (ProjSpace, conic, field_make, gf, make_arc, meet, oval_nucleus_and_complete,
                  prime_field, span, tangent_lines, translation_oval, verify_karc)
-from pal.planearcs import lines_through_point
+from pal.planearcs import ArcReport, lines_through_point
+from pal.projective import QuotientMap
 
 
 def test_conic_sizes():
@@ -130,3 +135,141 @@ def test_make_arc_kinds():
     karc = make_arc(space, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     assert karc.kind == "karc"
     assert make_arc(space, [p.coords for p in conic(4).points]).kind == "oval"
+
+
+def test_zero_vector_rejected():
+    space = ProjSpace(2, gf(4))
+    with pytest.raises(ValueError, match="a point is the zero vector"):
+        verify_karc(space, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+# -- oracles: the plane-only routines verify_karc, tangent_lines and
+# oval_nucleus_and_complete ran before they became the n = 1 pseudo-arc ones
+
+
+def det3(field, a, b, c) -> int:
+    m, s = field.mul, field.sub
+    t1 = m(a[0], s(m(b[1], c[2]), m(b[2], c[1])))
+    t2 = m(a[1], s(m(b[0], c[2]), m(b[2], c[0])))
+    t3 = m(a[2], s(m(b[0], c[1]), m(b[1], c[0])))
+    return field.add(s(t1, t2), t3)
+
+
+def karc_by_triple_sweep(space, coords) -> ArcReport:
+    """The size bound, then the first triple in combinations order with det3 = 0."""
+    q, k = space.field.order, len(coords)
+    max_k = q + 2 if q % 2 == 0 else q + 1
+    if k > max_k:
+        return ArcReport(False, k, max_k, None, f"{k} points exceed the bound {max_k} for q={q}")
+    for i, j, l in combinations(range(k), 3):
+        if det3(space.field, coords[i], coords[j], coords[l]) == 0:
+            return ArcReport(False, k, max_k, (i, j, l), f"points {i},{j},{l} are collinear")
+    return ArcReport(True, k, max_k, None, "ok")
+
+
+def tangents_by_pencil_scan(arc):
+    """Per point, the one line of its pencil that meets the arc only there."""
+    out = []
+    for p in arc.points:
+        tangents = [line for line in lines_through_point(p)
+                    if sum(1 for x in arc.points if line.contains_point(x)) == 1]
+        assert len(tangents) == 1
+        out.append(tangents[0])
+    return out
+
+
+def _point_sets(space, rnd):
+    """Seeded coordinate lists: shuffled conics, conics with a planted point,
+    random sets up to past the size bound, and sets with a scaled copy."""
+    field = space.field
+    q = field.order
+    base = [p.coords for p in conic(field).points]
+
+    def random_vec():
+        while True:
+            v = tuple(rnd.randrange(q) for _ in range(3))
+            if any(v):
+                return v
+
+    def scaled(v):
+        c = rnd.randrange(2, q)
+        return tuple(field.mul(c, x) for x in v)
+
+    sets = []
+    for _ in range(4):
+        pts = base[:]
+        rnd.shuffle(pts)
+        sets.append(pts)
+        extra = random_vec()
+        if extra not in pts:
+            sets.append(pts[:rnd.randrange(2, len(pts))] + [extra])
+    for size in range(3, q + 5):
+        pts = list(dict.fromkeys(random_vec() for _ in range(size)))
+        if len(pts) >= 3:
+            sets.append(pts)
+    sets.append([p.coords for p in space.points()[:q + 3]])
+    if q > 2:
+        for _ in range(4):
+            pts = rnd.sample(base, rnd.randrange(2, len(base)))
+            v = rnd.choice(pts)
+            sets.append(pts + [scaled(v)])
+        sets.append([(1, 1, 0), (0, 0, 1), scaled((1, 1, 0)), (1, 0, 0)])
+    return sets
+
+
+@pytest.mark.parametrize("order", [2, 4, 16, 3, 5, 7])
+def test_verify_karc_matches_triple_sweep(order):
+    space = ProjSpace(2, gf(order))
+    rnd = random.Random(order)
+    sets = _point_sets(space, rnd)
+    reports = [verify_karc(space, pts) for pts in sets]
+    for pts, rep in zip(sets, reports):
+        assert rep == karc_by_triple_sweep(space, pts), pts
+    # every kind of verdict occurs
+    assert any(r.ok for r in reports)
+    assert any(r.collinear_witness is not None for r in reports)
+    assert any(not r.ok and r.collinear_witness is None for r in reports)
+
+
+def _ovals(q):
+    """The conic and the translation ovals of PG(2, q); GF(32) over x^5 + x^2 + 1."""
+    m = q.bit_length() - 1
+    field = field_make(m, 0b100101 if m == 5 else None)
+    return [conic(field)] + [translation_oval(field, k) for k in range(2, m) if gcd(k, m) == 1]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
+def test_tangent_lines_match_pencil_scan_even(q):
+    for arc in _ovals(q):
+        assert tangent_lines(arc) == tangents_by_pencil_scan(arc)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_tangent_lines_match_pencil_scan_odd(p):
+    arc = conic(prime_field(p))
+    assert tangent_lines(arc) == tangents_by_pencil_scan(arc)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
+def test_nucleus_and_completion_match_meet_of_tangents(q):
+    for arc in _ovals(q):
+        taus = tangents_by_pencil_scan(arc)
+        common = taus[0]
+        for t in taus[1:]:
+            common = meet(common, t)
+        assert common.rank == 1
+        expected = arc.ambient.point(common.rows[0])
+        nuc, hyper = oval_nucleus_and_complete(arc)
+        assert nuc == expected
+        assert hyper == make_arc(arc.ambient, list(arc.points) + [expected])
+
+
+def test_verify_karc_work_count(monkeypatch):
+    """One quotient image per later point for each of the 63 centers that
+    start a triple: 64 + 63 + ... + 2 = 2,079 for the 65 conic points."""
+    arc = conic(64)
+    calls = []
+    image = QuotientMap.image
+    monkeypatch.setattr(QuotientMap, "image", lambda self, s: calls.append(1) or image(self, s))
+    assert verify_karc(arc.ambient, arc.points).ok
+    assert len(calls) == 2079

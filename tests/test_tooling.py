@@ -1,6 +1,6 @@
 """Tooling checks: the benchmark's tracer still finds every pal function it
 wraps, a round of each benchmark workload passes its own checks, and no pal
-module keeps an unused import."""
+module keeps an unused import or an unused private function."""
 
 from __future__ import annotations
 
@@ -74,4 +74,30 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
+    assert not unused, unused
+
+
+def test_no_unused_private_functions():
+    """Every module-level _name function or class of pal is referenced in pal
+    outside its own definition."""
+    defined = {}
+    used = set()
+    for path in sorted((ROOT / "src" / "pal").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            own = None
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.startswith("__")):
+                own = top.name
+                defined[own] = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    unused = [f"{where}: {name}" for name, where in defined.items() if name not in used]
     assert not unused, unused
