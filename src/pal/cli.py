@@ -253,7 +253,11 @@ def cmd_theorem(args) -> int:
     arc = _load_arc(args.input)
     given = None
     if args.given:
-        given = tuple(int(x) for x in args.given.split(","))
+        try:
+            given = tuple(int(x) for x in args.given.split(","))
+        except ValueError:
+            print(f"error: bad --given indices {args.given!r}", file=sys.stderr)
+            return INVALID
     params = TheoremParams(args.id, rho=args.rho, delta0=args.delta0, given=given)
     rep = check_theorem(arc, params)
     out = _report("theorem-report", {
@@ -284,16 +288,19 @@ def _pg2_lines_design(q: int) -> DesignSpec:
 
 
 def cmd_design(args) -> int:
-    if args.check:
+    if args.exceptions is not None and args.spread_reguli is None:
+        print("error: --exceptions applies only to --spread-reguli", file=sys.stderr)
+        return INVALID
+    if args.check is not None:
         spec = io.design_from_json(io.load(args.check, "design"))
     elif args.pg2_lines is not None:
         spec = _pg2_lines_design(args.pg2_lines)
-    elif args.spread_reguli:
+    elif args.spread_reguli is not None:
         spread = io.spread_from_json(io.load(args.spread_reguli, "spread"))
         exc = tuple(int(x) for x in args.exceptions.split(",")) \
             if args.exceptions else ()
         spec = spread_reguli_design(spread, exc)
-    elif args.plane_model_from:
+    elif args.plane_model_from is not None:
         arc = _load_arc(args.plane_model_from)
         res = recognize_regular(arc)
         if not res.regular:
@@ -301,12 +308,9 @@ def cmd_design(args) -> int:
             return FAIL
         model = plane_model(res.sigma)
         spec = lines_design(range(len(model.spread.elements)), model.members)
-    elif args.dual_blocks:
-        arc = _load_arc(args.dual_blocks)
-        spec = regulus_blocks(dual_arc(arc))
     else:
-        print("error: choose a design source", file=sys.stderr)
-        return INVALID
+        # the source group is required, so --dual-blocks is the one left
+        spec = regulus_blocks(dual_arc(_load_arc(args.dual_blocks)))
     rep = check_design(spec)
     out = _report("design-report", {
         "ok": rep.ok, "t": spec.t, "v": spec.v, "k": spec.k, "lambda": spec.lam,

@@ -335,8 +335,8 @@ def summary(obj: dict) -> list[str]:
     elif kind == "regulus":
         reg = regulus_from_json(obj)
         contained = _get(obj, "contained_in_spread", bool, default=None)
-        lines.append(f"  {len(reg)} elements in PG({reg.space.dim}, ...), "
-                     f"contained_in_spread={contained}")
+        lines.append(f"  {len(reg)} elements in PG({reg.space.dim}, "
+                     f"{reg.space.field.order}), contained_in_spread={contained}")
     elif kind == "dual-arc":
         betas = _items(obj, "betas", dict)
         gammas = _items(obj, "gammas", dict)

@@ -12,15 +12,17 @@ meets in one point.  Together with the transversals T_l of a regulus
 through the contact points u_l they span the planes theta_l, and the
 rational (n-1)-spaces meeting the planes are the generated spread, whose
 elements are the points of a plane of order q^n.  Recognition runs exactly
-that construction on the dual of an arc and asks whether every dual
-element is a line of the model plane.
+that construction on the dual of an arc, for one regulus choice, and asks
+whether every dual element is a line of the model plane.  One choice
+decides: success reduces a recovered plane arc to the arc, and for a
+regular arc every choice generates the Desarguesian spread that the dual
+elements are spanned by (see `recognize_regular`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
@@ -30,7 +32,7 @@ from .projective import (Chart, ProjSpace, QuotientMap, Subspace, Vec, _normaliz
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
-from .spreads import (Regulus, Spread, _graph_rows, dual_arc, is_regular_spread,
+from .spreads import (DualArc, Regulus, Spread, _graph_rows, dual_arc, is_regular_spread,
                       regulus_through, spread_field, verified_spread, verify_spread)
 
 
@@ -354,121 +356,79 @@ class RecognitionResult:
     choice: dict
     line_counts: tuple[int, ...] | None
 
-    @property
-    def reason(self) -> str:
-        if self.regular:
-            return "recognized regular via quadruple " + str(self.choice)
-        return "no quadruple makes every dual element a model line"
 
-
-def _tower_for(arc: PseudoArc) -> FieldTower:
-    h = arc.ambient.field.m
-    return FieldTower(arc.ambient.field, field_make(h * arc.n))
-
-
-def _regulus_choices(k: int, pairs_from: list[int], forced_extra, all_fills: bool):
-    """Deterministic (j, i, generator-indices) choices in lexicographic order.
-
-    `forced_extra(j, i)` lists indices whose intersection with beta_j must be
-    a regulus generator (the nucleus dual for ovals, the non-given indices
-    in restricted mode).  With all_fills, every completion of the forced
-    generators is yielded for the first (j, i) pair (the exhaustive mode).
-    """
-    first_pair = True
-    for j in pairs_from:
-        for i in pairs_from:
-            if i == j:
-                continue
-            forced = [i]
-            for e in forced_extra(j, i):
-                if e != j and e not in forced and len(forced) < 3:
-                    forced.append(e)
-            pool = [m for m in range(k) if m != j and m not in forced]
-            need = 3 - len(forced)
-            if need == 0:
-                yield j, i, tuple(forced)
-            elif all_fills:
-                for extra in combinations(pool, need):
-                    yield j, i, tuple(forced) + extra
-                if first_pair:
-                    return  # exhaustive mode sweeps the first pair only
-            else:
-                yield j, i, tuple(forced) + tuple(pool[:need])
-            first_pair = False
-
-
-def recognize_regular(arc: PseudoArc, given: list[int] | None = None,
-                      exhaustive: bool = False):
+def recognize_regular(arc: PseudoArc, given: list[int] | None = None):
     """Run the dual-spread recognition of a regular pseudo-arc.
 
-    Dualizes the arc (completing a pseudo-oval by its nucleus), picks a
-    regulus gamma_j in a dual spread through the common element (plus the
-    nucleus dual for ovals, or the non-given intersections when `given`
-    restricts the usable derived spreads), generates Sigma(gamma_j, Gamma_i)
-    and asks whether every dual element carries q^n + 1 of its elements.
-    On success the plane arc is recovered in the fixed reduction frame when
-    the arc is canonically reducible, and in the theta-plane frame (with a
-    frame witness) otherwise.  `exhaustive` re-runs every regulus completion
-    for the first index pair and asserts the outcomes agree.
+    Dualizes the arc (completing a pseudo-oval by its nucleus) and makes one
+    regulus choice: j and i are the first two usable indices (every index
+    but the nucleus dual's, or the members of `given`), and gamma_j is the
+    regulus through the intersections of beta_j with beta_i, the nucleus
+    dual for ovals and the non-given duals, in that order, filled up to
+    three from the lowest free indices.  `_recognize_choice` generates
+    Sigma(gamma_j, Gamma_i) and asks whether every dual element carries
+    q^n + 1 of its elements.  On success the plane arc is recovered in the
+    fixed reduction frame when the arc is canonically reducible, and in the
+    theta-plane frame (with a frame witness) otherwise.
+
+    One choice decides.  Success recovers a plane arc whose reduction, in
+    the canonical or the theta frame, is the arc, so the arc is regular.
+    Conversely, if the arc is regular its dual elements are spanned by
+    elements of one Desarguesian spread D, so gamma_j lies in Gamma_j,
+    which lies in D, and Gamma_i lies in D; the lines U_l and T_l then lie
+    in D's director planes theta_l, Sigma = D for every choice, and every
+    dual element carries q^n + 1 elements.  A failed choice therefore
+    reports an arc that is not regular.
     """
     if arc.n < 2:
         raise ValueError("recognition needs n >= 2")
     if arc.kind not in ("pseudo-oval", "pseudo-hyperoval"):
         raise ValueError(f"cannot recognize a {arc.kind}")
-    was_oval = arc.kind == "pseudo-oval"
-    tower = _tower_for(arc)
     da = dual_arc(arc)
-    ext = da.arc
     k = len(da.betas)
-    order = arc.q**arc.n
-    nucleus_index = k - 1 if was_oval else None
+    was_oval = arc.kind == "pseudo-oval"
     if given is not None:
-        pairs_from = sorted(m for m in given if m < k)
-        excluded = [m for m in range(k) if m not in given]
+        usable = sorted({m for m in given if m < k})
     else:
-        pairs_from = list(range(k - 1)) if was_oval else list(range(k))
-        excluded = []
-    if len(pairs_from) < 2:
+        usable = list(range(k - 1 if was_oval else k))
+    if len(usable) < 2:
         raise ValueError("need at least two usable indices")
+    j, i = usable[:2]
+    generators = [i]
+    extra = [k - 1] if was_oval else []
+    if given is not None:
+        extra += [m for m in range(k) if m not in given]
+    for m in extra + list(range(k)):
+        if m != j and m not in generators and len(generators) < 3:
+            generators.append(m)
+    return _recognize_choice(arc, da, j, i, generators)
 
-    def forced_extra(j, i):
-        extra = [] if nucleus_index is None or nucleus_index == j else [nucleus_index]
-        return extra + [e for e in excluded if e != j]
 
-    results = []
-    for j, i, gen_idx in _regulus_choices(k, pairs_from, forced_extra, exhaustive):
-        gens = [da.alpha_internal(j, m) for m in gen_idx]
-        reg = regulus_through(*gens)
-        if not reg.element_set() <= da.gammas[j].element_set():
-            raise NotRegularError(
-                f"Gamma_{j} is not closed under the regulus through "
-                f"{gen_idx}; recognition requires regular dual spreads",
-                {"kind": "regulus-closure", "spread": f"gamma[{j}]",
-                 "triple": list(gen_idx)})
-        reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[j])
-        sigma, scaffold = build_sigma(reg, da.gammas[i], tower)
-        inside = _elements_inside(sigma, da.betas)
-        counts = tuple(len(els) for els in inside)
-        choice = {"j": j, "i": i, "generators": list(gen_idx)}
-        if all(c == order + 1 for c in counts):
-            plane, ident = _recover(arc, ext, inside, scaffold, tower, was_oval)
-            result = RecognitionResult(True, plane, ident, sigma, scaffold, choice, counts)
-        else:
-            result = RecognitionResult(False, None, None, sigma, scaffold, choice, counts)
-        if not exhaustive:
-            if result.regular:
-                return result
-            continue
-        results.append(result)
-    if exhaustive and results:
-        if len({r.regular for r in results}) != 1:
-            raise AssertionError("exhaustive recognition found disagreeing choices")
-        arcs = {tuple(p.coords for p in r.plane_arc.points)
-                for r in results if r.plane_arc is not None}
-        if len(arcs) > 1:
-            raise AssertionError("exhaustive recognition recovered different arcs")
-        return results[0]
-    return RecognitionResult(False, None, None, None, None, {}, None)
+def _recognize_choice(arc: PseudoArc, da: DualArc, j: int, i: int, generators: list[int]):
+    """Recognition with gamma_j the regulus through the intersections of
+    beta_j with the betas at `generators` and Gamma_i as the second spread.
+
+    Raises NotRegularError when Gamma_j does not contain gamma_j; returns
+    the failure result when some dual element does not carry q^n + 1
+    elements of Sigma(gamma_j, Gamma_i)."""
+    field = arc.ambient.field
+    tower = FieldTower(field, field_make(field.m * arc.n))
+    reg = regulus_through(*(da.alpha_internal(j, m) for m in generators))
+    if not reg.element_set() <= da.gammas[j].element_set():
+        raise NotRegularError(
+            f"Gamma_{j} is not closed under the regulus through "
+            f"{tuple(generators)}; recognition requires regular dual spreads",
+            {"kind": "regulus-closure", "spread": f"gamma[{j}]",
+             "triple": list(generators)})
+    reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[j])
+    sigma, scaffold = build_sigma(reg, da.gammas[i], tower)
+    inside = _elements_inside(sigma, da.betas)
+    counts = tuple(len(els) for els in inside)
+    if any(c != arc.q**arc.n + 1 for c in counts):
+        return RecognitionResult(False, None, None, None, None, {}, None)
+    plane, ident = _recover(arc, da.arc, inside, scaffold, tower)
+    choice = {"j": j, "i": i, "generators": list(generators)}
+    return RecognitionResult(True, plane, ident, sigma, scaffold, choice, counts)
 
 
 def _elements_inside(sigma: Spread, subspaces) -> list[list[Subspace]]:
@@ -484,7 +444,7 @@ def _elements_inside(sigma: Spread, subspaces) -> list[list[Subspace]]:
     return inside
 
 
-def _recover(arc, ext, inside, scaffold, tower, was_oval):
+def _recover(arc, ext, inside, scaffold, tower):
     """The plane arc and its identification (frame) of a recognized arc."""
     top = tower.top
     rmap = ReductionMap(tower)
@@ -527,7 +487,7 @@ def _recover(arc, ext, inside, scaffold, tower, was_oval):
                  "theta1_rows": [list(r) for r in theta1.rows],
                  "relation": "element_k = dual(rational span of the n conjugate "
                              "model lines of beta_k)"}
-    if was_oval:
+    if arc.kind == "pseudo-oval":
         points = points[:-1]
         ident["dropped_nucleus"] = True
     return make_arc(ProjSpace(2, top), points), ident

@@ -34,6 +34,15 @@ class TheoremParams:
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ValueError(f"unknown theorem id {self.theorem!r}")
+        # a parameter the theorem would ignore is refused
+        if self.rho is not None and self.theorem != "6.3":
+            raise ValueError(f"theorem {self.theorem} takes no rho")
+        if self.rho is not None and self.given is not None:
+            raise ValueError("theorem 6.3 takes rho or given indices, not both")
+        if self.given is not None and self.theorem in ("6.1", "6.2"):
+            raise ValueError(f"theorem {self.theorem} takes no given indices")
+        if self.delta0 != 0 and self.theorem != "7.1":
+            raise ValueError(f"theorem {self.theorem} takes no delta0")
 
 
 @dataclass

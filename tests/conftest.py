@@ -134,3 +134,16 @@ def subfield_closed_set():
         mats = [_lin(fld, a, b, x) for a in range(1, q) for b in range(q)]
         return _graph_set(fld, mats + [_lin(fld, 0, lam, y) for lam in range(1, q)])
     return make
+
+
+@pytest.fixture()
+def unrecognizable(monkeypatch):
+    """Recognition with one element of Sigma dropped from the first dual
+    element's list, so the line counts fail and no arc is recognized."""
+    import pal.sigma
+    inside = pal.sigma._elements_inside
+
+    def drop_one(sigma, subspaces):
+        lists = inside(sigma, subspaces)
+        return [lists[0][1:], *lists[1:]]
+    monkeypatch.setattr(pal.sigma, "_elements_inside", drop_one)

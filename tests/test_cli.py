@@ -514,3 +514,148 @@ def test_certificate_keeps_cli_bytes(tmp_path, capsys, monkeypatch, shuffled_hal
     assert len(certified) == asked  # the sweep no longer asks the certificate
     assert len(on[1]) == len(commands) - 2 + 2 * 19  # each derive writes 18 spreads, 1 report
     assert certified.count(True) > 50 and False in certified
+
+
+def test_unrecognized_arc_fails_theorem_and_plane_model(unrecognizable, arc_file, hyper_file,
+                                                        tmp_path, capsys):
+    """When recognition fails, theorem 6.1 reports the converse failed (exit 3)
+    and the plane model has no spread to model (exit 1)."""
+    capsys.readouterr()
+    assert main(["theorem", "--id", "6.1", str(hyper_file), "-o", str(tmp_path / "t.json")]) == 3
+    rep = io.load(tmp_path / "t.json", "theorem-report")
+    assert (rep["forward"], rep["converse"], rep["verdict"]) == ("pass", "fail", "inconsistent")
+    assert rep["recognition"] == {"regular": False, "choice": {}, "identification": None,
+                                  "line_counts": []}
+    assert capsys.readouterr().err == ""
+    assert main(["design", "--plane-model-from", str(arc_file),
+                 "-o", str(tmp_path / "d.json")]) == 1
+    assert capsys.readouterr().err == "error: arc was not recognized as regular\n"
+    assert not (tmp_path / "d.json").exists()
+
+
+@pytest.fixture(scope="module")
+def rejected(tmp_path_factory):
+    """The (4,2) oval and hyperoval, delta_0 of the hyperoval, and corrupted
+    copies: a repeated element, a wrong arc_kind, n = 0 and a spread with two
+    meeting elements."""
+    d = tmp_path_factory.mktemp("rejected")
+    assert main(["construct", "--q", "4", "--n", "2", "--source", "conic",
+                 "-o", str(d / "oval.json")]) == 0
+    assert main(["construct", "--q", "4", "--n", "2", "--source", "hyperoval-from:conic",
+                 "-o", str(d / "hyper.json")]) == 0
+    assert main(["derive", str(d / "hyper.json"), "--index", "0", "--outdir", str(d)]) == 0
+    oval = io.load(d / "oval.json")
+    for name, key, value in (("repeated", "elements", oval["elements"][:-1] + oval["elements"][:1]),
+                             ("kind", "arc_kind", "pseudo-hyperoval"), ("n0", "n", 0)):
+        io.save(d / f"{name}.json", {**oval, key: value})
+    spread = io.spread_from_json(io.load(d / "delta_0.json"))
+    e0, e1 = spread.elements[:2]
+    meeting = spread.space.subspace([e0.rows[0], e1.rows[0]])
+    io.save(d / "meeting.json", io.spread_to_json(Spread(
+        spread.space, spread.elements[:-1] + (meeting,), carrier=spread.carrier,
+        origin=spread.origin)))
+    return d
+
+
+REJECTIONS = [
+    (["tangents", "repeated.json"], 2,
+     "pseudo-arc failed verification: elements 0,1,16 do not span the space"),
+    (["verify", "repeated.json"], 1, {"ok": False, "witness": {
+        "kind": "non-spanning-triple", "indices": [0, 1, 16]}}),
+    (["tangents", "kind.json"], 2, "arc kind 'pseudo-oval' != declared 'pseudo-hyperoval'"),
+    (["verify", "n0.json"], 2, "projective dimension -1 is below 1"),
+    (["construct", "--q", "6", "--n", "1", "--source", "conic", "-o", "x.json"], 2,
+     "q=6 is not a power of two"),
+    (["construct", "--q", "4", "--n", "2", "--source", "ellipse", "-o", "x.json"], 2,
+     "unknown source 'ellipse'"),
+    (["derive", "oval.json"], 2, "choose --index, --all or --nucleus"),
+    (["regulus", "delta_0.json", "--elements", "a,b,c"], 2, "bad element indices 'a,b,c'"),
+    (["theorem", "--id", "6.3", "--given", "0,1", "hyper.json"], 2,
+     "theorem 6.3 needs rho >= q^n - 1 = 15"),
+    (["theorem", "--id", "7.1", "--given", "0,1", "hyper.json"], 2,
+     "theorem 7.1 needs at least q^n + 1 - delta0 given spreads"),
+    (["theorem", "--id", "6.3", "--given", "0,99", "hyper.json"], 2,
+     "given indices out of range: [99]"),
+    (["theorem", "--id", "6.3", "--given", "1,x", "hyper.json"], 2,
+     "bad --given indices '1,x'"),
+    (["theorem", "--id", "6.1", "--rho", "3", "hyper.json"], 2, "theorem 6.1 takes no rho"),
+    (["theorem", "--id", "7.1", "--rho", "16", "hyper.json"], 2, "theorem 7.1 takes no rho"),
+    (["theorem", "--id", "6.3", "--rho", "16", "--given", "2,3", "hyper.json"], 2,
+     "theorem 6.3 takes rho or given indices, not both"),
+    (["theorem", "--id", "6.1", "--given", "0,1", "hyper.json"], 2,
+     "theorem 6.1 takes no given indices"),
+    (["theorem", "--id", "6.2", "--given", "0,1", "oval.json"], 2,
+     "theorem 6.2 takes no given indices"),
+    (["theorem", "--id", "6.3", "--delta0", "1", "hyper.json"], 2,
+     "theorem 6.3 takes no delta0"),
+    (["design", "--pg2-lines", "4", "--exceptions", "0,1"], 2,
+     "--exceptions applies only to --spread-reguli"),
+    (["design", "--dual-blocks", "hyper.json", "--exceptions", "0"], 2,
+     "--exceptions applies only to --spread-reguli"),
+    (["check-regular", "meeting.json"], 1, {"ok": False, "spread_ok": False, "witness": {
+        "kind": "not-skew", "pair": [15, 16], "point": [0, 0, 1, 1]}}),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", REJECTIONS,
+                         ids=["_".join(argv) for argv, _, _ in REJECTIONS])
+def test_rejections_exit_with_one_line(rejected, tmp_path, capsys, monkeypatch,
+                                       argv, code, expected):
+    """Malformed input exits 2 with one line on stderr; a failed check exits 1
+    with its witness in the report and nothing on stderr."""
+    monkeypatch.chdir(rejected)
+    argv = [str(tmp_path / a) if a == "x.json" else a for a in argv]
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err == f"error: {expected}\n"
+        assert not (tmp_path / "x.json").exists()
+    else:
+        assert err == ""
+        report = json.loads(out)
+        assert {key: report[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("source", ["--check", "--spread-reguli", "--plane-model-from",
+                                    "--dual-blocks"])
+def test_design_empty_source_path_fails_to_read(tmp_path, capsys, source):
+    """An empty path is a chosen source that cannot be read."""
+    capsys.readouterr()
+    assert main(["design", f"{source}=", "-o", str(tmp_path / "d.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read : ") and err.count("\n") == 1
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_design_spread_reguli_takes_exceptions(rejected, tmp_path):
+    assert main(["design", "--spread-reguli", str(rejected / "delta_0.json"),
+                 "--exceptions", "0,1", "-o", str(tmp_path / "d.json")]) == 0
+    assert io.load(tmp_path / "d.json", "design-report")["exceptions"] == [0, 1]
+
+
+def test_report_on_every_written_kind(rejected, tmp_path, capsys):
+    """`report` on each kind the CLI writes, and on a kind it does not know."""
+    d = tmp_path
+    for argv in (["regulus", str(rejected / "delta_0.json"), "--elements", "0,1,2",
+                  "-o", str(d / "regulus.json")],
+                 ["dualize", str(rejected / "oval.json"), "-o", str(d / "dual.json")],
+                 ["theorem", "--id", "6.1", str(rejected / "hyper.json"),
+                  "-o", str(d / "theorem.json")],
+                 ["design", "--pg2-lines", "4", "-o", str(d / "design.json")]):
+        assert main(argv) == 0
+    io.save(d / "unknown.json", {"schema": io.SCHEMA, "kind": "mystery"})
+    expected = {
+        rejected / "delta_0.json": ["kind=spread", "  17 elements in PG(3, 4), origin=delta[0]"],
+        d / "regulus.json": ["kind=regulus",
+                             "  5 elements in PG(3, 4), contained_in_spread=True"],
+        d / "dual.json": ["kind=dual-arc", "  18 dual elements; regular spreads: 18/18"],
+        d / "theorem.json": ["kind=theorem-report",
+                             "  theorem 6.1: consistent (forward=pass, converse=pass)"],
+        d / "design.json": ["kind=design-report", "  2-(21,5,1): ok=True, blocks=21"],
+        d / "unknown.json": ["kind=mystery", "  (no summary available)"],
+    }
+    for path, (kind, line) in expected.items():
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr() == (f"pal-v1 file: {kind}\n{line}\n", "")

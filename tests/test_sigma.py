@@ -5,15 +5,16 @@ from itertools import combinations
 
 import pytest
 
+import pal.sigma
 import pal.spreads
-from pal import (NotRegularError, ProjSpace, Regulus, Spread, build_sigma,
-                 conic, derive_spread_from_element, desarguesian_spread,
-                 dual_arc, gf, is_regular_spread, make_pseudo_arc, make_tower,
+from pal import (DualArc, NotRegularError, ProjSpace, RecognitionResult, Regulus,
+                 Spread, build_sigma, conic, derive_spread_from_element,
+                 desarguesian_spread, dual_arc, gf, is_regular_spread, make_pseudo_arc, make_tower,
                  meet, opposite_regulus, plane_model, recognize_regular,
                  regulus_through, span, spread_transversals, verify_spread)
 from pal.projective import QuotientMap, Subspace, mat_inv, mat_mul, rref, vec_mat
 from pal.reduction import extend_subspace, frobenius_subspace
-from pal.sigma import PlaneModel, _elements_inside, _image_groups
+from pal.sigma import PlaneModel, _elements_inside, _image_groups, _recognize_choice
 from pal.spreads import spread_field
 
 
@@ -575,9 +576,112 @@ def test_recognize_small_arc(small_arc, rmap23):
     assert list(back.elements) == list(small_arc.elements)
 
 
-def test_recognize_exhaustive_small(small_arc):
-    res = recognize_regular(small_arc, exhaustive=True)
-    assert res.regular
+def moved_oval(conic_oval):
+    """The (4,2) conic oval moved by a seeded collineation of PG(5, 4): not
+    canonically reducible, so it is recovered in the theta frame."""
+    rnd = random.Random(11)
+    fld = conic_oval.ambient.field
+    while True:
+        m = [tuple(rnd.randrange(4) for _ in range(6)) for _ in range(6)]
+        try:
+            mat_inv(fld, m)
+            break
+        except ValueError:
+            continue
+    return make_pseudo_arc(
+        conic_oval.ambient,
+        [conic_oval.ambient.subspace([vec_mat(fld, r, m) for r in e.rows])
+         for e in conic_oval.elements])
+
+
+@pytest.mark.parametrize("name", ["small_arc", "conic_oval", "conic_hyperoval",
+                                  "translation_arc", "moved_oval"])
+def test_every_regulus_choice_recovers_the_arc(request, conic_oval, name):
+    """One regulus choice decides: the completions of the first (j, i) pair,
+    one per distinct regulus (a fill that spans a regulus already tried
+    builds the same Sigma), and a seeded fill of 20 other pairs (the nucleus
+    dual included) succeed and recover the arc that `recognize_regular`
+    recovers; the moved oval, whose theta frame depends on the choice, as an
+    oval in that frame."""
+    arc = moved_oval(conic_oval) if name == "moved_oval" else request.getfixturevalue(name)
+    ref = recognize_regular(arc)
+    da = dual_arc(arc)
+    k = len(da.betas)
+    forced = [1, k - 1] if arc.kind == "pseudo-oval" else [1]
+    pool = [m for m in range(2, k) if m not in forced]
+    choices, reguli = [], set()
+    for fill in combinations(pool, 3 - len(forced)):
+        generators = forced + list(fill)
+        reg = regulus_through(*(da.alpha_internal(0, m) for m in generators)).element_set()
+        if reg not in reguli:
+            reguli.add(reg)
+            choices.append((0, 1, generators))
+    assert ref.choice == {"j": 0, "i": 1, "generators": choices[0][2]}
+    rnd = random.Random(k)
+    pairs = [(j, i) for j in range(k) for i in range(k) if j != i and (j, i) != (0, 1)]
+    for j, i in rnd.sample(pairs, 20):
+        choices.append((j, i, [i, *rnd.sample([m for m in range(k) if m not in (j, i)], 2)]))
+    for j, i, generators in choices:
+        res = _recognize_choice(arc, da, j, i, generators)
+        assert res.regular and res.choice == {"j": j, "i": i, "generators": generators}
+        assert res.line_counts == ref.line_counts
+        if name == "moved_oval":
+            assert res.identification["convention"] == "theta-frame-v1"
+            assert res.plane_arc.kind == "oval"
+        else:
+            assert (res.plane_arc, res.identification) == (ref.plane_arc, ref.identification)
+
+
+@pytest.fixture()
+def sigma_calls(monkeypatch):
+    """The arguments of every build_sigma call that recognition makes."""
+    calls = []
+    build = pal.sigma.build_sigma
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(pal.sigma, "build_sigma", spy)
+    return calls
+
+
+def test_recognition_builds_one_sigma(sigma_calls, conic_oval, conic_hyperoval,
+                                      translation_arc, small_arc):
+    runs = [(conic_oval, None), (conic_hyperoval, None), (conic_hyperoval, list(range(3, 18))),
+            (translation_arc, None), (small_arc, None)]
+    for n, (arc, given) in enumerate(runs, 1):
+        assert recognize_regular(arc, given=given).regular
+        assert len(sigma_calls) == n
+
+
+def test_failed_choice_is_reported_after_one_sigma(unrecognizable, sigma_calls, conic_oval):
+    """A dual element short of q^n + 1 elements of Sigma: not regular, with
+    no second choice."""
+    res = recognize_regular(conic_oval)
+    assert res == RecognitionResult(False, None, None, None, None, {}, None)
+    assert len(sigma_calls) == 1
+
+
+def test_recognition_rejects_gamma_j_without_the_regulus(conic_hyperoval, monkeypatch,
+                                                         sigma_calls):
+    """A Hall spread in place of Gamma_0, ordered so that two of the three
+    elements of the first regulus come from the swapped-in opposite regulus
+    (built as in test_regulus_blocks_rejects_irregular_gamma)."""
+    da = dual_arc(conic_hyperoval)
+    g0 = da.gammas[0]
+    reg = regulus_through(*g0.elements[:3])
+    opposite = opposite_regulus(reg).elements
+    rest = tuple(e for e in g0.elements if e not in reg.element_set())
+    hall = Spread(g0.space, opposite[:2] + rest + opposite[2:], carrier=g0.carrier)
+    assert verify_spread(hall).ok and not is_regular_spread(hall).regular
+    bad = DualArc(da.arc, da.betas, (hall, *da.gammas[1:]))
+    monkeypatch.setattr(pal.sigma, "dual_arc", lambda arc: bad)
+    with pytest.raises(NotRegularError, match=r"Gamma_0 is not closed under the regulus "
+                       r"through \(1, 2, 3\)") as err:
+        recognize_regular(conic_hyperoval)
+    assert err.value.witness == {"kind": "regulus-closure", "spread": "gamma[0]",
+                                 "triple": [1, 2, 3]}
+    assert sigma_calls == []
 
 
 def test_recognize_given_subset(conic_hyperoval, rmap42):
@@ -593,20 +697,7 @@ def test_recognize_given_subset(conic_hyperoval, rmap42):
 
 
 def test_recognize_moved_arc_theta_frame(conic_oval):
-    rnd = random.Random(11)
-    fld = conic_oval.ambient.field
-    while True:
-        m = [tuple(rnd.randrange(4) for _ in range(6)) for _ in range(6)]
-        try:
-            mat_inv(fld, m)
-            break
-        except ValueError:
-            continue
-    moved = make_pseudo_arc(
-        conic_oval.ambient,
-        [conic_oval.ambient.subspace([vec_mat(fld, r, m) for r in e.rows])
-         for e in conic_oval.elements])
-    res = recognize_regular(moved)
+    res = recognize_regular(moved_oval(conic_oval))
     assert res.regular
     assert res.identification["convention"] == "theta-frame-v1"
     assert res.plane_arc.kind == "oval"
