@@ -297,8 +297,12 @@ def cmd_design(args) -> int:
         spec = _pg2_lines_design(args.pg2_lines)
     elif args.spread_reguli is not None:
         spread = io.spread_from_json(io.load(args.spread_reguli, "spread"))
-        exc = tuple(int(x) for x in args.exceptions.split(",")) \
-            if args.exceptions else ()
+        try:
+            exc = tuple(int(x) for x in args.exceptions.split(",")) \
+                if args.exceptions else ()
+        except ValueError:
+            print(f"error: bad --exceptions indices {args.exceptions!r}", file=sys.stderr)
+            return INVALID
         spec = spread_reguli_design(spread, exc)
     elif args.plane_model_from is not None:
         arc = _load_arc(args.plane_model_from)

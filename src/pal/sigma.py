@@ -362,7 +362,8 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None):
 
     Dualizes the arc (completing a pseudo-oval by its nucleus) and makes one
     regulus choice: j and i are the first two usable indices (every index
-    but the nucleus dual's, or the members of `given`), and gamma_j is the
+    but the nucleus dual's, or the members of `given`, which must lie in
+    0..k-1 for the k dual elements), and gamma_j is the
     regulus through the intersections of beta_j with beta_i, the nucleus
     dual for ovals and the non-given duals, in that order, filled up to
     three from the lowest free indices.  `_recognize_choice` generates
@@ -388,7 +389,10 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None):
     k = len(da.betas)
     was_oval = arc.kind == "pseudo-oval"
     if given is not None:
-        usable = sorted({m for m in given if m < k})
+        bad = [m for m in given if not 0 <= m < k]
+        if bad:
+            raise ValueError(f"given indices out of range: {bad}")
+        usable = sorted(set(given))
     else:
         usable = list(range(k - 1 if was_oval else k))
     if len(usable) < 2:

@@ -8,9 +8,13 @@ generated spreads of PG(3n-1, q) use the same type.
 The regulus through three pairwise-skew (n-1)-spaces is computed from the
 graph parametrization: with the span decomposed as A + C and B the graph of
 an invertible f: A -> C, the regulus is {A, C} plus the graphs of the
-nonzero scalar multiples of f.  Regularity of a spread means closure under
-reguli; at q = 2 a regulus is its three generators, so closure is vacuous
-and reports say so.
+nonzero scalar multiples of f.  The frame needs no rank checks of its own:
+the inverses it computes for the parametrization (of A + C, of B's
+A-parts, of f) exist exactly when the three are pairwise skew.  With F the
+matrix of f and G = F.C, the graph of lambda.f is spanned by the rows
+A_k + lambda.G_k.  Regularity of a spread means closure under reguli; at
+q = 2 a regulus is its three generators, so closure is vacuous and reports
+say so.
 
 Every question about the reguli of a spread (closure, the 3-design of its
 reguli, the dual-arc blocks, the reguli through a pair) walks index triples
@@ -50,8 +54,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .projective import (Chart, ComplementProjection, ProjSpace, QuotientMap,
-                         Subspace, _normalized_vectors, lin_solve, mat_inv, mat_mul,
-                         meet, rank, reduce_mod, rref, span, vec_mat)
+                         Subspace, _normalized_vectors, _row_ops, lin_solve, mat_inv,
+                         mat_mul, meet, rank, reduce_mod, rref, span, vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces
 
 # 'auto' regularity sweeps all triples up to this many; above it (spreads of
@@ -161,18 +165,20 @@ def verify_spread(spread: Spread) -> SpreadReport:
     # a repeated point code names a meeting pair; once the count is right,
     # pairwise disjoint elements cover expected * (q^r-1)/(q-1) distinct
     # points, which is every point of the space, so the cover needs no
-    # check of its own
-    covered: dict[int, int] = {}
-    for idx, e in enumerate(elems):
-        codes = e.point_codes()
-        if not covered.keys().isdisjoint(codes):
-            code = next(c for c in codes if c in covered)
-            other = covered[code]
-            return SpreadReport(False, len(elems), expected,
-                                {"kind": "not-skew", "pair": [other, idx],
-                                 "point": list(space.decode(code))},
-                                f"elements {other} and {idx} meet")
-        covered.update(dict.fromkeys(codes, idx))
+    # check of its own.  One set of all codes settles a spread; only a
+    # repeat walks the elements again to name the first meeting pair.
+    per_element = [e.point_codes() for e in elems]
+    if len(set().union(*per_element)) < sum(map(len, per_element)):
+        covered: dict[int, int] = {}
+        for idx, codes in enumerate(per_element):
+            if not covered.keys().isdisjoint(codes):
+                code = next(c for c in codes if c in covered)
+                other = covered[code]
+                return SpreadReport(False, len(elems), expected,
+                                    {"kind": "not-skew", "pair": [other, idx],
+                                     "point": list(space.decode(code))},
+                                    f"elements {other} and {idx} meet")
+            covered.update(dict.fromkeys(codes, idx))
     return SpreadReport(True, len(elems), expected, None, "ok")
 
 
@@ -212,50 +218,66 @@ def _graph_rows(fld, a_rows, fmap, c_rows):
 def _regulus_frame(a: Subspace, b: Subspace, c: Subspace):
     """The frame of three pairwise-skew (n-1)-spaces spanning a (2n-1)-space.
 
-    Returns (hull, chart, (a, b, c), fmap): the span, its chart (None when
+    Returns (chart, (a, b, c), fmap): the chart of their span (None when
     the span is the whole ambient), the three spaces in chart coordinates
     and the matrix F of b read as the graph of a map a -> c.
+
+    Skewness comes from the inverses the frame needs anyway: the stacked
+    bases of a and c are invertible iff a and c are skew (their span is
+    then the whole (2n-1)-space), `_graph_map` inverts the a-parts of b's
+    rows iff b is skew to c, and F has rank n iff b is skew to a.  Only
+    when one of these fails is the span's rank computed, to say which
+    condition broke: a span of the wrong rank first, else a meeting pair.
     """
     if not (a.ambient == b.ambient == c.ambient):
         raise ValueError("ambient spaces differ")
     n = a.rank
     if b.rank != n or c.rank != n:
         raise ValueError("generators have different dimensions")
-    hull = span([a, b, c])
-    if hull.rank != 2 * n:
-        raise ValueError(f"generators span rank {hull.rank}, expected {2 * n}")
     chart = None
-    if hull.rank != a.ambient.dim + 1:
+    if a.ambient.dim + 1 != 2 * n:
+        hull = span([a, b, c])
+        if hull.rank != 2 * n:
+            raise ValueError(f"generators span rank {hull.rank}, expected {2 * n}")
         chart = Chart(hull)
         a, b, c = (chart.to_internal(s) for s in (a, b, c))
     fld = a.ambient.field
-    for x, y in ((a, b), (a, c), (b, c)):
-        if rank(fld, x.rows + y.rows) != 2 * n:
-            raise ValueError("generators are not pairwise skew")
-    m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-    return hull, chart, (a, b, c), _graph_map(fld, m_inv, b.rows, n)
+    try:
+        m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
+        fmap = _graph_map(fld, m_inv, b.rows, n)
+        if rank(fld, fmap) == n:
+            return chart, (a, b, c), fmap
+    except ValueError:
+        pass
+    r = rank(fld, a.rows + b.rows + c.rows)
+    if r != 2 * n:
+        raise ValueError(f"generators span rank {r}, expected {2 * n}")
+    raise ValueError("generators are not pairwise skew")
 
 
 def regulus_through(a: Subspace, b: Subspace, c: Subspace) -> Regulus:
     """The q+1 maximal spaces through three pairwise-skew (n-1)-spaces.
 
     The three must span a (2n-1)-space; if that is a proper subspace of the
-    ambient, the regulus is computed in its chart and mapped back.
+    ambient, the regulus is computed in its chart and mapped back.  With
+    G = F.C, the graph of lambda.F is spanned by the rows a_k + lambda.G_k,
+    one row operation each.
     """
-    hull, chart, (a, b, c), fmap = _regulus_frame(a, b, c)
+    chart, (a, b, c), fmap = _regulus_frame(a, b, c)
     space = a.ambient
     fld = space.field
+    pairs = list(zip(a.rows, mat_mul(fld, fmap, c.rows)))
+    _, add_scaled, _ = _row_ops(fld)
     elements = [a, c]
     for lam in range(1, fld.order):
-        scaled = [tuple(fld.mul(lam, x) for x in row) for row in fmap]
-        elements.append(space.subspace(_graph_rows(fld, a.rows, scaled, c.rows)))
+        elements.append(space.subspace([add_scaled(x, lam, g) for x, g in pairs]))
     if b not in elements:
         raise AssertionError("graph parametrization missed a generator")
     if chart is not None:
         out = tuple(sorted((chart.to_ambient(e) for e in elements),
                            key=lambda s: s.rows))
         gens = tuple(chart.to_ambient(s) for s in (a, b, c))
-        return Regulus(chart.ambient, gens, out, carrier=hull)
+        return Regulus(chart.ambient, gens, out, carrier=chart.carrier)
     return Regulus(space, (a, b, c), tuple(sorted(elements, key=lambda s: s.rows)))
 
 
@@ -265,7 +287,7 @@ def transversal_lines(a: Subspace, b: Subspace, c: Subspace) -> list[Subspace]:
     With b the graph of F: a -> c, the transversal through the point x.A
     of a meets b in x.A + (x.F).C.
     """
-    _, chart, (a, b, c), fmap = _regulus_frame(a, b, c)
+    chart, (a, b, c), fmap = _regulus_frame(a, b, c)
     space = a.ambient
     fld = space.field
     g_rows = _graph_rows(fld, a.rows, fmap, c.rows)

@@ -592,6 +592,8 @@ REJECTIONS = [
      "--exceptions applies only to --spread-reguli"),
     (["design", "--dual-blocks", "hyper.json", "--exceptions", "0"], 2,
      "--exceptions applies only to --spread-reguli"),
+    (["design", "--spread-reguli", "delta_0.json", "--exceptions", "0,x"], 2,
+     "bad --exceptions indices '0,x'"),
     (["check-regular", "meeting.json"], 1, {"ok": False, "spread_ok": False, "witness": {
         "kind": "not-skew", "pair": [15, 16], "point": [0, 0, 1, 1]}}),
 ]

@@ -696,6 +696,16 @@ def test_recognize_given_subset(conic_hyperoval, rmap42):
     assert set(back.elements) == set(conic_hyperoval.elements)
 
 
+@pytest.mark.parametrize("given, bad", [([-1, 3], [-1]), ([0, 3, 18], [18]),
+                                        ([-2, 1, 2, 40], [-2, 40])])
+def test_recognize_refuses_given_out_of_range(conic_hyperoval, given, bad):
+    """Indices of the 18 dual elements run over 0..17; others are refused by
+    name, with check_theorem's message, before any regulus is chosen."""
+    with pytest.raises(ValueError) as err:
+        recognize_regular(conic_hyperoval, given=given)
+    assert str(err.value) == f"given indices out of range: {bad}"
+
+
 def test_recognize_moved_arc_theta_frame(conic_oval):
     res = recognize_regular(moved_oval(conic_oval))
     assert res.regular

@@ -13,7 +13,8 @@ from pal import (Chart, NotRegularError, ProjSpace, Spread, conic, count_reguli_
                  prime_field, reduction_map, regulus_through, span,
                  spread_reguli_design, tangent_spaces, transversal_lines,
                  verify_spread)
-from pal.spreads import RegularityReport
+from pal.projective import Subspace, mat_inv, rank
+from pal.spreads import RegularityReport, Regulus, SpreadReport
 
 
 @pytest.fixture(scope="module")
@@ -45,16 +46,49 @@ def test_verify_spread_drop_element(pg34_spread):
     assert rep2.witness["kind"] in ("duplicate-element", "not-skew")
 
 
-def test_verify_spread_meeting_pair(pg34_spread):
-    space = pg34_spread.space
-    # joins points of elements 0 and 1, so it meets both and equals neither
-    crooked = space.subspace([pg34_spread.elements[0].rows[0],
-                              pg34_spread.elements[1].rows[0]])
-    elems = pg34_spread.elements[:-1] + (crooked,)
-    rep = verify_spread(Spread(space, elems))
-    assert not rep.ok
-    assert rep.witness["kind"] == "not-skew"
+def _with_crooked_line(spread, pos, i, j):
+    """`spread` with element pos replaced by a line joining points of
+    elements i and j, so it meets both and equals neither."""
+    space, elems = spread.space, spread.elements
+    crooked = space.subspace([elems[i].rows[0], elems[j].rows[-1]])
+    return Spread(space, elems[:pos] + (crooked,) + elems[pos + 1:])
 
+
+def _not_skew(pair, point):
+    return SpreadReport(False, 17, 17, {"kind": "not-skew", "pair": pair, "point": point},
+                        f"elements {pair[0]} and {pair[1]} meet")
+
+
+def test_verify_spread_meeting_pair(pg34_spread):
+    rep = verify_spread(_with_crooked_line(pg34_spread, 16, 0, 1))
+    assert rep == _not_skew([0, 16], [0, 0, 1, 0])
+
+
+@pytest.mark.parametrize("pos, i, j, pair, point", [
+    (0, 3, 9, [0, 3], [1, 0, 0, 1]),
+    (5, 8, 14, [4, 5], [1, 2, 2, 1]),
+    (16, 2, 8, [8, 16], [0, 1, 0, 3]),
+])
+def test_verify_spread_meeting_witness(pg34_spread, pos, i, j, pair, point):
+    """The witness names the first element, in order, that meets an earlier
+    one, the earliest such earlier element, and their first common point in
+    the later element's point order (a line meets q+1 spread elements, so
+    the pair need not be the joined ones)."""
+    assert verify_spread(_with_crooked_line(pg34_spread, pos, i, j)) == _not_skew(pair, point)
+
+
+@pytest.mark.parametrize("q, n", [(4, 2), (2, 3)])
+def test_verify_spread_lists_each_elements_points_once(q, n, monkeypatch):
+    spread = desarguesian_spread(q, n)
+    calls = []
+    point_codes = Subspace.point_codes
+
+    def counted(self):
+        calls.append(self)
+        return point_codes(self)
+    monkeypatch.setattr(Subspace, "point_codes", counted)
+    assert verify_spread(spread).ok
+    assert calls == list(spread.elements)
 
 
 def test_degenerate_spreads_are_rejected_not_raised(pg34_spread):
@@ -103,13 +137,116 @@ def test_regulus_determined_by_any_three(pg34_spread):
         assert regulus_through(*t).element_set() == reg.element_set()
 
 
+def _line_through(x, skew_to):
+    """The first line joining a point of x to another point that meets x in
+    that point alone and misses every subspace of `skew_to`."""
+    space = x.ambient
+    for p, r in product(x.point_vectors(), (pt.coords for pt in space.points())):
+        line = space.subspace([p, r])
+        if line.rank == 2 and meet(line, x).rank == 1 and \
+                all(meet(line, s).rank == 0 for s in skew_to):
+            return line
+    raise AssertionError("no such line")
+
+
 def test_regulus_rejects_bad_generators(pg34_spread):
+    """Each bad triple raises the frame's whole message: a span of the wrong
+    rank is reported before a meeting pair, in PG(3, 4) and in a chart of
+    PG(5, 4)."""
+    a, c, b = pg34_spread.elements[:3]
     space = pg34_spread.space
-    a = pg34_spread.elements[0]
-    b = space.subspace([a.rows[0], (0, 0, 1, 1)])  # meets a
-    c = pg34_spread.elements[1]
-    with pytest.raises(ValueError):
-        regulus_through(a, b, c)
+    skew = "generators are not pairwise skew"
+    plane = [a, space.subspace([a.rows[0], c.rows[0]]), space.subspace([a.rows[1], c.rows[0]])]
+    cases = [
+        ((a, _line_through(a, [c]), c), skew),             # b meets a
+        ((a, _line_through(c, [a]), c), skew),             # b meets c
+        ((a, b, _line_through(a, [b])), skew),             # a meets c
+        (tuple(plane), "generators span rank 3, expected 4"),
+        ((a, a, a), "generators span rank 2, expected 4"),
+        ((a, space.subspace([b.rows[0]]), c), "generators have different dimensions"),
+    ]
+    big = ProjSpace(5, gf(4))
+    chart = Chart(big.subspace([(1, 0, 0, 0, 1, 1), (0, 1, 0, 0, 1, 0),
+                                (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1)]))
+    lifted = [tuple(chart.to_ambient(s) for s in gens) for gens, _ in cases[:4]]
+    off_hull = big.subspace([(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)])
+    cases += [
+        (lifted[0], skew),
+        (lifted[2], skew),
+        (lifted[3], "generators span rank 3, expected 4"),
+        ((lifted[0][0], lifted[0][2], off_hull), "generators span rank 6, expected 4"),
+        ((a, b, chart.to_ambient(c)), "ambient spaces differ"),
+    ]
+    for gens, message in cases:
+        for fn in (regulus_through, transversal_lines):
+            with pytest.raises(ValueError) as err:
+                fn(*gens)
+            assert str(err.value) == message, (gens, fn)
+
+
+def _regulus_by_scaled_maps(a, b, c):
+    """Reference regulus through a, b, c: the span's chart when it is
+    proper, then one `_graph_rows` call per lambda on the entrywise scaled
+    matrix lambda.F."""
+    hull = span([a, b, c])
+    chart = Chart(hull) if hull.rank != a.ambient.dim + 1 else None
+    if chart is not None:
+        a, b, c = (chart.to_internal(s) for s in (a, b, c))
+    space = a.ambient
+    fld = space.field
+    m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
+    fmap = pal.spreads._graph_map(fld, m_inv, b.rows, a.rank)
+    elements = [a, c]
+    for lam in range(1, fld.order):
+        scaled = [tuple(fld.mul(lam, x) for x in row) for row in fmap]
+        elements.append(space.subspace(pal.spreads._graph_rows(fld, a.rows, scaled, c.rows)))
+    assert b in elements
+    if chart is None:
+        return Regulus(space, (a, b, c), tuple(sorted(elements, key=lambda s: s.rows)))
+    out = tuple(sorted((chart.to_ambient(e) for e in elements), key=lambda s: s.rows))
+    gens = tuple(chart.to_ambient(s) for s in (a, b, c))
+    return Regulus(chart.ambient, gens, out, carrier=hull)
+
+
+def _skew_triples(space, n, rng, count):
+    """`count` seeded triples of pairwise-skew random (n-1)-spaces of PG(2n-1, q)."""
+    fld = space.field
+    found = []
+    while len(found) < count:
+        gens = [space.subspace([tuple(rng.randrange(fld.order) for _ in range(2 * n))
+                                for _ in range(n)]) for _ in range(3)]
+        if all(rank(fld, x.rows + y.rows) == 2 * n for x, y in combinations(gens, 2)):
+            found.append(gens)
+    return found
+
+
+@pytest.mark.parametrize("q, n", [(4, 2), (8, 2), (4, 3), (3, 2)])
+def test_regulus_matches_scaled_map_construction(q, n):
+    """Elements a_k + lambda.G_k, G = F.C, are the graphs of the scaled maps."""
+    rng = random.Random(1000 * q + n)
+    if q % 2:
+        space, triples = ProjSpace(2 * n - 1, prime_field(q)), []
+    else:
+        spread = desarguesian_spread(q, n)
+        space = spread.space
+        triples = [rng.sample(spread.elements, 3) for _ in range(12)]
+    triples += _skew_triples(space, n, rng, 6)
+    for gens in triples:
+        assert regulus_through(*gens) == _regulus_by_scaled_maps(*gens)
+
+
+def test_regulus_of_dual_arc_alphas_matches_scaled_maps(conic_dual):
+    """beta_i ^ beta_j read in PG(5, 4) span the proper hull beta_i: the chart path."""
+    rng = random.Random(7)
+    k = len(conic_dual.betas)
+    for _ in range(12):
+        i = rng.randrange(k)
+        chart = conic_dual.gammas[i].chart()
+        gens = [chart.to_ambient(conic_dual.alpha_internal(i, j))
+                for j in rng.sample([j for j in range(k) if j != i], 3)]
+        reg = regulus_through(*gens)
+        assert reg.carrier == conic_dual.betas[i]
+        assert reg == _regulus_by_scaled_maps(*gens)
 
 
 # -- opposite regulus -----------------------------------------------------------
