@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from . import io
-from .fields import FieldTower, field_make
+from .fields import FieldTower, field_make, gf
 from .planearcs import conic, translation_oval, verify_karc
-from .projective import ProjSpace
+from .projective import ProjSpace, plane_line_codes
 from .pseudoarcs import (PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces,
                          verify_pseudo_arc)
 from .reduction import reduction_map
@@ -275,16 +275,10 @@ def cmd_theorem(args) -> int:
 
 
 def _pg2_lines_design(q: int) -> DesignSpec:
-    from .fields import gf
-    from .projective import kernel
     space = ProjSpace(2, gf(q))
-    pts = space.points()
-    index = {p.coords: i for i, p in enumerate(pts)}
-    lines = []
-    for coeff in [p.coords for p in pts]:
-        line = space.subspace(kernel(space.field, [coeff], 3))
-        lines.append(frozenset(index[x.coords] for x in line.points()))
-    return lines_design(range(len(pts)), sorted(set(lines), key=sorted))
+    index = {space.encode(p.coords): i for i, p in enumerate(space.points())}
+    lines = [frozenset(map(index.__getitem__, codes)) for codes in plane_line_codes(space)]
+    return lines_design(range(len(index)), sorted(lines, key=sorted))
 
 
 def cmd_design(args) -> int:
@@ -301,6 +295,8 @@ def cmd_design(args) -> int:
             exc = tuple(int(x) for x in args.exceptions.split(",")) \
                 if args.exceptions else ()
         except ValueError:
+            exc = None
+        if exc is None or not all(0 <= x < len(spread) for x in exc):
             print(f"error: bad --exceptions indices {args.exceptions!r}", file=sys.stderr)
             return INVALID
         spec = spread_reguli_design(spread, exc)
@@ -310,7 +306,7 @@ def cmd_design(args) -> int:
         if not res.regular:
             print("error: arc was not recognized as regular", file=sys.stderr)
             return FAIL
-        model = plane_model(res.sigma)
+        model = plane_model(res.sigma, res.scaffold)
         spec = lines_design(range(len(model.spread.elements)), model.members)
     else:
         # the source group is required, so --dual-blocks is the one left

@@ -16,8 +16,7 @@ from math import gcd
 
 from .fields import FiniteField, gf
 from .projective import Point, ProjSpace, Subspace, _normalized_vectors, kernel, vec_mat
-from .pseudoarcs import (PseudoArc, extend_to_hyperoval, make_pseudo_arc, tangent_spaces,
-                         verify_pseudo_arc)
+from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces, verify_pseudo_arc
 
 
 @dataclass(frozen=True)
@@ -112,10 +111,13 @@ def lines_through_point(p: Point) -> list[Subspace]:
 
 
 def _pseudo_oval(arc: PlaneArc) -> PseudoArc:
-    """The oval as a pseudo-oval with n = 1: each point a rank-1 subspace."""
+    """The oval as a pseudo-oval with n = 1: each point a rank-1 subspace.
+    Only `make_arc` tags a plane arc as an oval, after verifying it, so the
+    arc is not verified again."""
     if arc.kind != "oval":
         raise ValueError("tangent lines are computed for ovals")
-    return make_pseudo_arc(arc.ambient, [arc.ambient.subspace([p.coords]) for p in arc.points])
+    elements = tuple(arc.ambient.subspace([p.coords]) for p in arc.points)
+    return PseudoArc(arc.ambient, 1, elements, "pseudo-oval")
 
 
 def tangent_lines(arc: PlaneArc) -> list[Subspace]:

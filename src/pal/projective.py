@@ -28,10 +28,10 @@ the xor of two codes is the code of the vector sum, so
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
-from operator import xor
 
 from .fields import FiniteField
 
@@ -384,6 +384,15 @@ def point_owners(subspaces) -> dict[int, int]:
     return owner
 
 
+def plane_line_codes(space: ProjSpace) -> Iterator[list[int]]:
+    """The lines of the plane `space` = PG(2, Q), one per dual point in
+    `_normalized_vectors` order: the point codes of the kernel line of that
+    point, in `Subspace.point_codes` order."""
+    field = space.field
+    for d in _normalized_vectors(field, 3):
+        yield space.subspace(kernel(field, [d], 3)).point_codes()
+
+
 def span(parts) -> Subspace:
     """Smallest subspace containing all given subspaces and points."""
     parts = list(parts)
@@ -448,45 +457,6 @@ class QuotientMap:
         if s.ambient != self.ambient:
             raise ValueError("ambient spaces differ")
         return self.space.subspace([self.image_vec(r) for r in s.rows])
-
-    def point_code(self, v: Vec) -> int:
-        """The point code of the image of v, or 0 when v lies in the center.
-
-        Over a table field the image is linear in v and codes add by xor, so
-        the raw code is the xor of one table entry per coordinate of v (the
-        code of v[j] times the image of the j-th unit vector); its leading
-        byte is then scaled to 1 by `bytes.translate`.  Other fields encode
-        the normalized `image_vec`.
-        """
-        if self._code_tables is None:
-            w = self.image_vec(v)
-            return self.space.encode(normalize_point(self.ambient.field, w)) if any(w) else 0
-        tables, rescale, width = self._code_tables
-        c = reduce(xor, map(list.__getitem__, tables, v))
-        if not c:
-            return 0
-        shift = (c.bit_length() - 1) & ~7
-        lead = c >> shift
-        if lead == 1:
-            return c
-        return int.from_bytes(c.to_bytes(width, "big").translate(rescale[lead]), "big")
-
-    @cached_property
-    def _code_tables(self):
-        """(per-coordinate code tables, lead -> 1/lead scaling table, code bytes)
-        for `point_code` over a table field; None elsewhere."""
-        field = self.ambient.field
-        mul = field.mul_bytes()
-        if mul is None:
-            return None
-        tables = []
-        for j in range(self.ambient.dim + 1):
-            unit = tuple(1 if i == j else 0 for i in range(self.ambient.dim + 1))
-            w = bytes(self.image_vec(unit))
-            tables.append([int.from_bytes(w.translate(mul[x]), "big")
-                           for x in field.elements()])
-        rescale = [None] + [mul[field.inv(x)] for x in field.nonzero()]
-        return tables, rescale, self.space.dim + 1
 
     def lift_vec(self, u: Vec) -> Vec:
         v = [0] * (self.ambient.dim + 1)

@@ -198,9 +198,10 @@ def nucleus(arc: PseudoArc) -> Subspace:
 def extend_to_hyperoval(arc: PseudoArc) -> PseudoArc:
     """Append the nucleus as element q^n + 1, a verified pseudo-hyperoval.
 
-    The oval's own triples were verified when it was built (every PseudoArc
-    comes from `make_pseudo_arc`), so only the C(q^n + 1, 2) triples through
-    the nucleus are checked, by one quotient pass with the nucleus as center.
+    The oval's own triples were verified when it was built (by
+    `make_pseudo_arc`, or by `make_arc` for a plane oval), so only the
+    C(q^n + 1, 2) triples through the nucleus are checked, by one quotient
+    pass with the nucleus as center.
     """
     if arc.kind != "pseudo-oval":
         raise ValueError(f"only pseudo-ovals extend; got {arc.kind} with {len(arc)} elements")

@@ -10,8 +10,11 @@ its minimal polynomial.  Their simultaneous eigenvectors over GF(q^n) give
 the n conjugate transversal lines U_l that every extended spread element
 meets in one point.  Together with the transversals T_l of a regulus
 through the contact points u_l they span the planes theta_l, and the
-rational (n-1)-spaces meeting the planes are the generated spread, whose
-elements are the points of a plane of order q^n.  Recognition runs exactly
+rational (n-1)-spaces meeting the planes are the generated spread.  Its
+element i is the field reduction of point i of PG(2, q^n), read in theta_1
+coordinates, which the scaffold keeps; the plane model reads its lines off
+those coordinates, since field reduction carries the lines of PG(2, q^n) to
+the (2n-1)-spaces spanned by two elements.  Recognition runs exactly
 that construction on the dual of an arc, for one regulus choice, and asks
 whether every dual element is a line of the model plane.  One choice
 decides: success reduces a recovered plane arc to the arc, and for a
@@ -26,14 +29,14 @@ from dataclasses import dataclass
 
 from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
-from .projective import (Chart, ProjSpace, QuotientMap, Subspace, Vec, _normalized_vectors,
-                         dual as dual_subspace, kernel, meet,
-                         normalize_point, point_owners, rank, span, vec_mat)
+from .projective import (Chart, ProjSpace, Subspace, Vec, _normalized_vectors,
+                         dual as dual_subspace, kernel, meet, normalize_point,
+                         plane_line_codes, point_owners, span, vec_mat)
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                         rational_orbit_span, rationalize_subspace)
 from .spreads import (DualArc, Regulus, Spread, _graph_rows, dual_arc, is_regular_spread,
-                      regulus_through, spread_field, verified_spread, verify_spread)
+                      regulus_through, spread_field, verified_spread)
 
 
 class NotRegularError(ValueError):
@@ -247,103 +250,59 @@ class PlaneModel:
     points_per_line: int
 
 
-def plane_model(sigma: Spread) -> PlaneModel:
-    """The plane of order Q = q^n whose points are the elements of a spread.
+def plane_model(sigma: Spread, scaffold: SigmaScaffold) -> PlaneModel:
+    """The plane of order Q = q^n whose points are the elements of the
+    generated spread sigma, read off the coordinates `scaffold.plane_coords`
+    that `build_sigma` gave them.
 
-    Lines are the (2n-1)-spaces spanned by two elements.  Only the lines
-    through the elements a of L0 = <e0, e1> are built: the other elements,
-    grouped by their image in the quotient by a (`_image_groups`), plus a
-    are the members of the line that is the preimage of that image.  The
-    elements of L0 are e0 and the group of e1 in the quotient by e0: an
-    element b, skew to e0, lies in L0 iff its image lies in that of e1, and
-    both images have rank n.  Counting proves the rest.  Two distinct lines
-    sharing two (skew) members would both be their span, so
-    N = Q^2 + Q + 1 distinct lines of Q + 1 members cover the
-    N * C(Q+1, 2) = C(N, 2) pairs of elements exactly once: a 2-(N, Q+1, 1)
-    design with N blocks, which is a projective plane (any two lines meet in
-    one point).  Raises ValueError when sigma is not a spread or the lines
-    through L0 are not N lines of Q + 1 members.
+    Lines are the (2n-1)-spaces spanned by two elements; they are the lines
+    of PG(2, Q) carried over by field reduction.  `build_sigma` makes the
+    element of the point c the rational span of the Frobenius orbit of
+    w = c.theta_1.  Let psi(v) = sum_{l<n} (v.theta_1)^(q^l), coordinatewise:
+    a GF(q)-linear map from GF(Q)^3 to the rational vectors.  psi(x.c) =
+    sum_l x^(q^l) w^(q^l) is rational and lies in the orbit span, so it lies
+    in the element of c.  That element has rank n, so the n orbit vectors
+    w^(q^l) are independent and psi(x.c) = 0 only for x = 0: psi maps
+    GF(Q).c onto the element of c.  Every nonzero vector lies in one GF(Q).c,
+    so psi is injective, hence bijective.  A line of PG(2, Q) is a
+    2-dimensional W: psi(W) has rank 2n, holds the elements of the points on
+    the line, and meets the element of any other point c' in
+    psi(W ^ GF(Q).c') = 0.  So two elements span exactly the elements of the
+    points on their joining line.
+
+    The argument needs sigma to be the spread that `build_sigma` generated
+    and verified, with those coordinates.  The coordinates are keyed by the
+    element subspaces, so requiring that every element of sigma has
+    coordinates and that they are the Q^2 + Q + 1 points of PG(2, Q) ties
+    sigma to that spread, and no second `verify_spread` is needed.  Raises
+    ValueError when sigma has the wrong size or fails that test.  Each line
+    is the span of its first two members (an AssertionError unless it has
+    rank 2n), and the lines are sorted by their basis rows.
     """
-    report = verify_spread(sigma)
-    if not report.ok:
-        raise ValueError("sigma is not a spread: " + report.reason)
     elems = sigma.elements
     order = sigma.space.field.order ** elems[0].rank
     expected_pts = order**2 + order + 1
     if len(elems) != expected_pts:
         raise ValueError(f"{len(elems)} elements cannot model a plane of order {order}")
-    qm = QuotientMap(elems[0])
-    groups = _image_groups(qm, elems, 0)
-    # element 1 opens the first group in the quotient by element 0
-    centers = [0, *next(iter(groups.values()))]
-    by_line: dict[Subspace, frozenset[int]] = {}
-    for a in centers:
-        if a:
-            qm = QuotientMap(elems[a])
-            groups = _image_groups(qm, elems, a)
-        for img, group in groups.items():
-            by_line.setdefault(qm.preimage(img), frozenset(group + [a]))
-    lines = sorted(by_line, key=lambda s: s.rows)
-    members = [by_line[s] for s in lines]
-    if len(lines) != expected_pts:
-        raise ValueError(f"{len(lines)} model lines, expected {expected_pts}")
-    if any(len(m) != order + 1 for m in members):
-        raise ValueError("some model line does not carry q^n + 1 elements")
-    return PlaneModel(sigma, tuple(lines), tuple(members), order + 1)
-
-
-def _image_groups(qm: QuotientMap, elems, center: int) -> dict[Subspace, list[int]]:
-    """The elements other than `center` grouped by their image under `qm`:
-    image -> positions, in the order in which the images first appear.
-    Equal, on every input, to grouping the positions on `qm.image(e)`.
-
-    Most elements take no rref.  Each group lists the point codes of its
-    image S, with each point's position in `S.point_codes()`, which names
-    its normalized coefficient vector in S's basis (`_normalized_vectors`
-    order).  An element b joins a group when the images of all its rows are
-    listed points of that one group and their coefficient vectors have rank
-    S.rank (one rank test per pattern of positions, within the call).
-    Proof: image(b) is spanned by its row images, so it is a subspace of S
-    of S's rank, which is S.  Every other b (a row inside the center, a
-    point not listed, rows listed under two groups, or rows of too small a
-    rank) takes its full image, which joins the group of equal image or
-    opens a new group whose points are then listed.  When images overlap
-    without being equal (elements that meet: not a spread), a shared point
-    is listed under the last group that holds it; the rule above still
-    admits b only to a group whose whole image equals its own.
-
-    On a spread whose lines through the center carry the other elements
-    (the plane model), the images partition the quotient's points, so only
-    the first element of each group takes a full image.
-    """
-    field = qm.ambient.field
-    listed: dict[int, tuple[int, int]] = {}  # point code -> (group, position)
-    spans: dict[tuple[int, ...], bool] = {}  # (rank, positions) -> full rank?
-    images: list[Subspace] = []
-    members: list[list[int]] = []
-    group_of: dict[Subspace, int] = {}
-    for b, e in enumerate(elems):
-        if b == center:
-            continue
-        hits = [listed.get(qm.point_code(r)) for r in e.rows]
-        if None not in hits and len({g for g, _ in hits}) == 1:
-            g = hits[0][0]
-            key = (images[g].rank, *(pos for _, pos in hits))
-            if key not in spans:
-                coefficients = _normalized_vectors(field, key[0])
-                spans[key] = rank(field, [coefficients[pos] for pos in key[1:]]) == key[0]
-            if spans[key]:
-                members[g].append(b)
-                continue
-        img = qm.image(e)
-        g = group_of.get(img)
-        if g is None:
-            g = group_of[img] = len(images)
-            images.append(img)
-            members.append([])
-            listed.update((c, (g, pos)) for pos, c in enumerate(img.point_codes()))
-        members[g].append(b)
-    return dict(zip(images, members))
+    known = scaffold.plane_coords or {}
+    coords = [known.get(e) for e in elems]
+    if None in coords:
+        raise ValueError(f"element {coords.index(None)} of sigma has no plane coordinates")
+    plane = ProjSpace(2, scaffold.tower.top)
+    if set(coords) != set(_normalized_vectors(plane.field, 3)):
+        raise ValueError(f"sigma's plane coordinates are not the {expected_pts} "
+                         f"points of PG(2, {order})")
+    position = {plane.encode(c): i for i, c in enumerate(coords)}
+    model = []
+    for codes in plane_line_codes(plane):
+        members = [position[c] for c in codes]
+        line = span([elems[members[0]], elems[members[1]]])
+        if line.rank != 2 * elems[0].rank:
+            raise AssertionError("two elements of sigma do not span a (2n-1)-space")
+        model.append((line, frozenset(members)))
+    model.sort(key=lambda lm: lm[0].rows)
+    lines, members = zip(*model)
+    return PlaneModel(sigma, lines, members, order + 1)
 
 
 @dataclass(frozen=True)

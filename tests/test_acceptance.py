@@ -76,8 +76,8 @@ def sigma_and_model(tmp_path):
                 da.alpha_internal(1, 3)]
         reg = regulus_through(*gens)
         reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
-        sigma, _scaffold = build_sigma(reg, da.gammas[0], tower)
-        _cache["sigma"] = (sigma, plane_model(sigma))
+        sigma, scaffold = build_sigma(reg, da.gammas[0], tower)
+        _cache["sigma"] = (sigma, plane_model(sigma, scaffold))
     return _cache["sigma"]
 
 

@@ -331,6 +331,27 @@ def test_design_cli(tmp_path):
     assert rep["ok"] and rep["v"] == 21
 
 
+def decoded_pg2_lines_design(q):
+    """Reference design: each line of PG(2, q) by decoding its points."""
+    from pal import ProjSpace, gf
+    from pal.projective import kernel
+    from pal.theorems import lines_design
+    space = ProjSpace(2, gf(q))
+    pts = space.points()
+    index = {p.coords: i for i, p in enumerate(pts)}
+    lines = []
+    for coeff in [p.coords for p in pts]:
+        line = space.subspace(kernel(space.field, [coeff], 3))
+        lines.append(frozenset(index[x.coords] for x in line.points()))
+    return lines_design(range(len(pts)), sorted(set(lines), key=sorted))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16])
+def test_pg2_lines_design_matches_decoded_points(q):
+    from pal.cli import _pg2_lines_design
+    assert _pg2_lines_design(q) == decoded_pg2_lines_design(q)
+
+
 def test_design_check_deleted_block(tmp_path):
     assert main(["design", "--pg2-lines", "4", "--save-design",
                  "-o", str(tmp_path / "d.json")]) == 0
@@ -356,14 +377,24 @@ def test_design_plane_model_byte_deterministic(arc_file, tmp_path, capsys):
 
 
 def test_design_plane_model_of_non_plane_exits_2(arc_file, tmp_path, capsys, monkeypatch):
+    """A recognition whose scaffold does not match its sigma: one element is
+    swapped for a line meeting element 0, which has no plane coordinates."""
     from types import SimpleNamespace
-    from pal import cli, desarguesian_spread
-    monkeypatch.setattr(cli, "recognize_regular", lambda arc: SimpleNamespace(
-        regular=True, sigma=desarguesian_spread(4, 2)))  # 17 elements, no plane
+    from pal import cli
+    real = cli.recognize_regular
+
+    def tampered(arc):
+        res = real(arc)
+        elems = list(res.sigma.elements)
+        elems[1] = res.sigma.space.subspace([elems[0].rows[0], elems[1].rows[0]])
+        return SimpleNamespace(regular=True, sigma=Spread(res.sigma.space, tuple(elems)),
+                               scaffold=res.scaffold)
+    monkeypatch.setattr(cli, "recognize_regular", tampered)
     capsys.readouterr()
     assert main(["design", "--plane-model-from", str(arc_file),
                  "-o", str(tmp_path / "d.json")]) == 2
-    assert capsys.readouterr().err == "error: 17 elements cannot model a plane of order 16\n"
+    assert capsys.readouterr().err == "error: element 1 of sigma has no plane coordinates\n"
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_design_dual_blocks_tabulation(hyper_file, tmp_path):
@@ -594,6 +625,12 @@ REJECTIONS = [
      "--exceptions applies only to --spread-reguli"),
     (["design", "--spread-reguli", "delta_0.json", "--exceptions", "0,x"], 2,
      "bad --exceptions indices '0,x'"),
+    (["design", "--spread-reguli", "delta_0.json", "--exceptions", "99"], 2,
+     "bad --exceptions indices '99'"),
+    (["design", "--spread-reguli", "delta_0.json", "--exceptions", "-1"], 2,
+     "bad --exceptions indices '-1'"),
+    (["design", "--spread-reguli", "delta_0.json", "--exceptions", "99", "--tabulate"], 2,
+     "bad --exceptions indices '99'"),
     (["check-regular", "meeting.json"], 1, {"ok": False, "spread_ok": False, "witness": {
         "kind": "not-skew", "pair": [15, 16], "point": [0, 0, 1, 1]}}),
 ]

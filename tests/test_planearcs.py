@@ -273,3 +273,18 @@ def test_verify_karc_work_count(monkeypatch):
     monkeypatch.setattr(QuotientMap, "image", lambda self, s: calls.append(1) or image(self, s))
     assert verify_karc(arc.ambient, arc.points).ok
     assert len(calls) == 2079
+
+
+def test_oval_wrappers_do_not_verify_the_oval_again(monkeypatch):
+    """`make_arc` verified the conic, so the tangent lines take only the 65
+    partitions of 64 images each, and the completion adds one pass of 65
+    images through the nucleus."""
+    arc = conic(64)
+    calls = []
+    image = QuotientMap.image
+    monkeypatch.setattr(QuotientMap, "image", lambda self, s: calls.append(1) or image(self, s))
+    tangent_lines(arc)
+    assert len(calls) == 65 * 64
+    calls.clear()
+    oval_nucleus_and_complete(arc)
+    assert len(calls) == 65 * 64 + 65

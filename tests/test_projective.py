@@ -152,23 +152,6 @@ def test_quotient_dimension_formula_randomized():
         assert img.rank == span([line, s]).rank - line.rank
 
 
-@pytest.mark.parametrize("field", [F4, gf(256), prime_field(3)])
-def test_quotient_point_code_matches_image(field):
-    """The code of a vector's image, read from tables over GF(2^m) and by
-    encoding elsewhere, is the one point of the image of its span; 0 for a
-    vector in the center."""
-    rnd = random.Random(5)
-    space = ProjSpace(4, field)
-    for _ in range(10):
-        center = rand_subspace(space, rnd, rank=rnd.randint(1, 3))
-        qm = QuotientMap(center)
-        vectors = [tuple(rnd.randrange(field.order) for _ in range(5)) for _ in range(30)]
-        vectors.append(center.rows[-1])
-        for v in vectors:
-            img = qm.image(space.subspace([v]))
-            assert qm.point_code(v) == (img.point_codes()[0] if img.rank else 0)
-
-
 def test_complement_projection_matches_quotient_dimensions():
     rnd = random.Random(99)
     center = PG54.subspace([(1, 0, 0, 0, 2, 3), (0, 1, 0, 0, 1, 1)])

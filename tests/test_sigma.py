@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -12,9 +13,9 @@ from pal import (DualArc, NotRegularError, ProjSpace, RecognitionResult, Regulus
                  desarguesian_spread, dual_arc, gf, is_regular_spread, make_pseudo_arc, make_tower,
                  meet, opposite_regulus, plane_model, recognize_regular,
                  regulus_through, span, spread_transversals, verify_spread)
-from pal.projective import QuotientMap, Subspace, mat_inv, mat_mul, rref, vec_mat
+from pal.projective import Subspace, mat_inv, mat_mul, rref, vec_mat
 from pal.reduction import extend_subspace, frobenius_subspace
-from pal.sigma import PlaneModel, _elements_inside, _image_groups, _recognize_choice
+from pal.sigma import PlaneModel, _elements_inside, _recognize_choice
 from pal.spreads import spread_field
 
 
@@ -348,8 +349,8 @@ def test_sigma_q2_n3(small_arc):
 
 
 def test_plane_model_axioms(sigma_setup):
-    _, _, sigma, _ = sigma_setup
-    model = plane_model(sigma)
+    _, _, sigma, scaffold = sigma_setup
+    model = plane_model(sigma, scaffold)
     assert len(model.lines) == 273
     assert model.points_per_line == 17
     assert all(len(m) == 17 for m in model.members)
@@ -358,9 +359,9 @@ def test_plane_model_axioms(sigma_setup):
     assert pair_count == 273 * 272 // 2
 
 
-def test_plane_model_rejects_wrong_count(pg34_spread):
-    with pytest.raises(ValueError):
-        plane_model(pg34_spread)
+def test_plane_model_rejects_wrong_count(pg34_spread, scaffold_q4):
+    with pytest.raises(ValueError, match="^17 elements cannot model a plane of order 16$"):
+        plane_model(pg34_spread, scaffold_q4)
 
 
 def pair_span_plane_model(sigma):
@@ -389,27 +390,56 @@ def pair_span_plane_model(sigma):
 
 @pytest.fixture(scope="module")
 def sigma23(small_arc):
-    """The dual arc of the (2, 3) conic and the sigma it generates."""
+    """The dual arc of the (2, 3) conic, the sigma it generates and its
+    scaffold."""
     da = dual_arc(small_arc)
     gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
     reg = regulus_through(*gens)
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
-    sigma, _ = build_sigma(reg, da.gammas[0], make_tower(1, 3))
-    return da, sigma
+    sigma, scaffold = build_sigma(reg, da.gammas[0], make_tower(1, 3))
+    return da, sigma, scaffold
 
 
-def test_plane_model_matches_pair_span_oracle(sigma_setup, sigma23):
-    for sigma in (sigma_setup[2], sigma23[1]):
-        assert plane_model(sigma) == pair_span_plane_model(sigma)
+def test_plane_model_matches_pair_span_oracle(sigma_setup, sigma23, conic_oval,
+                                              conic_hyperoval):
+    """On the sigmas of `sigma_setup` and `sigma23`, and on those that
+    recognition generates for the (4, 2) conic hyperoval and for the moved
+    (4, 2) oval (theta frame)."""
+    moved = recognize_regular(moved_oval(conic_oval))
+    assert moved.identification["convention"] == "theta-frame-v1"
+    hyper = recognize_regular(conic_hyperoval)
+    for sigma, scaffold in (sigma_setup[2:], sigma23[1:], (moved.sigma, moved.scaffold),
+                            (hyper.sigma, hyper.scaffold)):
+        assert plane_model(sigma, scaffold) == pair_span_plane_model(sigma)
 
 
-def regulus_switched(rmap42, line_index):
+def test_plane_model_rejects_foreign_coordinates(sigma_setup, scaffold_q4):
+    """Coordinates that do not name every element of sigma by a distinct
+    point of PG(2, 16): one point repeated, or none at all (the scaffold of
+    a spread's transversals)."""
+    _, _, sigma, scaffold = sigma_setup
+    coords = {**scaffold.plane_coords, sigma.elements[7]: scaffold.plane_coords[sigma.elements[3]]}
+    with pytest.raises(ValueError, match="^sigma's plane coordinates are not the 273 points "
+                                         r"of PG\(2, 16\)$"):
+        plane_model(sigma, replace(scaffold, plane_coords=coords))
+    with pytest.raises(ValueError, match="^element 0 of sigma has no plane coordinates$"):
+        plane_model(sigma, scaffold_q4)
+
+
+@pytest.fixture(scope="module")
+def reduced_plane(rmap42):
+    """All 273 reduced points of PG(2, 16) as a spread, with its pair-span
+    plane model."""
+    full = Spread(rmap42.target,
+                  tuple(rmap42.reduce_point(p) for p in rmap42.source.points()))
+    return full, pair_span_plane_model(full)
+
+
+def regulus_switched(reduced_plane, line_index):
     """(full, model, switched): all 273 reduced points of PG(2, 16), their
     plane model, and the spread with one regulus inside model line
     `line_index` swapped for its opposite."""
-    full = Spread(rmap42.target,
-                  tuple(rmap42.reduce_point(p) for p in rmap42.source.points()))
-    model = plane_model(full)
+    full, model = reduced_plane
     on_line = sorted(model.members[line_index])
     reg = regulus_through(*(full.elements[i] for i in on_line[:3]))
     switched = Spread(full.space,
@@ -419,94 +449,25 @@ def regulus_switched(rmap42, line_index):
 
 
 @pytest.mark.parametrize("line_index", [0, 5])
-def test_plane_model_rejects_regulus_switch(rmap42, line_index):
-    """Still a spread, no longer a plane.  Line 0 is <e0, e1>, where the
-    model starts; line 5 is away from it."""
-    _, model, switched = regulus_switched(rmap42, line_index)
+def test_plane_model_rejects_regulus_switch(reduced_plane, line_index):
+    """Still a spread, no longer a plane.  Line 0 is <e0, e1>; line 5 is away
+    from it."""
+    _, model, switched = regulus_switched(reduced_plane, line_index)
     assert verify_spread(switched).ok
     assert (span(switched.elements[:2]) == model.lines[line_index]) == (line_index == 0)
     with pytest.raises(ValueError):
         pair_span_plane_model(switched)
-    with pytest.raises(ValueError):
-        plane_model(switched)
 
 
 def test_plane_model_rejects_non_spread(sigma_setup):
-    _, _, sigma, _ = sigma_setup
+    _, _, sigma, scaffold = sigma_setup
     elems = list(sigma.elements)
     elems[1] = sigma.space.subspace([elems[0].rows[0], elems[1].rows[0]])  # meets element 0
-    with pytest.raises(ValueError, match="not a spread"):
-        plane_model(Spread(sigma.space, tuple(elems)))
+    with pytest.raises(ValueError, match="^element 1 of sigma has no plane coordinates$"):
+        plane_model(Spread(sigma.space, tuple(elems)), scaffold)
 
 
 # -- incidence by lookup ----------------------------------------------------------
-
-
-def image_keyed_groups(qm, elems, center):
-    """Reference grouping: one full image per element."""
-    groups = {}
-    for b, e in enumerate(elems):
-        if b != center:
-            groups.setdefault(qm.image(e), []).append(b)
-    return groups
-
-
-def test_image_groups_match_image_keyed_grouping(sigma_setup, sigma23):
-    for sigma in (sigma_setup[2], sigma23[1]):
-        for a in (0, 1, 7):
-            qm = QuotientMap(sigma.elements[a])
-            assert (list(_image_groups(qm, sigma.elements, a).items())
-                    == list(image_keyed_groups(qm, sigma.elements, a).items()))
-
-
-def tangled(sigma, seed):
-    """Sigma's elements, then subspaces of the same rank that are no spread
-    elements: random ones (their images in the quotient by e5 overlap others
-    without being equal), e5 itself, a copy of e3, and traps that meet e5
-    while every row maps to a point of e3's image: their images are proper
-    subspaces of e3's, so only a rank test keeps them out of e3's group."""
-    space, fld = sigma.space, sigma.space.field
-    elems = list(sigma.elements)
-    center, other = elems[5], elems[3]
-    n = center.rank
-    rnd = random.Random(seed)
-    qm = QuotientMap(center)
-    points = center.point_vectors()
-
-    def add(u, v):
-        return tuple(fld.add(x, y) for x, y in zip(u, v))
-
-    extra = [center, other]
-    for _ in range(30):
-        extra.append(space.subspace([tuple(rnd.randrange(fld.order) for _ in range(space.dim + 1))
-                                     for _ in range(n)]))
-    for _ in range(200):
-        p = rnd.sample(points, n)
-        rows = [add(other.rows[j], p[j]) for j in range(n - 1)]
-        trap = space.subspace(rows + [add(other.rows[0], p[n - 1])])
-        if trap.rank == n and all(qm.point_code(r) for r in trap.rows):
-            extra.append(trap)
-    return elems + [e for e in extra if e.rank == n]
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_image_groups_match_on_tangled_input(sigma_setup, sigma23, seed):
-    for sigma in (sigma_setup[2], sigma23[1]):
-        elems = tangled(sigma, seed)
-        n = elems[0].rank
-        qm = QuotientMap(elems[5])
-        expected = image_keyed_groups(qm, elems, 5)
-        assert sum(img.rank < n for img in expected) > 2  # the traps are in play
-        assert list(_image_groups(qm, elems, 5).items()) == list(expected.items())
-
-
-def test_plane_model_takes_one_full_image_per_line(sigma_setup, monkeypatch):
-    _, _, sigma, _ = sigma_setup
-    calls = []
-    image = QuotientMap.image
-    monkeypatch.setattr(QuotientMap, "image", lambda self, s: calls.append(s) or image(self, s))
-    plane_model(sigma)
-    assert len(calls) <= 17 * 17
 
 
 def contains_inside(spread, subspaces):
@@ -515,17 +476,17 @@ def contains_inside(spread, subspaces):
 
 
 def test_inside_lists_match_contains(sigma_setup, sigma23):
-    for da, sigma in ((sigma_setup[0], sigma_setup[2]), sigma23):
+    for da, sigma in ((sigma_setup[0], sigma_setup[2]), sigma23[:2]):
         inside = _elements_inside(sigma, da.betas)
         assert inside == contains_inside(sigma, da.betas)
         order = sigma.space.field.order ** sigma.elements[0].rank
         assert all(len(els) == order + 1 for els in inside)
 
 
-def test_inside_lists_match_contains_off_the_model(rmap42, conic_dual):
+def test_inside_lists_match_contains_off_the_model(reduced_plane, conic_dual):
     """On the regulus-switched spread some dual elements of the conic no
     longer carry q^n + 1 elements: the counts that refuse recognition."""
-    _, _, switched = regulus_switched(rmap42, 5)
+    _, _, switched = regulus_switched(reduced_plane, 5)
     inside = _elements_inside(switched, conic_dual.betas)
     assert inside == contains_inside(switched, conic_dual.betas)
     assert any(len(els) != 17 for els in inside)

@@ -8,6 +8,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,27 +78,30 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def _names(node):
+    """Every name and attribute referenced under `node`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def test_no_unused_private_functions():
-    """Every module-level _name function or class of pal is referenced in pal
+    """Every module-level _name function or class of pal, and every _name
+    method or cached property of a module-level class, is referenced in pal
     outside its own definition."""
     defined = {}
-    used = set()
+    used = Counter()
+    own = Counter()
     for path in sorted((ROOT / "src" / "pal").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for top in tree.body:
-            own = None
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                    and top.name.startswith("_") and not top.name.startswith("__")):
-                own = top.name
-                defined[own] = f"{path.name}:{top.lineno}"
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    used.add(name)
-    unused = [f"{where}: {name}" for name, where in defined.items() if name not in used]
+        used.update(_names(tree))
+        members = [m for top in tree.body if isinstance(top, ast.ClassDef) for m in top.body]
+        for node in tree.body + members:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+                own[node.name] += sum(name == node.name for name in _names(node))
+    unused = [f"{where}: {name}" for name, where in defined.items() if used[name] == own[name]]
     assert not unused, unused
