@@ -135,9 +135,16 @@ def cmd_tangents(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    if args.index is not None and args.all:
+        # --all already derives spread I; both would derive it twice
+        print("error: choose --index or --all, not both", file=sys.stderr)
+        return INVALID
     arc = _load_arc(args.input)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise io.PalFileError(f"cannot write {outdir}: {err}") from None
     jobs: list[tuple[str, object]] = []
     if args.nucleus or (args.all and arc.kind == "pseudo-oval"):
         jobs.append(("nucleus", None))
@@ -277,8 +284,9 @@ def cmd_theorem(args) -> int:
 def _pg2_lines_design(q: int) -> DesignSpec:
     space = ProjSpace(2, gf(q))
     index = {space.encode(p.coords): i for i, p in enumerate(space.points())}
-    lines = [frozenset(map(index.__getitem__, codes)) for codes in plane_line_codes(space)]
-    return lines_design(range(len(index)), sorted(lines, key=sorted))
+    lines = sorted(tuple(sorted(map(index.__getitem__, codes)))
+                   for codes in plane_line_codes(space))
+    return lines_design(range(len(index)), lines)
 
 
 def cmd_design(args) -> int:

@@ -33,7 +33,10 @@ def dumps(obj: dict) -> str:
 
 
 def save(path, obj: dict) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps(obj), encoding="utf-8")
+    except OSError as err:
+        raise PalFileError(f"cannot write {path}: {err}") from None
 
 
 def load(path, expect_kind: str | None = None) -> dict:
@@ -280,7 +283,7 @@ def reduction_map_from_json(obj: dict) -> ReductionMap:
 def design_to_json(spec: DesignSpec) -> dict:
     return {"schema": SCHEMA, "kind": "design",
             "points": list(spec.points),
-            "blocks": [sorted(b) for b in spec.blocks],
+            "blocks": [list(b) for b in spec.blocks],
             "t": spec.t, "v": spec.v, "k": spec.k, "lambda": spec.lam,
             "exceptions": sorted(spec.exceptions)}
 
@@ -288,13 +291,13 @@ def design_to_json(spec: DesignSpec) -> dict:
 def design_from_json(obj: dict) -> DesignSpec:
     """A design file; its points, block members and exceptions are integers."""
     points = tuple(_items(obj, "points", int))
-    blocks = tuple(frozenset(_check(x, (int,), "block point") for x in b)
-                   for b in _items(obj, "blocks", list))
+    blocks = [[_check(x, (int,), "block point") for x in b]
+              for b in _items(obj, "blocks", list)]
     t, v, k = _get(obj, "t", int), _get(obj, "v", int), _get(obj, "k", int)
     lam = _get(obj, "lambda", int, default=1)
     if min(t, v, k, lam) < 0:
         raise PalFileError("design parameters must be non-negative")
-    exc = frozenset(_items(obj, "exceptions", int, default=[]))
+    exc = _items(obj, "exceptions", int, default=[])
     return DesignSpec(points, blocks, t, v, k, lam, exc)
 
 

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
 from .projective import (Chart, ProjSpace, Subspace, Vec, _normalized_vectors,
-                         dual as dual_subspace, kernel, meet, normalize_point,
-                         plane_line_codes, point_owners, span, vec_mat)
+                         dual as dual_subspace, kernel, mat_mul, meet, normalize_point,
+                         plane_line_codes, point_owners, rank, span, vec_mat)
 from .pseudoarcs import PseudoArc
-from .reduction import (ReductionMap, extend_subspace, frobenius_subspace,
-                        rational_orbit_span, rationalize_subspace)
+from .reduction import (ReductionMap, _orbit_sums, extend_subspace, frobenius_subspace,
+                        rationalize_subspace)
 from .spreads import (DualArc, Regulus, Spread, _graph_rows, dual_arc, is_regular_spread,
                       regulus_through, spread_field, verified_spread)
 
@@ -92,7 +92,8 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str):
     witness), the shape PG(2n-1, q) (ValueError), and `spread_field`
     (NotRegularError with the spread-set witness); `label` names the spread
     in the messages.  The eigenvalues are the roots of the minimal
-    polynomial of the field's generator X.
+    polynomial of the field's generator X.  When the regularity certificate
+    decided, the report carries its `spread_field` result, which is reused.
     """
     closure = is_regular_spread(spread)
     if not closure.regular:
@@ -100,7 +101,7 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str):
                               closure.witness)
     if spread.space.dim + 1 != 2 * spread.elements[0].rank:
         raise ValueError("spread-set structure needs a spread of PG(2n-1, q)")
-    field = spread_field(spread)
+    field = closure.spread_set or spread_field(spread)
     if field is None:
         raise NotRegularError(f"{label} is not regular: its spread set is not "
                               "a field of order q^n", {"kind": "spread-set-not-field"})
@@ -156,7 +157,8 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     Returns (sigma, scaffold).  The construction follows the extension-field
     route: transversal lines U_l of gamma_i, contact points u_l on the
     common element, transversals T_l of gamma through them, planes
-    theta_l = <T_l, U_l>, and the rational orbit spans of theta_1's points.
+    theta_l = <T_l, U_l>, and the rational orbit spans of theta_1's points,
+    all read through one GF(q) matrix of rank 3n (the map psi below).
     """
     if gamma.carrier is None or gamma_i.carrier is None:
         raise ValueError("build_sigma needs carrier subspaces on both inputs")
@@ -218,14 +220,22 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
             if meet(theta, e).rank != 1:
                 raise AssertionError("theta plane misses a generating element")
 
+    # psi(w) = restrict(sum_l sigma^l(w.theta_1)) is GF(q)-linear in the
+    # expansion of w, and row j*n + i of psi_rows is psi(x^i e_j), the orbit
+    # sums of theta_1's row j; so the rational orbit span of c.theta_1, which
+    # psi(x^i c) for i < n spans, is (the blown-up c).psi_rows
     theta1 = planes[0]
+    psi_rows = [tuple(map(tower.restrict, acc))
+                for row in theta1.rows for acc in _orbit_sums(row, tower)]
+    if rank(tower.base, psi_rows) != 3 * n:
+        raise AssertionError("psi does not have rank 3n")
+    blow_up = ReductionMap(tower)._blow_up
     elements = []
     coords = {}
     for c in _normalized_vectors(top, 3):
-        x = vec_mat(top, c, theta1.rows)
-        el = rational_orbit_span(x, tower, ambient)
+        el = ambient.subspace(mat_mul(tower.base, blow_up([c]), psi_rows))
         elements.append(el)
-        coords[el] = normalize_point(top, c)
+        coords[el] = c
     expected = q ** (2 * n) + q**n + 1
     if len(set(elements)) != expected:
         raise AssertionError("generated spread has repeated elements")

@@ -50,7 +50,7 @@ regular input takes this path; the verdicts do not rest on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .projective import (Chart, ComplementProjection, ProjSpace, QuotientMap,
@@ -123,11 +123,16 @@ class SpreadReport:
 
 @dataclass(frozen=True)
 class RegularityReport:
+    """The verdict of `is_regular_spread`.  `spread_set` is the certificate's
+    `spread_field` result when the certificate decided the verdict, else
+    None; it is working data, left out of equality, repr and every file."""
+
     regular: bool
     vacuous: bool
     mode: str
     checked_triples: int
     witness: dict | None
+    spread_set: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def reason(self) -> str:
@@ -458,8 +463,10 @@ def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
             witness = _closure_witness(spread, t, reg, members)
             return RegularityReport(False, False, mode, checked, witness)
         built += 1
-        if built == CERTIFICATE_AFTER and spread_field(spread) is not None:
-            return RegularityReport(True, False, mode, n_triples, None)
+        if built == CERTIFICATE_AFTER:
+            spread_set = spread_field(spread)
+            if spread_set is not None:
+                return RegularityReport(True, False, mode, n_triples, None, spread_set)
     return RegularityReport(True, False, mode, checked, None)
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import lt
 
 from .pseudoarcs import PseudoArc
 from .sigma import NotRegularError, recognize_regular
@@ -160,15 +161,33 @@ def _given_indices(params: TheoremParams, q: int, n: int, k: int) -> set[int]:
 @dataclass(frozen=True)
 class DesignSpec:
     """A candidate t-(v, k, lambda) design, with an optional exception set Q:
-    t-subsets with more than one point in Q only need at-most-lambda cover."""
+    t-subsets with more than one point in Q only need at-most-lambda cover.
+
+    The one place that fixes the block format: a block given as any
+    iterable is held as the strictly increasing tuple of its distinct points
+    (a repeated point counts once), in the given block order, and no reader
+    sorts it again.
+    """
 
     points: tuple
-    blocks: tuple[frozenset, ...]
+    blocks: tuple[tuple[int, ...], ...]
     t: int
     v: int
     k: int
     lam: int
     exceptions: frozenset = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(map(_block, self.blocks)))
+        object.__setattr__(self, "exceptions", frozenset(self.exceptions))
+
+
+def _block(b) -> tuple[int, ...]:
+    """b as the strictly increasing tuple of its distinct points; a block
+    already in that form is kept as it is."""
+    if type(b) is tuple and all(map(lt, b, b[1:])):
+        return b
+    return tuple(sorted({*b}))
 
 
 @dataclass
@@ -198,18 +217,18 @@ def check_design(spec: DesignSpec) -> DesignCheckReport:
     for b in spec.blocks:
         if len(b) != spec.k:
             return DesignCheckReport(False, {}, {"kind": "block-size",
-                                                 "block": sorted(b)},
+                                                 "block": list(b)},
                                      f"block of size {len(b)}, expected k={spec.k}")
-        if not b <= pset:
+        if not pset.issuperset(b):
             return DesignCheckReport(False, {}, {"kind": "stray-block",
-                                                 "block": sorted(b)},
+                                                 "block": list(b)},
                                      "block contains unknown points")
     order = sorted(pts)
     if spec.t == 2 and spec.lam == 1 and not spec.exceptions:
         pairs = _pair_partition(order, spec.blocks)
         if pairs is not None:
             return DesignCheckReport(True, Counter({1: pairs} if pairs else {}), None, "ok")
-    counts = Counter(sub for b in spec.blocks for sub in combinations(sorted(b), spec.t))
+    counts = Counter(sub for b in spec.blocks for sub in combinations(b, spec.t))
     mult = Counter(counts.values())
     uncovered = comb(spec.v, spec.t) - len(counts)
     if uncovered > 0:
@@ -257,8 +276,8 @@ def _pair_partition(order, blocks) -> int | None:
 def lines_design(space_points, lines) -> DesignSpec:
     """(points, lines) of a projective plane as a 2-(v, k, 1) candidate."""
     pts = tuple(space_points)
-    blocks = tuple(frozenset(l) for l in lines)
-    return DesignSpec(pts, blocks, 2, len(pts), len(blocks[0]), 1)
+    lines = tuple(lines)
+    return DesignSpec(pts, lines, 2, len(pts), len(set(lines[0])), 1)
 
 
 def _inside_reguli(spread: Spread, reason: str):
@@ -281,11 +300,11 @@ def spread_reguli_design(spread: Spread, exceptions=()) -> DesignSpec:
     structure behind the improvement hypothesis.
     """
     k = len(spread.elements)
-    blocks = [frozenset(members) for _, members in
-              _inside_reguli(spread, "spread is not regular: a regulus leaves it")]
+    # members are sorted index lists, so their tuples are blocks as they stand
+    blocks = sorted(tuple(members) for _, members in
+                    _inside_reguli(spread, "spread is not regular: a regulus leaves it"))
     q = spread.space.field.order
-    return DesignSpec(tuple(range(k)), tuple(sorted(blocks, key=sorted)),
-                      3, k, q + 1, 1, frozenset(exceptions))
+    return DesignSpec(tuple(range(k)), blocks, 3, k, q + 1, 1, exceptions)
 
 
 def regulus_blocks(da: DualArc) -> DesignSpec:
@@ -306,7 +325,7 @@ def regulus_blocks(da: DualArc) -> DesignSpec:
     """
     k = len(da.betas)
     q = da.arc.q
-    blocks: set[frozenset] = set()
+    blocks: set[tuple[int, ...]] = set()
     reguli_of: dict[frozenset, tuple] = {}  # element set -> (swept Gamma_s, reguli)
     for s in range(k):
         gamma = da.gammas[s]
@@ -321,9 +340,8 @@ def regulus_blocks(da: DualArc) -> DesignSpec:
         partner = [j for j in range(k) if j != s]
         label = [partner[index_of[e]] for e in swept.elements]
         for members in reguli:
-            block = frozenset({s} | {label[m] for m in members})
+            block = tuple(sorted({s, *map(label.__getitem__, members)}))
             if len(block) != q + 2:
                 raise AssertionError(f"block of size {len(block)}, expected {q + 2}")
             blocks.add(block)
-    return DesignSpec(tuple(range(k)), tuple(sorted(blocks, key=sorted)),
-                      4, k, q + 2, 1)
+    return DesignSpec(tuple(range(k)), sorted(blocks), 4, k, q + 2, 1)

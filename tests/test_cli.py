@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from pal import Spread, io, reduction_map
+import pal.cli
+from pal import Spread, check_design, io, plane_model, recognize_regular, reduction_map
 from pal.cli import main
 
 
@@ -274,12 +275,19 @@ def test_artifacts_byte_deterministic(tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(work)
         capsys.readouterr()
         codes = [main(cmd) for cmd in commands]
+        # the round trip: checking the saved design saves the same design
+        io.save("saved.json", io.load("design.json", "design-report")["design"])
+        codes.append(main(["design", "--check", "saved.json", "--save-design",
+                           "-o", "checked.json"]))
         files = {str(p.relative_to(work)): p.read_bytes()
                  for p in sorted(work.rglob("*.json"))}
         runs.append((codes, capsys.readouterr().out, files))
     assert runs[0] == runs[1]
-    assert runs[0][0] == [0] * len(commands)
-    assert len(runs[0][2]) == len(commands) - 1 + 19  # derive --all: 18 spreads, 1 report
+    assert runs[0][0] == [0] * (len(commands) + 1)
+    # derive --all: 18 spreads and 1 report; the round trip: 2 files
+    assert len(runs[0][2]) == len(commands) - 1 + 19 + 2
+    files = runs[0][2]
+    assert io.dumps(json.loads(files["checked.json"])["design"]).encode() == files["saved.json"]
     assert "seconds" not in io.load(tmp_path / "a" / "theorem.json", "theorem-report")
 
 
@@ -633,6 +641,14 @@ REJECTIONS = [
      "bad --exceptions indices '99'"),
     (["check-regular", "meeting.json"], 1, {"ok": False, "spread_ok": False, "witness": {
         "kind": "not-skew", "pair": [15, 16], "point": [0, 0, 1, 1]}}),
+    (["derive", "hyper.json", "--index", "5", "--all"], 2,
+     "choose --index or --all, not both"),
+    (["verify", "oval.json", "-o", "missing/a.json"], 2,
+     "cannot write missing/a.json: [Errno 2] No such file or directory: 'missing/a.json'"),
+    (["construct", "--q", "4", "--n", "2", "--source", "conic", "-o", "missing/x.json"], 2,
+     "cannot write missing/x.json: [Errno 2] No such file or directory: 'missing/x.json'"),
+    (["derive", "hyper.json", "--all", "--outdir", "oval.json"], 2,
+     "cannot write oval.json: [Errno 17] File exists: 'oval.json'"),
 ]
 
 
@@ -665,6 +681,62 @@ def test_design_empty_source_path_fails_to_read(tmp_path, capsys, source):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read : ") and err.count("\n") == 1
     assert not (tmp_path / "d.json").exists()
+
+
+def test_derive_index_with_all_is_refused_before_writing(rejected, tmp_path, capsys):
+    """--all already derives spread I, so --index I --all is refused before
+    the output directory is made; --nucleus --index I derives two spreads."""
+    capsys.readouterr()
+    assert main(["derive", str(rejected / "hyper.json"), "--index", "5", "--all",
+                 "--outdir", str(tmp_path / "both")]) == 2
+    assert capsys.readouterr().err == "error: choose --index or --all, not both\n"
+    assert not (tmp_path / "both").exists()
+    assert main(["derive", str(rejected / "oval.json"), "--nucleus", "--index", "5",
+                 "--outdir", str(tmp_path / "pair")]) == 0
+    report = io.load(tmp_path / "pair" / "derive_report.json", "derive-report")
+    assert [e["index"] for e in report["spreads"]] == ["nucleus", "5"]
+
+
+DESIGN_SOURCES = {
+    "pg2-lines": ["--pg2-lines", "4"],
+    "spread-reguli": ["--spread-reguli", "delta_0.json", "--exceptions", "0,1"],
+    "dual-blocks": ["--dual-blocks", "hyper.json", "--tabulate"],
+    "plane-model-from": ["--plane-model-from", "oval.json"],
+    "check": ["--check", "scrambled.json"],
+}
+
+
+@pytest.mark.parametrize("source", sorted(DESIGN_SOURCES))
+def test_design_sources_give_sorted_int_tuples(source, rejected, tmp_path, capsys,
+                                               monkeypatch):
+    """Every design source hands check_design strictly increasing int
+    tuples, in the block order of the frozenset-and-`key=sorted` form: the
+    sorted block order for the three producers that sort, the model's line
+    order for the plane model, and the file's order for --check (whose file
+    has reversed blocks, a repeated point and the lines in reverse)."""
+    assert main(["design", "--pg2-lines", "4", "--save-design",
+                 "-o", str(tmp_path / "pg2.json")]) == 0
+    pg2 = io.load(tmp_path / "pg2.json", "design-report")["design"]
+    scrambled = [b[::-1] + b[:1] for b in pg2["blocks"][::-1]]
+    io.save(tmp_path / "scrambled.json", {**pg2, "blocks": scrambled})
+    monkeypatch.chdir(rejected)
+    specs = []
+    monkeypatch.setattr(pal.cli, "check_design",
+                        lambda spec: specs.append(spec) or check_design(spec))
+    argv = [str(tmp_path / a) if a == "scrambled.json" else a for a in DESIGN_SOURCES[source]]
+    assert main(["design", *argv]) == 0
+    capsys.readouterr()
+    (spec,) = specs
+    assert all(type(b) is tuple and all(type(x) is int for x in b)
+               and all(x < y for x, y in zip(b, b[1:])) for b in spec.blocks)
+    if source == "check":
+        reference = [frozenset(b) for b in scrambled]
+    elif source == "plane-model-from":
+        res = recognize_regular(io.pseudo_arc_from_json(io.load("oval.json")))
+        reference = list(plane_model(res.sigma, res.scaffold).members)
+    else:
+        reference = sorted(map(frozenset, spec.blocks), key=sorted)
+    assert list(spec.blocks) == [tuple(sorted(b)) for b in reference]
 
 
 def test_design_spread_reguli_takes_exceptions(rejected, tmp_path):

@@ -13,8 +13,9 @@ from pal import (DualArc, NotRegularError, ProjSpace, RecognitionResult, Regulus
                  desarguesian_spread, dual_arc, gf, is_regular_spread, make_pseudo_arc, make_tower,
                  meet, opposite_regulus, plane_model, recognize_regular,
                  regulus_through, span, spread_transversals, verify_spread)
-from pal.projective import Subspace, mat_inv, mat_mul, rref, vec_mat
-from pal.reduction import extend_subspace, frobenius_subspace
+from pal.fields import FieldTower, field_make
+from pal.projective import Subspace, _normalized_vectors, mat_inv, mat_mul, rref, vec_mat
+from pal.reduction import extend_subspace, frobenius_subspace, rational_orbit_span
 from pal.sigma import PlaneModel, _elements_inside, _recognize_choice
 from pal.spreads import spread_field
 
@@ -411,6 +412,45 @@ def test_plane_model_matches_pair_span_oracle(sigma_setup, sigma23, conic_oval,
     for sigma, scaffold in (sigma_setup[2:], sigma23[1:], (moved.sigma, moved.scaffold),
                             (hyper.sigma, hyper.scaffold)):
         assert plane_model(sigma, scaffold) == pair_span_plane_model(sigma)
+
+
+def test_sigma_elements_match_rational_orbit_spans(sigma_setup, sigma23, conic_oval,
+                                                  conic_hyperoval):
+    """build_sigma reads every element off one GF(q) matrix; the oracle is
+    the rational span of the Galois orbit of c.theta_1, for c the points of
+    PG(2, q^n) in order, on the sigmas of the pair-span oracle test."""
+    moved = recognize_regular(moved_oval(conic_oval))
+    hyper = recognize_regular(conic_hyperoval)
+    for sigma, scaffold in (sigma_setup[2:], sigma23[1:], (moved.sigma, moved.scaffold),
+                            (hyper.sigma, hyper.scaffold)):
+        tower, theta1 = scaffold.tower, scaffold.planes[0].rows
+        points = _normalized_vectors(tower.top, 3)
+        assert [scaffold.plane_coords[e] for e in sigma.elements] == points
+        assert list(sigma.elements) == [
+            rational_orbit_span(vec_mat(tower.top, c, theta1), tower, sigma.space)
+            for c in points]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (4, 2), (8, 2), (4, 3)])
+def test_spread_transversals_run_spread_field_once(q, n, monkeypatch):
+    """The regularity report carries its certificate's spread_field result,
+    which _eigen_lines reuses; the vacuous q = 2 report carries none, so
+    _eigen_lines computes it.  The result is not part of the report's
+    equality or repr."""
+    spread = desarguesian_spread(q, n)
+    rep = is_regular_spread(spread)
+    assert (rep.spread_set is None) == (q == 2)
+    assert rep == replace(rep, spread_set=None) and "spread_set" not in repr(rep)
+    calls = []
+
+    def spy(s):
+        calls.append(s)
+        return spread_field(s)
+    monkeypatch.setattr(pal.spreads, "spread_field", spy)
+    monkeypatch.setattr(pal.sigma, "spread_field", spy)
+    fld = spread.space.field
+    spread_transversals(spread, FieldTower(fld, field_make(fld.m * n)))
+    assert calls == [spread]
 
 
 def test_plane_model_rejects_foreign_coordinates(sigma_setup, scaffold_q4):

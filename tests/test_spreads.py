@@ -444,7 +444,7 @@ def test_reguli_design_and_pair_count_match_plain_sweep(pg34_spread, hall_fixtur
     for t in combinations(range(len(elems)), 3):
         reg = regulus_through(*(elems[i] for i in t))
         blocks.add(frozenset(index_of[e] for e in reg.elements))
-    assert set(spread_reguli_design(pg34_spread).blocks) == blocks
+    assert set(map(frozenset, spread_reguli_design(pg34_spread).blocks)) == blocks
     for spread, (ai, bi) in product([pg34_spread] + hall_fixtures, ((0, 1), (5, 2))):
         a, b = spread.elements[ai], spread.elements[bi]
         seen = {}

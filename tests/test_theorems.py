@@ -127,7 +127,7 @@ def test_exception_set_passes_on_full_design():
 def test_exception_set_rejects_damaged_instance():
     spread = desarguesian_spread(4, 2)
     spec = spread_reguli_design(spread, exceptions=(0, 1))
-    kept = tuple(b for b in spec.blocks if not {0, 1} <= b)
+    kept = tuple(b for b in spec.blocks if not {0, 1} <= set(b))
     damaged = DesignSpec(spec.points, kept, 3, spec.v, spec.k, 1,
                          exceptions=frozenset({0, 1}))
     rep = check_design(damaged)
@@ -171,7 +171,7 @@ def test_regulus_blocks_match_per_gamma_sweep(conic_dual, monkeypatch):
     monkeypatch.setattr(pal.spreads, "regulus_through",
                         lambda *gens: calls.append(gens) or regulus_through(*gens))
     spec = regulus_blocks(DualArc(conic_dual.arc, conic_dual.betas, tuple(gammas)))
-    assert set(spec.blocks) == expected
+    assert set(map(frozenset, spec.blocks)) == expected
     assert len(calls) == 68  # the shared set's q^2 (q^2 + 1) reguli, built once
     assert spec.blocks != regulus_blocks(conic_dual).blocks
 
@@ -199,7 +199,7 @@ def enumerated_check(spec):
     (ok, multiplicities, witness) for a spec that passes the block checks."""
     mult, witness = {}, None
     for sub in combinations(sorted(spec.points), spec.t):
-        c = sum(1 for b in spec.blocks if set(sub) <= b)
+        c = sum(1 for b in spec.blocks if set(sub) <= set(b))
         mult[c] = mult.get(c, 0) + 1
         excess = len(set(sub) & spec.exceptions) > 1
         if witness is None and (c > spec.lam if excess else c != spec.lam):
@@ -211,7 +211,7 @@ def enumerated_check(spec):
 def _design_cases():
     pg2 = _pg2_lines_design(4)
     reguli = spread_reguli_design(desarguesian_spread(4, 2), exceptions=(0, 1))
-    pair = next(b for b in reguli.blocks if {0, 1} <= b)
+    pair = next(b for b in reguli.blocks if {0, 1} <= set(b))
     return {
         "valid": pg2,
         "missing-block": DesignSpec(pg2.points, pg2.blocks[:7] + pg2.blocks[8:],
@@ -240,11 +240,43 @@ def test_check_design_matches_enumeration(case):
     assert rep.ok == case.endswith("valid")
 
 
+BLOCK_SHAPES = {"frozenset": frozenset, "list": list, "unsorted": lambda b: list(b)[::-1],
+                "repeating": lambda b: list(b) + list(b)[:1]}
+
+
+@pytest.mark.parametrize("case", sorted(_design_cases()))
+def test_design_spec_normalizes_any_block_shape(case):
+    """Blocks given as frozensets, lists, unsorted lists or lists with a
+    repeated point make the same spec, hence the same report."""
+    spec = _design_cases()[case]
+    assert all(type(b) is tuple and list(b) == sorted(set(b)) for b in spec.blocks)
+    for shape in BLOCK_SHAPES.values():
+        other = DesignSpec(spec.points, [shape(b) for b in spec.blocks], spec.t,
+                           spec.v, spec.k, spec.lam, tuple(spec.exceptions))
+        assert other == spec
+        assert check_design(other) == check_design(spec)
+
+
+def test_repeated_points_count_once():
+    """A repeated point counts once, as it did in a frozenset block: [1, 1, 2]
+    with k = 3 is a block-size failure, and the witnesses list the block in
+    increasing order."""
+    short = DesignSpec((0, 1, 2, 3), ([1, 1, 2], [0, 1, 2]), 2, 4, 3, 1)
+    assert short.blocks == ((1, 2), (0, 1, 2))
+    rep = check_design(short)
+    assert (rep.ok, rep.witness, rep.reason) == (
+        False, {"kind": "block-size", "block": [1, 2]}, "block of size 2, expected k=3")
+    stray = DesignSpec((0, 1, 2), ([2, 0], {9, 1}), 2, 3, 2, 1)
+    rep = check_design(stray)
+    assert (rep.ok, rep.witness) == (False, {"kind": "stray-block", "block": [1, 9]})
+
+
 def _planted_designs():
     """t = 2, lambda = 1 designs without exceptions: PG(2, 4), and PG(2, 4)
     with a pair covered twice, with a line missing, and with both."""
     pg2 = _pg2_lines_design(4)
-    extra = frozenset(sorted(pg2.blocks[0])[:2] + sorted(pg2.blocks[1] - pg2.blocks[0])[:3])
+    extra = frozenset(sorted(pg2.blocks[0])[:2]
+                      + sorted(set(pg2.blocks[1]) - set(pg2.blocks[0]))[:3])
     return {
         "valid": pg2,
         "double-cover": DesignSpec(pg2.points, pg2.blocks[:-1] + (extra,), 2, pg2.v, pg2.k, 1),
