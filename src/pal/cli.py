@@ -140,21 +140,25 @@ def cmd_derive(args) -> int:
         print("error: choose --index or --all, not both", file=sys.stderr)
         return INVALID
     arc = _load_arc(args.input)
-    outdir = Path(args.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise io.PalFileError(f"cannot write {outdir}: {err}") from None
     jobs: list[tuple[str, object]] = []
     if args.nucleus or (args.all and arc.kind == "pseudo-oval"):
         jobs.append(("nucleus", None))
     if args.index is not None:
+        if not 0 <= args.index < len(arc.elements):
+            print(f"error: element index {args.index} out of range", file=sys.stderr)
+            return INVALID
         jobs.append((f"{args.index}", args.index))
     if args.all:
         jobs.extend((f"{i}", i) for i in range(len(arc.elements)))
     if not jobs:
         print("error: choose --index, --all or --nucleus", file=sys.stderr)
         return INVALID
+    # every refusal above comes before the output directory is made
+    outdir = Path(args.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise io.PalFileError(f"cannot write {outdir}: {err}") from None
 
     # the derive functions verify each spread and raise if it fails, so
     # every spread that reaches the report is ok

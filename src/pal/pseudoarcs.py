@@ -7,15 +7,21 @@ elements' images.  Three elements span iff, in the quotient by one of them,
 the other two images are skew (n-1)-spaces, so one pass per element checks
 every triple through it.  For a tangent space, the other elements' images
 are pairwise skew (n-1)-spaces whose uncovered points must form exactly one
-(n-1)-space, and the tangent space is its preimage.  That route proves
-uniqueness while it computes.
+(n-1)-space, and the tangent space is its preimage (partition completion).
+That route proves uniqueness while it computes, and q odd takes it at every
+element.  For q even every tangent space contains the nucleus (Qvist for
+n = 1, Thas for pseudo-ovals), so two partition passes give the nucleus as
+the meet of their tangent spaces, and one quotient pass with the nucleus as
+center certifies that it spans with every pair of elements.  Each other
+tangent space is then the span of its element and the nucleus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .projective import ProjSpace, QuotientMap, Subspace, meet, point_owners
+from .projective import (ProjSpace, QuotientMap, Subspace, meet, normalize_point,
+                         point_owners, span)
 
 
 @dataclass(frozen=True)
@@ -102,13 +108,19 @@ def _first_failing_pair(center: Subspace, elems, n: int) -> tuple[int, int] | No
     only add pairs with a larger b.
     """
     qm = QuotientMap(center)
+    if n == 1:
+        # an image is the point of one row's image vector; zero means rank 0
+        field, encode = qm.space.field, qm.space.encode
+        images = ((encode(normalize_point(field, v)),) if any(v) else None
+                  for v in (qm.image_vec(e.rows[0]) for e in elems))
+    else:
+        images = (img.point_codes() if img.rank == n else None
+                  for img in map(qm.image, elems))
     owner: dict[int, int] = {}
     best = None
-    for b, e in enumerate(elems):
-        img = qm.image(e)
-        if img.rank != n:
+    for b, codes in enumerate(images):
+        if codes is None:
             return (0, max(b, 1))
-        codes = img.point_codes()
         if not owner.keys().isdisjoint(codes):
             meets = (min(owner[c] for c in codes if c in owner), b)
             best = meets if best is None else min(best, meets)
@@ -172,27 +184,53 @@ def _tangent(arc: PseudoArc, i: int, owner: dict[int, int]) -> Subspace:
 
 
 def tangent_spaces(arc: PseudoArc) -> list[Subspace]:
-    """All tangent spaces, index-aligned with the elements; cached."""
+    """All tangent spaces, index-aligned with the elements; cached.
+
+    q odd: partition completion at every element.  q even: partition
+    completion at elements 0 and 1 only, whose tangent spaces meet in the
+    nucleus pi (`_tangents_through_nucleus`).
+    """
     if "tangents" not in arc._cache:
         owner = point_owners(arc.elements)
-        arc._cache["tangents"] = [_tangent(arc, i, owner) for i in range(len(arc.elements))]
+        if arc.q % 2:
+            taus = [_tangent(arc, i, owner) for i in range(len(arc.elements))]
+        else:
+            taus = _tangents_through_nucleus(arc, owner)
+        arc._cache["tangents"] = taus
     return arc._cache["tangents"]
 
 
+def _tangents_through_nucleus(arc: PseudoArc, owner: dict[int, int]) -> list[Subspace]:
+    """Tangent spaces of a pseudo-oval with q even, from pi = tau_0 ^ tau_1.
+
+    One quotient pass with pi as center checks that e_i, e_j and pi span the
+    space for all i != j.  Then <e_i, pi> has rank 2n and meets no other
+    element, and partition completion at i shows that only one
+    (2n-1)-space through e_i does: the images of the other elements leave
+    exactly the points of one (n-1)-space uncovered.  So <e_i, pi> is tau_i,
+    with the same canonical rows.  The arc was verified when it was built;
+    Thas's theorem says the pass cannot fail, so a failure is an invariant
+    error.
+    """
+    tau0, tau1 = _tangent(arc, 0, owner), _tangent(arc, 1, owner)
+    pi = meet(tau0, tau1)
+    if pi.rank != arc.n:
+        raise AssertionError(f"nucleus has rank {pi.rank}, expected {arc.n}")
+    pair = _first_failing_pair(pi, arc.elements, arc.n)
+    if pair is not None:
+        raise AssertionError("elements {},{} and the nucleus do not span the space: "
+                             "tangent spaces have no common (n-1)-space".format(*pair))
+    return [tau0, tau1] + [span([e, pi]) for e in arc.elements[2:]]
+
+
 def nucleus(arc: PseudoArc) -> Subspace:
-    """Common (n-1)-space of all tangent spaces; q even only."""
+    """Common (n-1)-space of all tangent spaces; q even only.  It is the
+    meet of the first two, which `tangent_spaces` certified."""
     if arc.q % 2:
         raise ValueError(f"q={arc.q} is odd: tangent spaces form a dual pseudo-oval, "
                          "there is no nucleus")
     taus = tangent_spaces(arc)
-    common = taus[0]
-    for t in taus[1:]:
-        common = meet(common, t)
-        if common.rank < arc.n:
-            raise AssertionError("tangent spaces have no common (n-1)-space")
-    if common.rank != arc.n:
-        raise AssertionError(f"nucleus has rank {common.rank}, expected {arc.n}")
-    return common
+    return meet(taus[0], taus[1])
 
 
 def extend_to_hyperoval(arc: PseudoArc) -> PseudoArc:

@@ -697,6 +697,20 @@ def test_derive_index_with_all_is_refused_before_writing(rejected, tmp_path, cap
     assert [e["index"] for e in report["spreads"]] == ["nucleus", "5"]
 
 
+@pytest.mark.parametrize("index", ["99", "17", "-1"])
+def test_derive_bad_index_is_refused_before_writing(rejected, tmp_path, capsys, index):
+    """An index outside the 17 elements exits 2 with one line, before the
+    nucleus job runs and before the output directory is made."""
+    capsys.readouterr()
+    outdir = tmp_path / "d"
+    assert main(["derive", str(rejected / "oval.json"), "--nucleus", f"--index={index}",
+                 "--outdir", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: element index {index} out of range\n"
+    assert captured.out == ""
+    assert not outdir.exists()
+
+
 DESIGN_SOURCES = {
     "pg2-lines": ["--pg2-lines", "4"],
     "spread-reguli": ["--spread-reguli", "delta_0.json", "--exceptions", "0,1"],

@@ -264,27 +264,38 @@ def test_nucleus_and_completion_match_meet_of_tangents(q):
         assert hyper == make_arc(arc.ambient, list(arc.points) + [expected])
 
 
+def _count_images(monkeypatch) -> dict[str, int]:
+    """Calls of `QuotientMap.image` and of `image_vec`, which `image` makes
+    once per row, so at n = 1 once per image."""
+    calls = {"image": 0, "image_vec": 0}
+    for name in calls:
+        fn = getattr(QuotientMap, name)
+
+        def counted(self, x, fn=fn, name=name):
+            calls[name] += 1
+            return fn(self, x)
+        monkeypatch.setattr(QuotientMap, name, counted)
+    return calls
+
+
 def test_verify_karc_work_count(monkeypatch):
-    """One quotient image per later point for each of the 63 centers that
-    start a triple: 64 + 63 + ... + 2 = 2,079 for the 65 conic points."""
+    """One quotient image vector per later point for each of the 63 centers
+    that start a triple: 64 + 63 + ... + 2 = 2,079 for the 65 conic points,
+    and no `Subspace` image."""
     arc = conic(64)
-    calls = []
-    image = QuotientMap.image
-    monkeypatch.setattr(QuotientMap, "image", lambda self, s: calls.append(1) or image(self, s))
+    calls = _count_images(monkeypatch)
     assert verify_karc(arc.ambient, arc.points).ok
-    assert len(calls) == 2079
+    assert calls == {"image": 0, "image_vec": 2079}
 
 
 def test_oval_wrappers_do_not_verify_the_oval_again(monkeypatch):
-    """`make_arc` verified the conic, so the tangent lines take only the 65
-    partitions of 64 images each, and the completion adds one pass of 65
-    images through the nucleus."""
+    """`make_arc` verified the conic, so the tangent lines take two
+    partitions of 64 images each and one pass of 65 image vectors through
+    the nucleus, and the completion adds one more such pass."""
     arc = conic(64)
-    calls = []
-    image = QuotientMap.image
-    monkeypatch.setattr(QuotientMap, "image", lambda self, s: calls.append(1) or image(self, s))
+    calls = _count_images(monkeypatch)
     tangent_lines(arc)
-    assert len(calls) == 65 * 64
-    calls.clear()
+    assert calls == {"image": 2 * 64, "image_vec": 2 * 64 + 65}
+    calls.update(image=0, image_vec=0)
     oval_nucleus_and_complete(arc)
-    assert len(calls) == 65 * 64 + 65
+    assert calls == {"image": 2 * 64, "image_vec": 2 * 64 + 2 * 65}

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 import pytest
 
-from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, gf,
+from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, field_make, gf,
                  make_pseudo_arc, meet, nucleus, oval_nucleus_and_complete,
                  prime_field, reduction_map, span, tangent_lines, tangent_space,
-                 tangent_spaces, verify_pseudo_arc)
+                 tangent_spaces, translation_oval, verify_pseudo_arc)
 from pal.projective import point_owners, rref
-from pal.pseudoarcs import PseudoArcReport, _tangent
+from pal.pseudoarcs import PseudoArc, PseudoArcReport, _tangent
 
 
 def test_conic_reduction_verifies(conic_oval):
@@ -262,3 +263,77 @@ def test_tangent_meeting_an_element_is_an_invariant_failure(conic_oval):
     owner[next(c for c in tau.point_codes() if owner.get(c) != 0)] = 3
     with pytest.raises(AssertionError, match="tangent space at 0 meets element 3"):
         _tangent(conic_oval, 0, owner)
+
+
+def _fresh(arc):
+    """The same pseudo-oval with an empty tangent cache."""
+    return PseudoArc(arc.ambient, arc.n, arc.elements, arc.kind)
+
+
+def _even_ovals(conic_oval, translation_arc, small_arc, arc_q8n2, arc_q4n3):
+    """The q-even pseudo-ovals: the (4,2) conic and translation ovals, the
+    conics at (2,3), (8,2) and (4,3), the (4,3) translation oval t -> t^32,
+    and the plane conics and translation ovals of PG(2, Q), Q = 2..64
+    (GF(32) over x^5 + x^2 + 1)."""
+    arcs = [conic_oval, translation_arc, small_arc, arc_q8n2, arc_q4n3,
+            reduction_map(4, 3).reduce_arc(translation_oval(64, 5))]
+    for m in range(1, 7):
+        field = field_make(m, 0b100101 if m == 5 else None)
+        plane = [conic(field)] + [translation_oval(field, k) for k in range(2, m)
+                                  if gcd(k, m) == 1]
+        arcs += [make_pseudo_arc(a.ambient, [span([p]) for p in a.points]) for a in plane]
+    return arcs
+
+
+def test_tangents_through_nucleus_match_partition_oracle(
+        conic_oval, translation_arc, small_arc, arc_q8n2, arc_q4n3):
+    """For q even, the route through the nucleus gives the tangent spaces of
+    partition completion at every element, and the nucleus is the common
+    (n-1)-space of all k of them."""
+    arcs = _even_ovals(conic_oval, translation_arc, small_arc, arc_q8n2, arc_q4n3)
+    assert len(arcs) == 6 + 12
+    for arc in arcs:
+        assert arc.kind == "pseudo-oval" and arc.q % 2 == 0
+        owner = point_owners(arc.elements)
+        oracle = [_tangent(arc, i, owner) for i in range(len(arc.elements))]
+        fresh = _fresh(arc)
+        assert tangent_spaces(fresh) == oracle
+        common = oracle[0]
+        for t in oracle[1:]:
+            common = meet(common, t)
+        assert common.rank == arc.n
+        assert nucleus(fresh) == common == nucleus(_fresh(arc))
+
+
+def test_tangents_through_nucleus_work_count(arc_q4n3, monkeypatch):
+    """Two partitions of 64 images each and one pass of 65 images through
+    the nucleus, where partition completion at every element takes
+    65 * 64 = 4,160."""
+    calls = []
+    image = QuotientMap.image
+    monkeypatch.setattr(QuotientMap, "image",
+                        lambda self, s: calls.append(1) or image(self, s))
+    tangent_spaces(_fresh(arc_q4n3))
+    assert len(calls) == 2 * 64 + 65
+
+
+def test_tangents_through_nucleus_invariants(conic_oval, monkeypatch):
+    """A forged tau_1 whose meet with tau_0 is not an (n-1)-space, or is a
+    line that does not span with every pair of elements, is an invariant
+    failure."""
+    import pal.pseudoarcs
+    elems = conic_oval.elements
+    tau0 = tangent_spaces(conic_oval)[0]
+    # a line of tau_0 through a point of e_0: the nucleus pass fails at (0, 1)
+    line = conic_oval.ambient.subspace([elems[0].rows[0], nucleus(conic_oval).rows[0]])
+    through_line = span([elems[1], line])
+    assert meet(tau0, through_line) == line
+    tangent = pal.pseudoarcs._tangent
+    for forged, message in (
+            (tau0, "^nucleus has rank 4, expected 2$"),
+            (through_line, "^elements 0,1 and the nucleus do not span the space: "
+                           "tangent spaces have no common \\(n-1\\)-space$")):
+        monkeypatch.setattr(pal.pseudoarcs, "_tangent",
+                            lambda arc, i, owner: forged if i == 1 else tangent(arc, i, owner))
+        with pytest.raises(AssertionError, match=message):
+            tangent_spaces(_fresh(conic_oval))
