@@ -9,11 +9,10 @@ from .fields import (FieldTower, FiniteField, field_arith, field_make, gf,
                      make_tower, prime_field)
 from .planearcs import (PlaneArc, conic, make_arc, oval_nucleus_and_complete,
                         tangent_lines, translation_oval, verify_karc)
-from .projective import (Chart, ComplementProjection, Point, ProjSpace,
-                         QuotientMap, Subspace, dual, meet, span)
+from .projective import (Chart, Point, ProjSpace, QuotientMap, Subspace, dual,
+                         meet, span)
 from .pseudoarcs import (PseudoArc, extend_to_hyperoval, make_pseudo_arc,
-                         nucleus, tangent_space, tangent_spaces,
-                         verify_pseudo_arc)
+                         nucleus, tangent_spaces, verify_pseudo_arc)
 from .reduction import ReductionMap, desarguesian_spread, reduction_map
 from .sigma import (NotRegularError, PlaneModel, RecognitionResult,
                     SigmaScaffold, build_sigma, plane_model, recognize_regular,

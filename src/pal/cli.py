@@ -144,30 +144,24 @@ def cmd_derive(args) -> int:
     if args.nucleus or (args.all and arc.kind == "pseudo-oval"):
         jobs.append(("nucleus", None))
     if args.index is not None:
-        if not 0 <= args.index < len(arc.elements):
-            print(f"error: element index {args.index} out of range", file=sys.stderr)
-            return INVALID
         jobs.append((f"{args.index}", args.index))
     if args.all:
         jobs.extend((f"{i}", i) for i in range(len(arc.elements)))
     if not jobs:
         print("error: choose --index, --all or --nucleus", file=sys.stderr)
         return INVALID
-    # every refusal above comes before the output directory is made
+    # derive every spread before writing: the derive functions raise on a
+    # refused job and on a spread that fails verification
+    spreads = [derive_spread_from_nucleus(arc) if idx is None
+               else derive_spread_from_element(arc, idx) for _, idx in jobs]
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise io.PalFileError(f"cannot write {outdir}: {err}") from None
 
-    # the derive functions verify each spread and raise if it fails, so
-    # every spread that reaches the report is ok
     entries = []
-    for name, idx in jobs:
-        if idx is None:
-            spread = derive_spread_from_nucleus(arc, args.explicit_complement)
-        else:
-            spread = derive_spread_from_element(arc, idx, args.explicit_complement)
+    for (name, _), spread in zip(jobs, spreads):
         rr = is_regular_spread(spread)
         path = outdir / f"delta_{name}.json"
         io.save(path, io.spread_to_json(spread))
@@ -381,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int)
     p.add_argument("--all", action="store_true")
     p.add_argument("--nucleus", action="store_true")
-    p.add_argument("--explicit-complement", action="store_true")
     p.add_argument("--outdir", default=".")
     p.set_defaults(fn=cmd_derive)
 

@@ -6,9 +6,9 @@ subspaces are equal iff their matrices are identical and sets of subspaces
 hash cheaply.  The empty subspace has zero rows and projective dimension -1.
 
 Duality is the orthogonal complement under the standard dot product; meets
-are computed through it.  Quotients by a subspace come in two flavours: the
-canonical chart on the non-pivot coordinates (default) and an explicit
-lexicographically-least complement for cross-checking.
+are computed through it.  The quotient by a subspace is the canonical chart
+on its non-pivot coordinates, which is the projection onto the complement
+spanned by the non-pivot unit vectors (`QuotientMap` holds the proof).
 
 One linear-algebra kernel serves every field: `rref`, `rank`,
 `reduce_mod`, `kernel`, `vec_mat` and `mat_mul` are written once over
@@ -437,7 +437,23 @@ class QuotientMap:
 
     The canonical chart reads the non-pivot coordinates after reduction by
     the center's basis, so images are canonical without choosing a
-    complementary subspace.
+    complementary subspace.  It is the projection onto one complement, and
+    the one a greedy choice would make.  Let C be the center in RREF with
+    pivot set P, and W = span{e_j : j not in P}.
+
+    W is the least complement in `_normalized_vectors` order, which lists
+    vectors by leading position from the last coordinate to the first.
+    Suppose a greedy scan has taken e_j for every non-pivot j > p before
+    lead position p, so every vector supported after p is in the span.  If
+    p is in P, C's row with pivot p puts every lead-p vector in the span.
+    If not, e_p is not in the span (the smallest pivot k < p with a nonzero
+    coefficient would leave a nonzero at k), so e_p is taken first, and it
+    covers every other lead-p vector.
+
+    The images agree: reduction modulo C is linear, kills C, and fixes W,
+    so span(C, S) ^ W is spanned by S's rows reduced modulo C, and W's
+    chart reads their non-pivot coordinates.  That is `image_vec` on each
+    row of S, in PG(d - r, q) either way.
     """
 
     def __init__(self, center: Subspace):
@@ -494,44 +510,3 @@ class Chart:
 
     def to_ambient(self, s: Subspace) -> Subspace:
         return self.ambient.subspace([self.to_ambient_vec(r) for r in s.rows])
-
-
-def lex_least_complement(center: Subspace) -> Subspace:
-    """Greedy lexicographically-least subspace complementary to center."""
-    ambient = center.ambient
-    field = ambient.field
-    need = ambient.dim + 1 - center.rank
-    rows: list[Vec] = []
-    current = list(center.rows)
-    cur_rank = center.rank
-    for v in _normalized_vectors(field, ambient.dim + 1):
-        if rank(field, current + [v]) > cur_rank:
-            rows.append(v)
-            current.append(v)
-            cur_rank += 1
-            if len(rows) == need:
-                break
-    return ambient.subspace(rows)
-
-
-class ComplementProjection:
-    """Projection from a center realized by an explicit complement section.
-
-    image(S) = chart(span(center, S) ^ W) for the complement W; used to
-    cross-check that quotient-derived structure does not depend on the
-    choice of complement.
-    """
-
-    def __init__(self, center: Subspace, complement: Subspace | None = None):
-        self.center = center
-        self.complement = complement if complement is not None else lex_least_complement(center)
-        if meet(self.center, self.complement).rank != 0:
-            raise ValueError("complement meets the center")
-        if span([self.center, self.complement]).rank != center.ambient.dim + 1:
-            raise ValueError("complement does not complete the center")
-        self.chart = Chart(self.complement)
-        self.space = self.chart.space
-
-    def image(self, s: Subspace) -> Subspace:
-        sec = meet(span([self.center, s]), self.complement)
-        return self.chart.to_internal(sec)

@@ -147,13 +147,6 @@ def make_pseudo_arc(ambient: ProjSpace, elements, witness: dict | None = None) -
     return PseudoArc(ambient, report.n, tuple(elements), kind, witness)
 
 
-def tangent_space(arc: PseudoArc, i: int) -> Subspace:
-    """The unique (2n-1)-space through element i meeting no other element."""
-    if "tangents" in arc._cache:
-        return arc._cache["tangents"][i]
-    return _tangent(arc, i, point_owners(arc.elements))
-
-
 def _tangent(arc: PseudoArc, i: int, owner: dict[int, int]) -> Subspace:
     """Tangent space at element i; `owner` maps each point code of the
     elements to its element (`point_owners`: the elements are pairwise skew)."""
@@ -237,16 +230,12 @@ def extend_to_hyperoval(arc: PseudoArc) -> PseudoArc:
     """Append the nucleus as element q^n + 1, a verified pseudo-hyperoval.
 
     The oval's own triples were verified when it was built (by
-    `make_pseudo_arc`, or by `make_arc` for a plane oval), so only the
-    C(q^n + 1, 2) triples through the nucleus are checked, by one quotient
-    pass with the nucleus as center.
+    `make_pseudo_arc`, or by `make_arc` for a plane oval).  The
+    C(q^n + 1, 2) triples through the nucleus were checked when `nucleus`
+    read the tangent spaces: `_tangents_through_nucleus` makes one quotient
+    pass with the same nucleus as center before it fills the cache.
     """
     if arc.kind != "pseudo-oval":
         raise ValueError(f"only pseudo-ovals extend; got {arc.kind} with {len(arc)} elements")
-    nuc = nucleus(arc)
-    pair = _first_failing_pair(nuc, arc.elements, arc.n)
-    if pair is not None:
-        raise AssertionError("elements {},{} and the nucleus do not span the space: "
-                             "extension is not a pseudo-hyperoval".format(*pair))
-    return PseudoArc(arc.ambient, arc.n, arc.elements + (nuc,), "pseudo-hyperoval",
+    return PseudoArc(arc.ambient, arc.n, arc.elements + (nucleus(arc),), "pseudo-hyperoval",
                      arc.witness)

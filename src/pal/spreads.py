@@ -53,9 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .projective import (Chart, ComplementProjection, ProjSpace, QuotientMap,
-                         Subspace, _normalized_vectors, _row_ops, lin_solve, mat_inv,
-                         mat_mul, meet, rank, reduce_mod, rref, span, vec_mat)
+from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _normalized_vectors,
+                         _row_ops, lin_solve, mat_inv, mat_mul, meet, rank, reduce_mod,
+                         rref, span, vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces
 
 # 'auto' regularity sweeps all triples up to this many; above it (spreads of
@@ -473,8 +473,7 @@ def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
 # -- derived spreads of a pseudo-arc -----------------------------------------
 
 
-def derive_spread_from_element(arc: PseudoArc, i: int,
-                               explicit_complement: bool = False) -> Spread:
+def derive_spread_from_element(arc: PseudoArc, i: int) -> Spread:
     """The spread of images of the other elements in the quotient by element i.
 
     For a pseudo-oval the tangent space's image fills the gap at index i, so
@@ -485,8 +484,7 @@ def derive_spread_from_element(arc: PseudoArc, i: int,
     if arc.kind not in ("pseudo-oval", "pseudo-hyperoval"):
         raise ValueError(f"derived spreads need a pseudo-oval or pseudo-hyperoval, "
                          f"got {arc.kind}")
-    center = arc.elements[i]
-    proj = ComplementProjection(center) if explicit_complement else QuotientMap(center)
+    proj = QuotientMap(arc.elements[i])
     elements = []
     for j, e in enumerate(arc.elements):
         if j == i:
@@ -498,14 +496,12 @@ def derive_spread_from_element(arc: PseudoArc, i: int,
                            f"derived spread {i}")
 
 
-def derive_spread_from_nucleus(arc: PseudoArc,
-                               explicit_complement: bool = False) -> Spread:
+def derive_spread_from_nucleus(arc: PseudoArc) -> Spread:
     """The spread of arc-element images in the quotient by the nucleus (q even)."""
     from .pseudoarcs import nucleus as arc_nucleus
     if arc.kind != "pseudo-oval":
         raise ValueError("the nucleus-derived spread is defined for pseudo-ovals")
-    center = arc_nucleus(arc)
-    proj = ComplementProjection(center) if explicit_complement else QuotientMap(center)
+    proj = QuotientMap(arc_nucleus(arc))
     elements = tuple(proj.image(e) for e in arc.elements)
     return verified_spread(Spread(proj.space, elements, origin="delta[nucleus]"),
                            "nucleus-derived spread")

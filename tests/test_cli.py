@@ -643,6 +643,8 @@ REJECTIONS = [
         "kind": "not-skew", "pair": [15, 16], "point": [0, 0, 1, 1]}}),
     (["derive", "hyper.json", "--index", "5", "--all"], 2,
      "choose --index or --all, not both"),
+    (["derive", "hyper.json", "--nucleus", "--outdir", "x.json"], 2,
+     "the nucleus-derived spread is defined for pseudo-ovals"),
     (["verify", "oval.json", "-o", "missing/a.json"], 2,
      "cannot write missing/a.json: [Errno 2] No such file or directory: 'missing/a.json'"),
     (["construct", "--q", "4", "--n", "2", "--source", "conic", "-o", "missing/x.json"], 2,
@@ -699,8 +701,8 @@ def test_derive_index_with_all_is_refused_before_writing(rejected, tmp_path, cap
 
 @pytest.mark.parametrize("index", ["99", "17", "-1"])
 def test_derive_bad_index_is_refused_before_writing(rejected, tmp_path, capsys, index):
-    """An index outside the 17 elements exits 2 with one line, before the
-    nucleus job runs and before the output directory is made."""
+    """An index outside the 17 elements exits 2 with one line.  Every job,
+    the nucleus one too, is derived before the output directory is made."""
     capsys.readouterr()
     outdir = tmp_path / "d"
     assert main(["derive", str(rejected / "oval.json"), "--nucleus", f"--index={index}",

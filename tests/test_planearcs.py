@@ -291,11 +291,13 @@ def test_verify_karc_work_count(monkeypatch):
 def test_oval_wrappers_do_not_verify_the_oval_again(monkeypatch):
     """`make_arc` verified the conic, so the tangent lines take two
     partitions of 64 images each and one pass of 65 image vectors through
-    the nucleus, and the completion adds one more such pass."""
+    the nucleus.  The completion takes those images again for its own
+    pseudo-oval, and no more: that nucleus pass checks the triples through
+    the nucleus."""
     arc = conic(64)
     calls = _count_images(monkeypatch)
     tangent_lines(arc)
     assert calls == {"image": 2 * 64, "image_vec": 2 * 64 + 65}
     calls.update(image=0, image_vec=0)
     oval_nucleus_and_complete(arc)
-    assert calls == {"image": 2 * 64, "image_vec": 2 * 64 + 2 * 65}
+    assert calls == {"image": 2 * 64, "image_vec": 2 * 64 + 65}

@@ -5,14 +5,13 @@ from itertools import combinations
 
 import pytest
 
-from pal import (ComplementProjection, ProjSpace, QuotientMap, Spread,
-                 Subspace, derive_spread_from_element, desarguesian_spread, dual,
-                 gf, meet, opposite_regulus, prime_field, regulus_through, span,
-                 verify_spread)
+from pal import (ProjSpace, QuotientMap, Spread, derive_spread_from_element,
+                 derive_spread_from_nucleus, desarguesian_spread, dual, gf, meet,
+                 nucleus, opposite_regulus, prime_field, regulus_through, span,
+                 tangent_spaces, verify_spread)
 from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
-from pal.projective import (Chart, _normalized_vectors, lex_least_complement,
-                            lin_solve, mat_inv, mat_mul, rank, reduce_mod, rref,
-                            vec_mat)
+from pal.projective import (Chart, _normalized_vectors, lin_solve, mat_inv, mat_mul,
+                            rank, reduce_mod, rref, vec_mat)
 from pal.spreads import SpreadReport
 
 F2 = gf(2)
@@ -152,25 +151,45 @@ def test_quotient_dimension_formula_randomized():
         assert img.rank == span([line, s]).rank - line.rank
 
 
-def test_complement_projection_matches_quotient_dimensions():
-    rnd = random.Random(99)
-    center = PG54.subspace([(1, 0, 0, 0, 2, 3), (0, 1, 0, 0, 1, 1)])
-    qm = QuotientMap(center)
-    cp = ComplementProjection(center)
-    w = cp.complement
-    assert meet(w, center).rank == 0
-    assert span([w, center]).rank == 6
-    for _ in range(200):
-        s = rand_subspace(PG54, rnd)
-        assert cp.image(s).rank == qm.image(s).rank
+def unit_complement_image(center, s):
+    """Oracle for QuotientMap.image: the section of span(center, s) by the
+    complement W spanned by center's non-pivot unit vectors, read in W's chart."""
+    d = center.ambient.dim + 1
+    w = center.ambient.subspace([tuple(int(k == j) for k in range(d))
+                                 for j in range(d) if j not in center.pivots])
+    return Chart(w).to_internal(meet(span([center, s]), w))
 
 
-def test_lex_least_complement_is_least():
-    center = PG54.subspace([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
-    w = lex_least_complement(center)
-    assert w.rank == 4
-    # the greedy scan picks the lexicographically smallest normalized vectors
-    assert w.rows[0][:2] == (0, 0)
+def test_quotient_chart_is_unit_complement_section():
+    rnd = random.Random(19)
+    checked = 0
+    for fld in (F2, F4, prime_field(5)):
+        for dim in range(2, 6):
+            space = ProjSpace(dim, fld)
+            for _ in range(12):
+                center = rand_subspace(space, rnd, rnd.randint(1, dim - 1))
+                if not 0 < center.rank < dim:
+                    continue
+                qm = QuotientMap(center)
+                for _ in range(5):
+                    s = rand_subspace(space, rnd)
+                    assert qm.image(s) == unit_complement_image(center, s)
+                    checked += 1
+    assert checked > 500
+
+
+def test_derived_spreads_are_unit_complement_sections(conic_oval, conic_hyperoval):
+    taus = tangent_spaces(conic_oval)
+    for arc in (conic_oval, conic_hyperoval):
+        for i, c in enumerate(arc.elements):
+            # a pseudo-oval's tangent space fills the gap at index i
+            expected = tuple(unit_complement_image(c, taus[i] if j == i else e)
+                             for j, e in enumerate(arc.elements)
+                             if j != i or arc is conic_oval)
+            assert derive_spread_from_element(arc, i).elements == expected
+    nuc = nucleus(conic_oval)
+    assert derive_spread_from_nucleus(conic_oval).elements == tuple(
+        unit_complement_image(nuc, e) for e in conic_oval.elements)
 
 
 def test_chart_roundtrip():

@@ -6,9 +6,8 @@ from math import gcd
 import pytest
 
 from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, field_make, gf,
-                 make_pseudo_arc, meet, nucleus, oval_nucleus_and_complete,
-                 prime_field, reduction_map, span, tangent_lines, tangent_space,
-                 tangent_spaces, translation_oval, verify_pseudo_arc)
+                 make_pseudo_arc, meet, nucleus, prime_field, reduction_map, span,
+                 tangent_lines, tangent_spaces, translation_oval, verify_pseudo_arc)
 from pal.projective import point_owners, rref
 from pal.pseudoarcs import PseudoArc, PseudoArcReport, _tangent
 
@@ -168,7 +167,7 @@ def test_uncovered_quotient_count(conic_oval):
 
 def test_tangents_on_hyperoval_rejected(conic_hyperoval):
     with pytest.raises(ValueError, match="pseudo-oval"):
-        tangent_space(conic_hyperoval, 0)
+        tangent_spaces(conic_hyperoval)
 
 
 def test_nucleus(conic_oval, rmap42):
@@ -204,26 +203,6 @@ def test_extension(conic_oval):
     assert hyper.elements[:17] == conic_oval.elements  # nucleus appended last
     with pytest.raises(ValueError):
         extend_to_hyperoval(hyper)
-
-
-def test_extension_rejects_wrong_nucleus(conic_oval, monkeypatch):
-    import random
-    space, elems = conic_oval.ambient, conic_oval.elements
-    # a line through a point of element 0 and a point of element 1
-    meeting = space.subspace([elems[0].rows[0], elems[1].rows[0]])
-    # a line skew to every element that is not the nucleus
-    rnd = random.Random(3)
-    while True:
-        skew = space.subspace([tuple(rnd.randrange(4) for _ in range(6)) for _ in range(2)])
-        if (skew.rank == 2 and skew != nucleus(conic_oval)
-                and all(span([skew, e]).rank == 4 for e in elems)):
-            break
-    for wrong, pair in ((meeting, "0,1"), (skew, "0,7")):
-        monkeypatch.setattr("pal.pseudoarcs.nucleus", lambda arc: wrong)
-        with pytest.raises(AssertionError,
-                           match=f"^elements {pair} and the nucleus do not span the space: "
-                                 "extension is not a pseudo-hyperoval$"):
-            extend_to_hyperoval(conic_oval)
 
 
 def test_exhaustive_maximality_q2_n2():
@@ -315,6 +294,18 @@ def test_tangents_through_nucleus_work_count(arc_q4n3, monkeypatch):
                         lambda self, s: calls.append(1) or image(self, s))
     tangent_spaces(_fresh(arc_q4n3))
     assert len(calls) == 2 * 64 + 65
+
+
+def test_extension_reuses_the_nucleus_pass(arc_q4n3, monkeypatch):
+    """Extending a fresh (4,3) oval takes only the tangent spaces' images:
+    the nucleus pass that certified them is not run again."""
+    calls = []
+    image = QuotientMap.image
+    monkeypatch.setattr(QuotientMap, "image",
+                        lambda self, s: calls.append(1) or image(self, s))
+    hyper = extend_to_hyperoval(_fresh(arc_q4n3))
+    assert len(calls) == 2 * 64 + 65
+    assert hyper.elements[-1] == nucleus(arc_q4n3)
 
 
 def test_tangents_through_nucleus_invariants(conic_oval, monkeypatch):

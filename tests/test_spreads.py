@@ -501,13 +501,6 @@ def test_nucleus_spread_equals_extension_derivation(conic_oval, conic_hyperoval)
     assert is_regular_spread(from_nucleus).regular
 
 
-def test_explicit_complement_mode_agrees(conic_hyperoval):
-    base = derive_spread_from_element(conic_hyperoval, 0)
-    alt = derive_spread_from_element(conic_hyperoval, 0, explicit_complement=True)
-    assert verify_spread(alt).ok
-    assert is_regular_spread(alt).regular == is_regular_spread(base).regular
-
-
 def test_nucleus_spread_odd_q_rejected(conic_hyperoval):
     with pytest.raises(ValueError):
         derive_spread_from_nucleus(conic_hyperoval)
