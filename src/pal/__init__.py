@@ -5,8 +5,7 @@ their spreads, test regularity through reguli and transversal lines, run
 the recognition construction, and check the associated designs.
 """
 
-from .fields import (FieldTower, FiniteField, field_arith, field_make, gf,
-                     make_tower, prime_field)
+from .fields import FieldTower, FiniteField, field_make, gf, make_tower
 from .planearcs import (PlaneArc, conic, make_arc, oval_nucleus_and_complete,
                         tangent_lines, translation_oval, verify_karc)
 from .projective import (Chart, Point, ProjSpace, QuotientMap, Subspace, dual,

@@ -57,8 +57,8 @@ def cmd_construct(args) -> int:
     if q & (q - 1):
         print(f"error: q={q} is not a power of two", file=sys.stderr)
         return INVALID
-    if q**n > args.cap and not args.force:
-        print(f"error: q^n = {q ** n} exceeds the cap {args.cap} (use --force)",
+    if q**n > DEFAULT_CAP and not args.force:
+        print(f"error: q^n = {q ** n} exceeds the cap {DEFAULT_CAP} (use --force)",
               file=sys.stderr)
         return INVALID
     source = args.source
@@ -69,7 +69,12 @@ def cmd_construct(args) -> int:
     if source == "conic":
         plane = conic(q**n)
     elif source.startswith("translation:"):
-        plane = translation_oval(q**n, int(source.split(":", 1)[1]))
+        exponent = source.split(":", 1)[1]
+        try:
+            k = int(exponent)
+        except ValueError:
+            raise ValueError(f"bad translation exponent {exponent!r}") from None
+        plane = translation_oval(q**n, k)
     else:
         print(f"error: unknown source {args.source!r}", file=sys.stderr)
         return INVALID
@@ -238,10 +243,9 @@ def cmd_check_regular(args) -> int:
         fld = spread.space.field
         try:
             tower = FieldTower(fld, field_make(fld.m * n))
-            scaffold = spread_transversals(spread, tower)
+            lines = spread_transversals(spread, tower)
             payload["transversals"] = {
-                "ok": True,
-                "lines": [io.subspace_to_json(u) for u in scaffold.transversal_lines]}
+                "ok": True, "lines": [io.subspace_to_json(u) for u in lines]}
         except (NotRegularError, ValueError) as err:
             payload["transversals"] = {
                 "ok": False, "reason": str(err),
@@ -357,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="conic | translation:K | hyperoval-from:<source>")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify", help="verify an arc or spread file")

@@ -175,9 +175,6 @@ class FiniteField:
             return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -219,9 +216,6 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.order)
 
-    def nonzero(self) -> range:
-        return range(1, self.order)
-
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -262,11 +256,6 @@ def field_make(m: int, modulus: int | None = None) -> FiniteField:
     return FiniteField(2, m, modulus)
 
 
-def prime_field(p: int) -> FiniteField:
-    """GF(p) for an odd prime p (plane-arc spot checks only)."""
-    return FiniteField(p, 1)
-
-
 @lru_cache(maxsize=None)
 def _cached_gf2(m: int, modulus: int | None) -> FiniteField:
     return FiniteField(2, m, modulus)
@@ -279,19 +268,6 @@ def gf(order: int) -> FiniteField:
     if order < 2 or order & (order - 1):
         raise ValueError(f"unsupported field order {order}")
     return _cached_gf2(order.bit_length() - 1, None)
-
-
-def field_arith(field: FiniteField, a: int, b: int, kind: str) -> int:
-    """Checked add/mul/div dispatcher over int codes."""
-    field.check(a)
-    field.check(b)
-    if kind == "add":
-        return field.add(a, b)
-    if kind == "mul":
-        return field.mul(a, b)
-    if kind == "div":
-        return field.div(a, b)
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 class FieldTower:

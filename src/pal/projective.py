@@ -303,9 +303,6 @@ class Subspace:
     def __repr__(self):
         return f"Sub(dim={self.dim} in {self.ambient})"
 
-    def __le__(self, other: Subspace) -> bool:
-        return other.contains(self)
-
     def contains(self, other: Subspace) -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient spaces differ")
@@ -499,14 +496,9 @@ class Chart:
         self.ambient = carrier.ambient
         self.space = ProjSpace(carrier.rank - 1, carrier.ambient.field)
 
-    def to_internal_vec(self, v: Vec) -> Vec:
-        return self.carrier.coefficients_of(v)
-
-    def to_ambient_vec(self, u: Vec) -> Vec:
-        return vec_mat(self.ambient.field, u, self.carrier.rows)
-
     def to_internal(self, s: Subspace) -> Subspace:
-        return self.space.subspace([self.to_internal_vec(r) for r in s.rows])
+        return self.space.subspace([self.carrier.coefficients_of(r) for r in s.rows])
 
     def to_ambient(self, s: Subspace) -> Subspace:
-        return self.ambient.subspace([self.to_ambient_vec(r) for r in s.rows])
+        return self.ambient.subspace([vec_mat(self.ambient.field, r, self.carrier.rows)
+                                      for r in s.rows])

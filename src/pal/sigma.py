@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
 from .projective import (Chart, ProjSpace, Subspace, Vec, _normalized_vectors,
-                         dual as dual_subspace, kernel, mat_mul, meet, normalize_point,
+                         dual, kernel, mat_mul, meet, normalize_point,
                          plane_line_codes, point_owners, rank, span, vec_mat)
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, _orbit_sums, extend_subspace, frobenius_subspace,
@@ -53,15 +53,15 @@ class SigmaScaffold:
 
     tower: FieldTower
     top_space: ProjSpace
-    transversal_lines: tuple[Subspace, ...]            # U_l
-    contact_points: tuple[Vec, ...] | None = None      # u_l
-    regulus_transversals: tuple[Subspace, ...] | None = None  # T_l
-    planes: tuple[Subspace, ...] | None = None         # theta_l
-    plane_coords: dict | None = None                   # element -> theta_1 coords
+    transversal_lines: tuple[Subspace, ...]    # U_l
+    contact_points: tuple[Vec, ...]            # u_l
+    regulus_transversals: tuple[Subspace, ...]  # T_l
+    planes: tuple[Subspace, ...]               # theta_l
+    plane_coords: dict                         # element -> theta_1 coords
 
 
-def spread_transversals(spread: Spread, tower: FieldTower) -> SigmaScaffold:
-    """The n conjugate lines over GF(q^n) meeting every extended element.
+def spread_transversals(spread: Spread, tower: FieldTower) -> tuple[Subspace, ...]:
+    """The n conjugate lines U_l over GF(q^n) meeting every extended element.
 
     Requires a verified regular spread of PG(2n-1, q) (n >= 2) and fails
     with a witness otherwise (see `_eigen_lines`): for q > 2 the
@@ -81,7 +81,7 @@ def spread_transversals(spread: Spread, tower: FieldTower) -> SigmaScaffold:
         for u in u_lines:
             if meet(ext, u).rank != 1:
                 raise AssertionError("extended element misses a transversal line")
-    return SigmaScaffold(tower, top_space, tuple(u_lines))
+    return tuple(u_lines)
 
 
 def _eigen_lines(spread: Spread, tower: FieldTower, label: str):
@@ -172,7 +172,7 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     alpha = meet(beta_i, beta_j)
     chart_j = Chart(beta_j)
     alpha_j = chart_j.to_internal(alpha)
-    alpha_i = gamma_i.chart().to_internal(alpha)
+    alpha_i = Chart(beta_i).to_internal(alpha)
     if alpha_j not in gamma.element_set():
         raise ValueError("beta_i ^ beta_j is not an element of gamma")
     if alpha_i not in gamma_i.element_set():
@@ -294,8 +294,7 @@ def plane_model(sigma: Spread, scaffold: SigmaScaffold) -> PlaneModel:
     expected_pts = order**2 + order + 1
     if len(elems) != expected_pts:
         raise ValueError(f"{len(elems)} elements cannot model a plane of order {order}")
-    known = scaffold.plane_coords or {}
-    coords = [known.get(e) for e in elems]
+    coords = [scaffold.plane_coords.get(e) for e in elems]
     if None in coords:
         raise ValueError(f"element {coords.index(None)} of sigma has no plane coordinates")
     plane = ProjSpace(2, scaffold.tower.top)
@@ -453,7 +452,7 @@ def _recover(arc, ext, inside, scaffold, tower):
                 rows.extend(conj.rows)
             w_all = scaffold.top_space.subspace(rows)
             rational = rationalize_subspace(w_all, tower, arc.ambient)
-            if dual_subspace(rational) != ext.elements[idx]:
+            if dual(rational) != ext.elements[idx]:
                 raise AssertionError("theta-frame witness failed to reproduce "
                                      f"element {idx}")
         ident = {"convention": "theta-frame-v1",

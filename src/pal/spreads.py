@@ -23,7 +23,7 @@ triple only when no earlier regulus contains all three elements: exactly
 one regulus passes through three pairwise-skew (n-1)-spaces spanning a
 (2n-1)-space, so such a covered triple has the earlier regulus.  A full
 sweep of a regular spread of PG(3, q) therefore builds each of its
-q^2(q^2+1) reguli once instead of C(q+1, 3) times.  Covered triples still
+q(q^2+1) reguli once instead of C(q+1, 3) times.  Covered triples still
 count as checked, and a sweep that stops at the first regulus leaving the
 spread stops at the same triple as a plain sweep, since a covered triple
 has a regulus that was already found inside the spread; counts and
@@ -54,9 +54,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _normalized_vectors,
-                         _row_ops, lin_solve, mat_inv, mat_mul, meet, rank, reduce_mod,
-                         rref, span, vec_mat)
-from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces
+                         _pivots_of, _row_ops, dual, kernel, lin_solve, mat_inv, mat_mul,
+                         meet, rank, reduce_mod, rref, span, vec_mat)
+from .pseudoarcs import PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces
 
 # 'auto' regularity sweeps all triples up to this many; above it (spreads of
 # --force instances past q^n = 64) only the triples through element 0
@@ -86,15 +86,10 @@ class Spread:
     def element_set(self) -> frozenset[Subspace]:
         return frozenset(self.elements)
 
-    def chart(self) -> Chart:
-        if self.carrier is None:
-            raise ValueError("spread has no carrier subspace")
-        return Chart(self.carrier)
-
     def ambient_elements(self) -> list[Subspace]:
         if self.carrier is None:
             return list(self.elements)
-        chart = self.chart()
+        chart = Chart(self.carrier)
         return [chart.to_ambient(e) for e in self.elements]
 
 
@@ -152,6 +147,8 @@ def verify_spread(spread: Spread) -> SpreadReport:
     elems = spread.elements
     space = spread.space
     q = space.field.order
+    if not elems:
+        return SpreadReport(False, 0, -1, {"kind": "wrong-count"}, "no elements")
     ranks = {e.rank for e in elems}
     if len(ranks) != 1:
         return SpreadReport(False, len(elems), -1, {"kind": "mixed-dimensions"},
@@ -473,6 +470,13 @@ def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
 # -- derived spreads of a pseudo-arc -----------------------------------------
 
 
+def _quotient_spread(center: Subspace, subspaces, origin: str, label: str) -> Spread:
+    """The images of `subspaces` in the quotient by `center`, verified as a spread."""
+    proj = QuotientMap(center)
+    return verified_spread(Spread(proj.space, tuple(map(proj.image, subspaces)),
+                                  origin=origin), label)
+
+
 def derive_spread_from_element(arc: PseudoArc, i: int) -> Spread:
     """The spread of images of the other elements in the quotient by element i.
 
@@ -484,27 +488,20 @@ def derive_spread_from_element(arc: PseudoArc, i: int) -> Spread:
     if arc.kind not in ("pseudo-oval", "pseudo-hyperoval"):
         raise ValueError(f"derived spreads need a pseudo-oval or pseudo-hyperoval, "
                          f"got {arc.kind}")
-    proj = QuotientMap(arc.elements[i])
-    elements = []
-    for j, e in enumerate(arc.elements):
-        if j == i:
-            if arc.kind == "pseudo-oval":
-                elements.append(proj.image(tangent_spaces(arc)[i]))
-            continue
-        elements.append(proj.image(e))
-    return verified_spread(Spread(proj.space, tuple(elements), origin=f"delta[{i}]"),
-                           f"derived spread {i}")
+    others = list(arc.elements)
+    if arc.kind == "pseudo-oval":
+        others[i] = tangent_spaces(arc)[i]
+    else:
+        del others[i]
+    return _quotient_spread(arc.elements[i], others, f"delta[{i}]", f"derived spread {i}")
 
 
 def derive_spread_from_nucleus(arc: PseudoArc) -> Spread:
     """The spread of arc-element images in the quotient by the nucleus (q even)."""
-    from .pseudoarcs import nucleus as arc_nucleus
     if arc.kind != "pseudo-oval":
         raise ValueError("the nucleus-derived spread is defined for pseudo-ovals")
-    proj = QuotientMap(arc_nucleus(arc))
-    elements = tuple(proj.image(e) for e in arc.elements)
-    return verified_spread(Spread(proj.space, elements, origin="delta[nucleus]"),
-                           "nucleus-derived spread")
+    return _quotient_spread(nucleus(arc), arc.elements, "delta[nucleus]",
+                            "nucleus-derived spread")
 
 
 def derive_tangent_spread_odd(arc: PseudoArc, i: int) -> Spread:
@@ -542,27 +539,32 @@ class DualArc:
 
 
 def dual_arc(arc: PseudoArc) -> DualArc:
-    """Dualize; pseudo-ovals are first completed by their nucleus (q even)."""
-    from .projective import dual as dual_sub
+    """Dualize; pseudo-ovals are first completed by their nucleus (q even).
+
+    Gamma_i is read in beta_i's own frame: with B_i the RREF basis of
+    beta_i = dual(e_i), x.B_i lies in beta_j = dual(e_j) iff (E_j.B_i^T).x^T
+    = 0, so element j of Gamma_i, the canonical rows of beta_i ^ beta_j in
+    beta_i's chart, is the kernel of the n x 2n matrix E_j.B_i^T.
+    """
     if arc.kind == "pseudo-oval":
         if arc.q % 2:
             raise ValueError("q odd: the dual-arc spreads need the nucleus completion")
         arc = extend_to_hyperoval(arc)
     elif arc.kind != "pseudo-hyperoval":
         raise ValueError(f"cannot dualize a {arc.kind}")
-    betas = tuple(dual_sub(e) for e in arc.elements)
+    fld = arc.ambient.field
+    betas = tuple(dual(e) for e in arc.elements)
     gammas = []
-    k = len(betas)
-    alphas = [[None] * k for _ in range(k)]
-    for i, j in combinations(range(k), 2):
-        # beta_i ^ beta_j = dual(span(dual beta_i, dual beta_j)), and
-        # dual(beta_i) is element i itself: one kernel instead of three
-        alphas[i][j] = alphas[j][i] = dual_sub(span([arc.elements[i], arc.elements[j]]))
-    for i in range(k):
-        chart = Chart(betas[i])
-        elements = tuple(chart.to_internal(alphas[i][j]) for j in range(k) if j != i)
+    for i, beta in enumerate(betas):
+        space = ProjSpace(beta.rank - 1, fld)
+        columns = list(zip(*beta.rows))
+        elements = []
+        for j, e in enumerate(arc.elements):
+            if j != i:
+                ker = kernel(fld, mat_mul(fld, e.rows, columns), beta.rank)
+                elements.append(Subspace(space, ker, _pivots_of(ker)))
         gammas.append(verified_spread(
-            Spread(chart.space, elements, carrier=betas[i], origin=f"gamma[{i}]"),
+            Spread(space, tuple(elements), carrier=beta, origin=f"gamma[{i}]"),
             f"Gamma_{i}"))
     return DualArc(arc, betas, tuple(gammas))
 

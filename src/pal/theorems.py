@@ -20,7 +20,7 @@ from operator import lt
 from .pseudoarcs import PseudoArc
 from .sigma import NotRegularError, recognize_regular
 from .spreads import (DualArc, Spread, _closure_witness, derive_spread_from_element,
-                      distinct_reguli, is_regular_spread)
+                      distinct_reguli, is_regular_spread, verify_spread)
 
 THEOREMS = ("6.1", "6.2", "6.3", "7.1")
 
@@ -85,10 +85,6 @@ def check_theorem(arc: PseudoArc, params: TheoremParams) -> TheoremReport:
                                 hyp["n_prime"]))
     k = len(arc.elements)
     given = _given_indices(params, q, n, k)
-    if params.theorem == "6.3" and len(given) < q**n - 1:
-        raise ValueError(f"theorem 6.3 needs rho >= q^n - 1 = {q ** n - 1}")
-    if params.theorem == "7.1" and len(given) < q**n + 1 - params.delta0:
-        raise ValueError("theorem 7.1 needs at least q^n + 1 - delta0 given spreads")
 
     def check_one(i: int) -> dict:
         # derive_spread_from_element raises unless the spread verifies
@@ -102,11 +98,11 @@ def check_theorem(arc: PseudoArc, params: TheoremParams) -> TheoremReport:
 
     believed_regular = arc.witness is not None
     recognition = None
-    rec_given = tuple(sorted(given)) if params.theorem in ("6.3", "7.1") else None
+    rec_given = sorted(given) if params.theorem in ("6.3", "7.1") else None
     converse = "not-applicable"
     if all(regular_flags[i] for i in given):
         try:
-            res = recognize_regular(arc, given=list(rec_given) if rec_given else None)
+            res = recognize_regular(arc, given=rec_given)
             recognition = {"regular": res.regular, "choice": res.choice,
                            "identification": res.identification,
                            "line_counts": list(res.line_counts or ())}
@@ -133,26 +129,33 @@ def check_theorem(arc: PseudoArc, params: TheoremParams) -> TheoremReport:
 
 
 def _given_indices(params: TheoremParams, q: int, n: int, k: int) -> set[int]:
+    """The given indices after every check that needs the arc, in order: index
+    range, delta0 bounds (7.1), rho bounds (6.3), count of given spreads."""
     if params.theorem in ("6.1", "6.2"):
         return set(range(k))
     if params.given is not None:
         bad = [i for i in params.given if not 0 <= i < k]
         if bad:
             raise ValueError(f"given indices out of range: {bad}")
-        return set(params.given)
-    if params.theorem == "6.3":
+    if params.theorem == "7.1":
+        if params.delta0 > q - 2:
+            raise ValueError(f"theorem 7.1 needs delta0 <= q - 2 = {q - 2}")
+        if params.delta0 < 0:
+            raise ValueError("theorem 7.1 needs delta0 >= 0")
+        least = rho = q**n + 1 - params.delta0
+        bound = "q^n + 1 - delta0"
+    else:
+        # rho is None with given indices, and k passes both bounds
+        least, bound = q**n - 1, f"q^n - 1 = {q ** n - 1}"
         rho = params.rho if params.rho is not None else k
-        if rho < q**n - 1:
-            raise ValueError(f"theorem 6.3 needs rho >= q^n - 1 = {q ** n - 1}")
+        if rho < least:
+            raise ValueError(f"theorem 6.3 needs rho >= {bound}")
         if rho > k:
             raise ValueError(f"theorem 6.3 needs rho <= k = {k}")
-        return set(range(k - rho, k))
-    if params.delta0 > q - 2:
-        raise ValueError(f"theorem 7.1 needs delta0 <= q - 2 = {q - 2}")
-    if params.delta0 < 0:
-        raise ValueError("theorem 7.1 needs delta0 >= 0")
-    rho = q**n + 1 - params.delta0
-    return set(range(k - rho, k))
+    given = set(range(k - rho, k) if params.given is None else params.given)
+    if len(given) < least:
+        raise ValueError(f"theorem {params.theorem} needs at least {bound} given spreads")
+    return given
 
 
 # -- incidence-structure checking --------------------------------------------
@@ -297,8 +300,11 @@ def spread_reguli_design(spread: Spread, exceptions=()) -> DesignSpec:
     """Blocks = the distinct reguli of a regular spread, as index sets.
 
     For a regular spread this is a 3-(q^n+1, q+1, 1) candidate: the circle
-    structure behind the improvement hypothesis.
+    structure behind the improvement hypothesis.  A non-spread raises ValueError.
     """
+    report = verify_spread(spread)
+    if not report.ok:
+        raise ValueError(f"not a spread: {report.reason}")
     k = len(spread.elements)
     # members are sorted index lists, so their tuples are blocks as they stand
     blocks = sorted(tuple(members) for _, members in

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import pal.cli
-from pal import Spread, check_design, io, plane_model, recognize_regular, reduction_map
+from pal import Spread, check_design, conic, io, plane_model, recognize_regular, reduction_map
 from pal.cli import main
 
 
@@ -118,7 +118,6 @@ def written(tmp_path_factory):
                  "-o", str(d / "oval.json")]) == 0
     assert main(["derive", str(d / "oval.json"), "--index", "0", "--outdir", str(d)]) == 0
     assert main(["dualize", str(d / "oval.json"), "-o", str(d / "dual.json")]) == 0
-    from pal import conic
     io.save(d / "plane.json", io.plane_arc_to_json(conic(4)))
     return d
 
@@ -448,7 +447,6 @@ def test_golden_construction_bytes():
     """Canonical forms and the fixed conventions pin the serialized output of
     a construction down to the byte; drift here means a convention changed."""
     import hashlib
-    from pal import conic
     rm = reduction_map(2, 2)
     arc = rm.reduce_arc(conic(4))
     assert [e.rows for e in arc.elements] == [
@@ -474,8 +472,8 @@ def test_noncanonical_subspace_rows_rejected(tmp_path, arc_file):
 
 
 def test_field_serialization_roundtrip():
-    from pal import field_make, prime_field
-    for fld in (field_make(2), field_make(4), field_make(6), prime_field(5)):
+    from pal import field_make, gf
+    for fld in (field_make(2), field_make(4), field_make(6), gf(5)):
         assert io.field_from_json(io.field_to_json(fld)) == fld
 
 
@@ -575,8 +573,9 @@ def test_unrecognized_arc_fails_theorem_and_plane_model(unrecognizable, arc_file
 @pytest.fixture(scope="module")
 def rejected(tmp_path_factory):
     """The (4,2) oval and hyperoval, delta_0 of the hyperoval, and corrupted
-    copies: a repeated element, a wrong arc_kind, n = 0 and a spread with two
-    meeting elements."""
+    copies: a repeated element, a wrong arc_kind, n = 0, a spread with two
+    meeting elements, delta_0 cut to no elements and to its first 3, and the
+    conic of PG(2, 4) with its last point moved onto the line of the first two."""
     d = tmp_path_factory.mktemp("rejected")
     assert main(["construct", "--q", "4", "--n", "2", "--source", "conic",
                  "-o", str(d / "oval.json")]) == 0
@@ -593,6 +592,12 @@ def rejected(tmp_path_factory):
     io.save(d / "meeting.json", io.spread_to_json(Spread(
         spread.space, spread.elements[:-1] + (meeting,), carrier=spread.carrier,
         origin=spread.origin)))
+    plane = io.plane_arc_to_json(conic(4))
+    plane["points"][4] = [a ^ b for a, b in zip(*plane["points"][:2])]
+    io.save(d / "collinear.json", plane)
+    for name, cut in (("empty", 0), ("three", 3)):
+        io.save(d / f"{name}.json", io.spread_to_json(Spread(
+            spread.space, spread.elements[:cut], origin=spread.origin)))
     return d
 
 
@@ -610,9 +615,13 @@ REJECTIONS = [
     (["derive", "oval.json"], 2, "choose --index, --all or --nucleus"),
     (["regulus", "delta_0.json", "--elements", "a,b,c"], 2, "bad element indices 'a,b,c'"),
     (["theorem", "--id", "6.3", "--given", "0,1", "hyper.json"], 2,
-     "theorem 6.3 needs rho >= q^n - 1 = 15"),
+     "theorem 6.3 needs at least q^n - 1 = 15 given spreads"),
     (["theorem", "--id", "7.1", "--given", "0,1", "hyper.json"], 2,
      "theorem 7.1 needs at least q^n + 1 - delta0 given spreads"),
+    (["theorem", "--id", "7.1", "--delta0", "99", "--given",
+      ",".join(map(str, range(18))), "hyper.json"], 2, "theorem 7.1 needs delta0 <= q - 2 = 2"),
+    (["theorem", "--id", "7.1", "--delta0", "-5", "--given", "0,1,2", "hyper.json"], 2,
+     "theorem 7.1 needs delta0 >= 0"),
     (["theorem", "--id", "6.3", "--given", "0,99", "hyper.json"], 2,
      "given indices out of range: [99]"),
     (["theorem", "--id", "6.3", "--given", "1,x", "hyper.json"], 2,
@@ -639,6 +648,15 @@ REJECTIONS = [
      "bad --exceptions indices '-1'"),
     (["design", "--spread-reguli", "delta_0.json", "--exceptions", "99", "--tabulate"], 2,
      "bad --exceptions indices '99'"),
+    (["design", "--spread-reguli", "empty.json"], 2, "not a spread: no elements"),
+    (["design", "--spread-reguli", "three.json"], 2, "not a spread: 3 elements, expected 17"),
+    (["construct", "--q", "4", "--n", "2", "--source", "translation:abc", "-o", "x.json"], 2,
+     "bad translation exponent 'abc'"),
+    (["construct", "--q", "4", "--n", "2", "--source", "hyperoval-from:translation:", "-o",
+      "x.json"], 2, "bad translation exponent ''"),
+    (["verify", "collinear.json"], 1, {"ok": False, "reason": "points 0,1,4 are collinear",
+                                        "witness": {"kind": "collinear-triple",
+                                                    "indices": [0, 1, 4]}}),
     (["check-regular", "meeting.json"], 1, {"ok": False, "spread_ok": False, "witness": {
         "kind": "not-skew", "pair": [15, 16], "point": [0, 0, 1, 1]}}),
     (["derive", "hyper.json", "--index", "5", "--all"], 2,

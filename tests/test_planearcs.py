@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from pal import (ProjSpace, conic, field_make, gf, make_arc, meet, oval_nucleus_and_complete,
-                 prime_field, span, tangent_lines, translation_oval, verify_karc)
+                 span, tangent_lines, translation_oval, verify_karc)
 from pal.planearcs import ArcReport, lines_through_point
 from pal.projective import QuotientMap
 
@@ -48,8 +48,8 @@ def test_size_bound_violation():
 
 
 def test_odd_q_bound():
-    space = ProjSpace(2, prime_field(5))
-    rep = verify_karc(space, [p.coords for p in conic(prime_field(5)).points])
+    space = ProjSpace(2, gf(5))
+    rep = verify_karc(space, [p.coords for p in conic(gf(5)).points])
     assert rep.ok and rep.max_k == 6  # q+1 for odd q
 
 
@@ -71,16 +71,16 @@ def test_translation_ovals():
     with pytest.raises(ValueError, match="gcd"):
         translation_oval(16, 2)
     with pytest.raises(ValueError):
-        translation_oval(prime_field(5), 1)
+        translation_oval(gf(5), 1)
 
 
 def test_odd_order_has_no_completion():
     with pytest.raises(ValueError, match="odd"):
-        oval_nucleus_and_complete(conic(prime_field(5)))
+        oval_nucleus_and_complete(conic(gf(5)))
 
 
 def test_odd_order_tangents_do_not_concur():
-    arc = conic(prime_field(5))
+    arc = conic(gf(5))
     taus = tangent_lines(arc)
     common = taus[0]
     for t in taus[1:]:
@@ -246,7 +246,7 @@ def test_tangent_lines_match_pencil_scan_even(q):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_tangent_lines_match_pencil_scan_odd(p):
-    arc = conic(prime_field(p))
+    arc = conic(gf(p))
     assert tangent_lines(arc) == tangents_by_pencil_scan(arc)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from pal import (ProjSpace, QuotientMap, Spread, derive_spread_from_element,
                  derive_spread_from_nucleus, desarguesian_spread, dual, gf, meet,
-                 nucleus, opposite_regulus, prime_field, regulus_through, span,
+                 nucleus, opposite_regulus, regulus_through, span,
                  tangent_spaces, verify_spread)
 from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
 from pal.projective import (Chart, _normalized_vectors, lin_solve, mat_inv, mat_mul,
@@ -163,7 +163,7 @@ def unit_complement_image(center, s):
 def test_quotient_chart_is_unit_complement_section():
     rnd = random.Random(19)
     checked = 0
-    for fld in (F2, F4, prime_field(5)):
+    for fld in (F2, F4, gf(5)):
         for dim in range(2, 6):
             space = ProjSpace(dim, fld)
             for _ in range(12):
@@ -247,7 +247,7 @@ def _reference_rref(field, rows):
 
 KERNEL_FIELDS = ([FiniteField(2, m) for m in sorted(DEFAULT_MODULUS)
                   if m <= TABLE_MAX_DEGREE]
-                 + [FiniteField(2, 9), FiniteField(2, 12), prime_field(5)])
+                 + [FiniteField(2, 9), FiniteField(2, 12), gf(5)])
 
 
 def _random_matrices(field, rnd, count=60):

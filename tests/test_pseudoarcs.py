@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, field_make, gf,
-                 make_pseudo_arc, meet, nucleus, prime_field, reduction_map, span,
+                 make_pseudo_arc, meet, nucleus, reduction_map, span,
                  tangent_lines, tangent_spaces, translation_oval, verify_pseudo_arc)
 from pal.projective import point_owners, rref
 from pal.pseudoarcs import PseudoArc, PseudoArcReport, _tangent
@@ -61,7 +61,7 @@ def _near_miss(elements, p, b, a=0):
 
 
 def _odd_q_arc():
-    arc5 = conic(prime_field(5))
+    arc5 = conic(gf(5))
     return arc5.ambient, [span([p]) for p in arc5.points]
 
 

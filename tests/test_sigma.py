@@ -26,7 +26,7 @@ def pg34_spread():
 
 
 @pytest.fixture(scope="module")
-def scaffold_q4(pg34_spread, tower42):
+def lines_q4(pg34_spread, tower42):
     return spread_transversals(pg34_spread, tower42)
 
 
@@ -60,7 +60,7 @@ def enumerate_lines_rref(space):
     return out
 
 
-def test_transversal_lines_exhaustive_oracle(pg34_spread, tower42, scaffold_q4):
+def test_transversal_lines_exhaustive_oracle(pg34_spread, tower42, lines_q4):
     """Brute force over all 70161 lines of PG(3,16): exactly the two conjugate
     transversal lines meet every extended spread element."""
     top_space = ProjSpace(3, tower42.top)
@@ -78,32 +78,31 @@ def test_transversal_lines_exhaustive_oracle(pg34_spread, tower42, scaffold_q4):
                 break
         if ok:
             hits.append(line)
-    assert set(hits) == set(scaffold_q4.transversal_lines)
+    assert set(hits) == set(lines_q4)
     assert len(hits) == 2
 
 
-def test_transversals_are_conjugate(scaffold_q4, tower42):
-    u1, u2 = scaffold_q4.transversal_lines
+def test_transversals_are_conjugate(lines_q4, tower42):
+    u1, u2 = lines_q4
     assert frobenius_subspace(u1, tower42) == u2
     assert frobenius_subspace(u2, tower42) == u1
 
 
-def test_transversals_meet_every_element_once(pg34_spread, tower42, scaffold_q4):
-    top_space = scaffold_q4.top_space
+def test_transversals_meet_every_element_once(pg34_spread, tower42, lines_q4):
+    top_space = lines_q4[0].ambient
     for e in pg34_spread.elements:
         ext = extend_subspace(e, tower42, top_space)
-        for u in scaffold_q4.transversal_lines:
+        for u in lines_q4:
             assert meet(ext, u).rank == 1
 
 
 def test_transversals_n3():
     spread = desarguesian_spread(2, 3)
     tower = make_tower(1, 3)
-    sc = spread_transversals(spread, tower)
-    assert len(sc.transversal_lines) == 3
+    lines = spread_transversals(spread, tower)
+    assert len(lines) == 3
     for l in range(3):
-        assert frobenius_subspace(sc.transversal_lines[l], tower) == \
-            sc.transversal_lines[(l + 1) % 3]
+        assert frobenius_subspace(lines[l], tower) == lines[(l + 1) % 3]
 
 
 def test_transversals_reject_irregular(pg34_spread, tower42):
@@ -360,9 +359,9 @@ def test_plane_model_axioms(sigma_setup):
     assert pair_count == 273 * 272 // 2
 
 
-def test_plane_model_rejects_wrong_count(pg34_spread, scaffold_q4):
+def test_plane_model_rejects_wrong_count(pg34_spread, sigma_setup):
     with pytest.raises(ValueError, match="^17 elements cannot model a plane of order 16$"):
-        plane_model(pg34_spread, scaffold_q4)
+        plane_model(pg34_spread, sigma_setup[3])
 
 
 def pair_span_plane_model(sigma):
@@ -453,17 +452,16 @@ def test_spread_transversals_run_spread_field_once(q, n, monkeypatch):
     assert calls == [spread]
 
 
-def test_plane_model_rejects_foreign_coordinates(sigma_setup, scaffold_q4):
+def test_plane_model_rejects_foreign_coordinates(sigma_setup):
     """Coordinates that do not name every element of sigma by a distinct
-    point of PG(2, 16): one point repeated, or none at all (the scaffold of
-    a spread's transversals)."""
+    point of PG(2, 16): one point repeated, or none at all."""
     _, _, sigma, scaffold = sigma_setup
     coords = {**scaffold.plane_coords, sigma.elements[7]: scaffold.plane_coords[sigma.elements[3]]}
     with pytest.raises(ValueError, match="^sigma's plane coordinates are not the 273 points "
                                          r"of PG\(2, 16\)$"):
         plane_model(sigma, replace(scaffold, plane_coords=coords))
     with pytest.raises(ValueError, match="^element 0 of sigma has no plane coordinates$"):
-        plane_model(sigma, scaffold_q4)
+        plane_model(sigma, replace(scaffold, plane_coords={}))
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from pal import (Chart, NotRegularError, ProjSpace, Spread, conic, count_reguli_
                  derive_spread_from_element, derive_spread_from_nucleus,
                  derive_tangent_spread_odd, desarguesian_spread, dual_arc, gf,
                  is_regular_spread, make_pseudo_arc, meet, opposite_regulus,
-                 prime_field, reduction_map, regulus_through, span,
+                 reduction_map, regulus_through, span,
                  spread_reguli_design, tangent_spaces, transversal_lines,
                  verify_spread)
 from pal.projective import Subspace, mat_inv, rank
@@ -92,10 +92,22 @@ def test_verify_spread_lists_each_elements_points_once(q, n, monkeypatch):
 
 
 def test_degenerate_spreads_are_rejected_not_raised(pg34_spread):
+    """verify_spread reports degenerate inputs; spread_reguli_design verifies
+    its input first and raises with the report's reason."""
     space = pg34_spread.space
     rep = verify_spread(Spread(space, (space.empty(),) * 17))
     assert not rep.ok and rep.witness["kind"] == "dimension-mismatch"
-    assert spread_reguli_design(Spread(space, ())).blocks == ()
+    rep = verify_spread(Spread(space, ()))
+    assert (rep.ok, rep.count, rep.witness, rep.reason) == (
+        False, 0, {"kind": "wrong-count"}, "no elements")
+    with pytest.raises(ValueError, match="^not a spread: no elements$"):
+        spread_reguli_design(Spread(space, ()))
+    with pytest.raises(ValueError, match="^not a spread: 3 elements, expected 17$"):
+        spread_reguli_design(Spread(space, pg34_spread.elements[:3]))
+    point = space.subspace([pg34_spread.elements[0].rows[0]])
+    rep = verify_spread(Spread(space, pg34_spread.elements[1:] + (point,)))
+    assert (rep.ok, rep.count, rep.expected, rep.witness, rep.reason) == (
+        False, 17, -1, {"kind": "mixed-dimensions"}, "elements have mixed dimensions")
 
 # -- regulus_through -----------------------------------------------------------
 
@@ -225,7 +237,7 @@ def test_regulus_matches_scaled_map_construction(q, n):
     """Elements a_k + lambda.G_k, G = F.C, are the graphs of the scaled maps."""
     rng = random.Random(1000 * q + n)
     if q % 2:
-        space, triples = ProjSpace(2 * n - 1, prime_field(q)), []
+        space, triples = ProjSpace(2 * n - 1, gf(q)), []
     else:
         spread = desarguesian_spread(q, n)
         space = spread.space
@@ -241,7 +253,7 @@ def test_regulus_of_dual_arc_alphas_matches_scaled_maps(conic_dual):
     k = len(conic_dual.betas)
     for _ in range(12):
         i = rng.randrange(k)
-        chart = conic_dual.gammas[i].chart()
+        chart = Chart(conic_dual.gammas[i].carrier)
         gens = [chart.to_ambient(conic_dual.alpha_internal(i, j))
                 for j in rng.sample([j for j in range(k) if j != i], 3)]
         reg = regulus_through(*gens)
@@ -507,7 +519,7 @@ def test_nucleus_spread_odd_q_rejected(conic_hyperoval):
 
 
 def test_tangent_spread_odd_n1():
-    arc5 = conic(prime_field(5))
+    arc5 = conic(gf(5))
     pa = make_pseudo_arc(arc5.ambient, [span([p]) for p in arc5.points])
     spread = derive_tangent_spread_odd(pa, 2)
     assert len(spread.elements) == 6
@@ -549,8 +561,8 @@ def test_dual_gamma_regularity_matches_delta(conic_hyperoval, conic_dual):
 
 @pytest.mark.parametrize("arc_name", ["conic_hyperoval", "small_arc"])
 def test_dual_arc_alphas_match_meet(arc_name, request):
-    """Every Gamma_i element, built from dual(span(e_i, e_j)), is the meet of
-    beta_i and beta_j read in beta_i's chart, at (4, 2) and (2, 3)."""
+    """Every Gamma_i element, built as one kernel in beta_i's frame, is the
+    meet of beta_i and beta_j read in beta_i's chart, at (4, 2) and (2, 3)."""
     da = dual_arc(request.getfixturevalue(arc_name))
     k = len(da.betas)
     for i in range(k):
@@ -568,7 +580,7 @@ def test_dual_arc_of_oval_appends_nucleus(conic_oval):
 
 
 def test_dual_arc_odd_q_rejected():
-    arc5 = conic(prime_field(5))
+    arc5 = conic(gf(5))
     pa = make_pseudo_arc(arc5.ambient, [span([p]) for p in arc5.points])
     with pytest.raises(ValueError):
         dual_arc(pa)

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from pal import (DesignSpec, TheoremParams, check_design, check_theorem,
-                 desarguesian_spread, dual_arc, extend_to_hyperoval, gf,
-                 lines_design, regulus_blocks, spread_reguli_design)
+from pal import (DesignSpec, NotRegularError, RecognitionResult, TheoremParams,
+                 check_design, check_theorem, desarguesian_spread, dual_arc,
+                 extend_to_hyperoval, gf, lines_design, make_pseudo_arc, regulus_blocks,
+                 spread_reguli_design)
 from pal import theorems
 from pal.cli import _pg2_lines_design
 
@@ -49,6 +50,34 @@ def test_theorem_71(conic_hyperoval):
     assert rep.verdict == "consistent"
     with pytest.raises(ValueError, match="delta0"):
         check_theorem(conic_hyperoval, TheoremParams("7.1", delta0=3))  # q-2 = 2
+
+
+def test_converse_fails_when_recognition_raises(conic_hyperoval, monkeypatch):
+    """A NotRegularError from recognition is a failed converse; its message
+    and witness go into the report."""
+    witness = {"kind": "regulus-closure", "spread": "gamma[0]", "triple": [1, 2, 3]}
+
+    def refuse(arc, given=None):
+        raise NotRegularError("Gamma_0 is not regular", witness)
+    monkeypatch.setattr(theorems, "recognize_regular", refuse)
+    rep = check_theorem(conic_hyperoval, TheoremParams("6.1"))
+    assert rep.recognition == {"regular": False, "error": "Gamma_0 is not regular",
+                               "witness": witness}
+    assert (rep.forward, rep.converse, rep.verdict) == ("pass", "fail", "inconsistent")
+    assert rep.exit_code() == 3
+
+
+def test_forward_not_applicable_without_witness(conic_hyperoval, monkeypatch):
+    """An arc with no construction witness that recognition does not accept
+    is not believed regular, so the forward direction does not apply."""
+    arc = make_pseudo_arc(conic_hyperoval.ambient, conic_hyperoval.elements)
+    assert arc.witness is None
+    failed = RecognitionResult(False, None, None, None, None, {}, None)
+    monkeypatch.setattr(theorems, "recognize_regular", lambda arc, given=None: failed)
+    rep = check_theorem(arc, TheoremParams("6.1"))
+    assert all(e["regular"] for e in rep.spreads)
+    assert (rep.forward, rep.converse, rep.verdict) == ("not-applicable", "fail", "inconsistent")
+    assert rep.exit_code() == 3
 
 
 def test_theorem_kind_gate(conic_oval, conic_hyperoval):
@@ -97,6 +126,18 @@ def test_deleted_block_yields_uncovered_pair():
     assert rep.witness["kind"] == "cover"
     assert rep.witness["count"] == 0
     assert set(rep.witness["subset"]) <= set(spec.blocks[0])
+
+
+def test_point_count_and_exception_set_violations():
+    spec = _pg2_lines_design(2)
+    cases = [(spec.points[:-1], frozenset(), "point-count", "6 points, expected v=7"),
+             (spec.points[:-1] + (0,), frozenset(), "point-count", "7 points, expected v=7"),
+             (spec.points, frozenset({0, 99}), "exception-set",
+              "exception set is not a subset of the points")]
+    for points, exceptions, kind, reason in cases:
+        rep = check_design(DesignSpec(points, spec.blocks, 2, spec.v, spec.k, 1, exceptions))
+        assert (rep.ok, rep.multiplicities, rep.witness, rep.reason) == (
+            False, {}, {"kind": kind}, reason)
 
 
 def test_block_size_violation():
