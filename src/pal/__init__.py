@@ -19,8 +19,8 @@ from .sigma import (NotRegularError, PlaneModel, RecognitionResult,
 from .spreads import (DualArc, Regulus, Spread, count_reguli_through_pair,
                       derive_spread_from_element, derive_spread_from_nucleus,
                       derive_tangent_spread_odd, distinct_reguli, dual_arc,
-                      is_regular_spread, opposite_regulus, regulus_through,
-                      transversal_lines, verify_spread)
+                      is_regular_spread, opposite_regulus, regularity_reports,
+                      regulus_through, transversal_lines, verify_spread)
 from .theorems import (DesignSpec, TheoremParams, TheoremReport, check_design,
                        check_theorem, lines_design, regulus_blocks,
                        spread_reguli_design)

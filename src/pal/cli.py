@@ -22,7 +22,8 @@ from .sigma import (NotRegularError, plane_model, recognize_regular,
                     spread_transversals)
 from .spreads import (derive_spread_from_element, derive_spread_from_nucleus,
                       dual_arc, is_regular_spread, opposite_regulus,
-                      regulus_through, verify_spread)
+                      regularity_reports, regulus_through, sweep_mode,
+                      verify_spread)
 from .theorems import (DesignSpec, TheoremParams, check_design, check_theorem,
                        lines_design, regulus_blocks, spread_reguli_design)
 
@@ -166,8 +167,7 @@ def cmd_derive(args) -> int:
         raise io.PalFileError(f"cannot write {outdir}: {err}") from None
 
     entries = []
-    for (name, _), spread in zip(jobs, spreads):
-        rr = is_regular_spread(spread)
+    for (name, _), spread, rr in zip(jobs, spreads, regularity_reports(spreads)):
         path = outdir / f"delta_{name}.json"
         io.save(path, io.spread_to_json(spread))
         entries.append({"index": name, "file": str(path), "spread_ok": True,
@@ -187,11 +187,9 @@ def cmd_derive(args) -> int:
 def cmd_dualize(args) -> int:
     arc = _load_arc(args.input)
     da = dual_arc(arc)
-    gammas = []
-    for i, g in enumerate(da.gammas):
-        rr = is_regular_spread(g)
-        gammas.append({"index": i, "spread": io.spread_to_json(g),
-                       "regular": rr.regular, "vacuous": rr.vacuous})
+    gammas = [{"index": i, "spread": io.spread_to_json(g),
+               "regular": rr.regular, "vacuous": rr.vacuous}
+              for i, (g, rr) in enumerate(zip(da.gammas, regularity_reports(da.gammas)))]
     out = _report("dual-arc", {
         "betas": [io.subspace_to_json(b) for b in da.betas],
         "gammas": gammas,
@@ -243,7 +241,9 @@ def cmd_check_regular(args) -> int:
         fld = spread.space.field
         try:
             tower = FieldTower(fld, field_make(fld.m * n))
-            lines = spread_transversals(spread, tower)
+            # the transversals read the 'auto' report: rr when the modes agree
+            auto = rr if rr.mode == sweep_mode(spread) else None
+            lines = spread_transversals(spread, tower, auto)
             payload["transversals"] = {
                 "ok": True, "lines": [io.subspace_to_json(u) for u in lines]}
         except (NotRegularError, ValueError) as err:

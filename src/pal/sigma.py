@@ -35,8 +35,9 @@ from .projective import (Chart, ProjSpace, Subspace, Vec, _normalized_vectors,
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, _orbit_sums, extend_subspace, frobenius_subspace,
                         rationalize_subspace)
-from .spreads import (DualArc, Regulus, Spread, _graph_rows, dual_arc, is_regular_spread,
-                      regulus_through, spread_field, verified_spread)
+from .spreads import (RegularityReport, Regulus, Spread, _completed_duals, _dual_spread,
+                      _graph_rows, is_regular_spread, regulus_through, spread_field,
+                      verified_spread)
 
 
 class NotRegularError(ValueError):
@@ -60,21 +61,24 @@ class SigmaScaffold:
     plane_coords: dict                         # element -> theta_1 coords
 
 
-def spread_transversals(spread: Spread, tower: FieldTower) -> tuple[Subspace, ...]:
+def spread_transversals(spread: Spread, tower: FieldTower,
+                        report: RegularityReport | None = None) -> tuple[Subspace, ...]:
     """The n conjugate lines U_l over GF(q^n) meeting every extended element.
 
     Requires a verified regular spread of PG(2n-1, q) (n >= 2) and fails
     with a witness otherwise (see `_eigen_lines`): for q > 2 the
     regulus-closure witness of the regularity sweep, and at q = 2, where
     regulus closure is vacuous, the spread-set witness
-    {"kind": "spread-set-not-field"}.
+    {"kind": "spread-set-not-field"}.  `report`, when the caller holds
+    it, is `is_regular_spread(spread)` in mode 'auto'; it is used in place
+    of a second sweep.
     """
     if tower.n < 2:
         raise ValueError("transversal lines need n >= 2")
     n = spread.elements[0].rank
     if n != tower.n or spread.space.field != tower.base:
         raise ValueError("tower does not match the spread")
-    u_lines = _eigen_lines(spread, tower, "spread")
+    u_lines = _eigen_lines(spread, tower, "spread", report)
     top_space = u_lines[0].ambient
     for e in spread.elements:
         ext = extend_subspace(e, tower, top_space)
@@ -84,7 +88,8 @@ def spread_transversals(spread: Spread, tower: FieldTower) -> tuple[Subspace, ..
     return tuple(u_lines)
 
 
-def _eigen_lines(spread: Spread, tower: FieldTower, label: str):
+def _eigen_lines(spread: Spread, tower: FieldTower, label: str,
+                 closure: RegularityReport | None = None):
     """The transversal lines U_l of a regular spread, via eigenvectors of its
     matrix field, ordered as one Frobenius orbit.
 
@@ -92,10 +97,13 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str):
     witness), the shape PG(2n-1, q) (ValueError), and `spread_field`
     (NotRegularError with the spread-set witness); `label` names the spread
     in the messages.  The eigenvalues are the roots of the minimal
-    polynomial of the field's generator X.  When the regularity certificate
-    decided, the report carries its `spread_field` result, which is reused.
+    polynomial of the field's generator X.  `closure`, when given, is the
+    spread's report from `is_regular_spread` in mode 'auto', so the sweep
+    is not run again.  When the regularity certificate decided, the report
+    carries its `spread_field` result, which is reused.
     """
-    closure = is_regular_spread(spread)
+    if closure is None:
+        closure = is_regular_spread(spread)
     if not closure.regular:
         raise NotRegularError(f"{label} is not regular: " + closure.reason,
                               closure.witness)
@@ -348,13 +356,19 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None):
     in D's director planes theta_l, Sigma = D for every choice, and every
     dual element carries q^n + 1 elements.  A failed choice therefore
     reports an arc that is not regular.
+
+    Only Gamma_j and Gamma_i are built, and both are verified as spreads.
+    The other k - 2 dual spreads, which `dual_arc` builds and verifies,
+    are not read: for a verified pseudo-hyperoval every Gamma_s is a
+    spread, so verifying them checked an invariant that recognition never
+    used.
     """
     if arc.n < 2:
         raise ValueError("recognition needs n >= 2")
     if arc.kind not in ("pseudo-oval", "pseudo-hyperoval"):
         raise ValueError(f"cannot recognize a {arc.kind}")
-    da = dual_arc(arc)
-    k = len(da.betas)
+    ext, betas = _completed_duals(arc)
+    k = len(betas)
     was_oval = arc.kind == "pseudo-oval"
     if given is not None:
         bad = [m for m in given if not 0 <= m < k]
@@ -373,32 +387,38 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None):
     for m in extra + list(range(k)):
         if m != j and m not in generators and len(generators) < 3:
             generators.append(m)
-    return _recognize_choice(arc, da, j, i, generators)
+    gamma_j, gamma_i = (_dual_spread(ext, betas, s) for s in (j, i))
+    return _recognize_choice(arc, ext, betas, j, gamma_j, i, gamma_i, generators)
 
 
-def _recognize_choice(arc: PseudoArc, da: DualArc, j: int, i: int, generators: list[int]):
+def _recognize_choice(arc: PseudoArc, ext: PseudoArc, betas, j: int, gamma_j: Spread,
+                      i: int, gamma_i: Spread, generators: list[int]):
     """Recognition with gamma_j the regulus through the intersections of
     beta_j with the betas at `generators` and Gamma_i as the second spread.
 
-    Raises NotRegularError when Gamma_j does not contain gamma_j; returns
-    the failure result when some dual element does not carry q^n + 1
-    elements of Sigma(gamma_j, Gamma_i)."""
+    `ext` is the pseudo-hyperoval that was dualized (the arc, completed by
+    its nucleus for ovals), `betas` its duals, and gamma_j and gamma_i are
+    Gamma_j and Gamma_i as `dual_arc` lists them.  Raises NotRegularError
+    when Gamma_j does not contain gamma_j; returns the failure result when
+    some dual element does not carry q^n + 1 elements of
+    Sigma(gamma_j, Gamma_i)."""
     field = arc.ambient.field
     tower = FieldTower(field, field_make(field.m * arc.n))
-    reg = regulus_through(*(da.alpha_internal(j, m) for m in generators))
-    if not reg.element_set() <= da.gammas[j].element_set():
+    # element m of Gamma_j is beta_j ^ beta_m, with index j left out
+    reg = regulus_through(*(gamma_j.elements[m - (m > j)] for m in generators))
+    if not reg.element_set() <= gamma_j.element_set():
         raise NotRegularError(
             f"Gamma_{j} is not closed under the regulus through "
             f"{tuple(generators)}; recognition requires regular dual spreads",
             {"kind": "regulus-closure", "spread": f"gamma[{j}]",
              "triple": list(generators)})
-    reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[j])
-    sigma, scaffold = build_sigma(reg, da.gammas[i], tower)
-    inside = _elements_inside(sigma, da.betas)
+    reg = Regulus(reg.space, reg.generators, reg.elements, carrier=betas[j])
+    sigma, scaffold = build_sigma(reg, gamma_i, tower)
+    inside = _elements_inside(sigma, betas)
     counts = tuple(len(els) for els in inside)
     if any(c != arc.q**arc.n + 1 for c in counts):
         return RecognitionResult(False, None, None, None, None, {}, None)
-    plane, ident = _recover(arc, da.arc, inside, scaffold, tower)
+    plane, ident = _recover(arc, ext, inside, scaffold, tower)
     choice = {"j": j, "i": i, "generators": list(generators)}
     return RecognitionResult(True, plane, ident, sigma, scaffold, choice, counts)
 

@@ -46,11 +46,21 @@ a sweep would give: a sweep of a regular spread never stops early, so it
 checks every triple of its mode.  Bruck's converse (Bruck-Bose 1964;
 Bruck 1969: for q > 2 a regular spread is Desarguesian) explains why every
 regular input takes this path; the verdicts do not rest on it.
+
+A certified report depends on the element set alone: its mode and triple
+count depend only on the number of elements, and it has no witness.  So
+`regularity_reports` certifies each distinct element set once and gives
+every later spread with that set the same report, without the
+certificate's data, which is read in the first spread's element order.
+The derived spreads of a conic hyperoval are one element set, so a
+theorem check makes one certificate for all of them.  A refused or
+vacuous report is not shared: each such spread is swept in its own
+order, so its witness is the one its own sweep finds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _normalized_vectors,
@@ -417,15 +427,30 @@ def spread_field(spread: Spread):
     return a, c, fmap, mats, gen, minpoly
 
 
+def sweep_mode(spread: Spread, mode: str = "auto") -> str:
+    """The mode of `is_regular_spread(spread, mode)`'s report: 'vacuous' at
+    q = 2, else `mode`, with 'auto' read as 'full' when the spread has at
+    most FULL_SWEEP_CAP triples and as 'fixed' otherwise."""
+    if spread.space.field.order == 2:
+        return "vacuous"
+    if mode == "auto":
+        k = len(spread.elements)
+        return "full" if k * (k - 1) * (k - 2) // 6 <= FULL_SWEEP_CAP else "fixed"
+    if mode not in ("full", "fixed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
+
+
 def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
     """Regulus-closure test over distinct_reguli, shortened by the spread-set
     certificate.
 
     mode 'full' sweeps every triple, 'fixed' only triples containing the
-    first element, 'auto' picks 'full' when the triple count is at most
-    FULL_SWEEP_CAP.  Covered triples count as checked without rebuilding
-    their regulus; the sweep stops at the first triple whose regulus leaves
-    the spread, so the witness is the first failing triple of the order.
+    first element, 'auto' picks one of them (`sweep_mode`); at q = 2 the
+    report is vacuous in every mode.  Covered triples count as checked
+    without rebuilding their regulus; the sweep stops at the first triple
+    whose regulus leaves the spread, so the witness is the first failing
+    triple of the order.
 
     Once the sweep has built CERTIFICATE_AFTER reguli, all inside, it tries
     `spread_field`: when the spread set is a field, the spread is
@@ -436,21 +461,16 @@ def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
     the certificate the same sweep resumes, and its witness, ValueError or
     count is the report.
     """
-    elems = spread.elements
-    k = len(elems)
-    q = spread.space.field.order
-    if q == 2:
+    mode = sweep_mode(spread, mode)
+    if mode == "vacuous":
         return RegularityReport(True, True, "vacuous", 0, None)
-    n_triples = k * (k - 1) * (k - 2) // 6
-    if mode == "auto":
-        mode = "full" if n_triples <= FULL_SWEEP_CAP else "fixed"
+    k = len(spread.elements)
     if mode == "full":
         triples = combinations(range(k), 3)
-    elif mode == "fixed":
+        n_triples = k * (k - 1) * (k - 2) // 6
+    else:
         triples = ((0, i, j) for i, j in combinations(range(1, k), 2))
         n_triples = (k - 1) * (k - 2) // 2
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     checked = built = 0
     for t, reg, members in distinct_reguli(spread, triples):
         checked += 1
@@ -465,6 +485,29 @@ def is_regular_spread(spread: Spread, mode: str = "auto") -> RegularityReport:
             if spread_set is not None:
                 return RegularityReport(True, False, mode, n_triples, None, spread_set)
     return RegularityReport(True, False, mode, checked, None)
+
+
+def regularity_reports(spreads) -> list[RegularityReport]:
+    """`is_regular_spread(s)` for each of `spreads`, in order, with one
+    certificate per element set (module docstring).
+
+    A report the certificate decided is reused, with `spread_set` None,
+    for every later spread with the same element set; equality ignores
+    `spread_set`, so every report equals the one its own sweep gives.  A
+    refused or vacuous spread is swept on its own.  The map of certified
+    sets lives for this call only.
+    """
+    certified: dict[frozenset[Subspace], RegularityReport] = {}
+    reports = []
+    for spread in spreads:
+        key = spread.element_set()
+        report = certified.get(key)
+        if report is None:
+            report = is_regular_spread(spread)
+            if report.spread_set is not None:
+                certified[key] = replace(report, spread_set=None)
+        reports.append(report)
+    return reports
 
 
 # -- derived spreads of a pseudo-arc -----------------------------------------
@@ -538,35 +581,44 @@ class DualArc:
         return self.gammas[i].elements[k]
 
 
-def dual_arc(arc: PseudoArc) -> DualArc:
-    """Dualize; pseudo-ovals are first completed by their nucleus (q even).
-
-    Gamma_i is read in beta_i's own frame: with B_i the RREF basis of
-    beta_i = dual(e_i), x.B_i lies in beta_j = dual(e_j) iff (E_j.B_i^T).x^T
-    = 0, so element j of Gamma_i, the canonical rows of beta_i ^ beta_j in
-    beta_i's chart, is the kernel of the n x 2n matrix E_j.B_i^T.
-    """
+def _completed_duals(arc: PseudoArc):
+    """The pseudo-hyperoval to dualize, a pseudo-oval completed by its
+    nucleus (q even), and the duals beta_i of its elements."""
     if arc.kind == "pseudo-oval":
         if arc.q % 2:
             raise ValueError("q odd: the dual-arc spreads need the nucleus completion")
         arc = extend_to_hyperoval(arc)
     elif arc.kind != "pseudo-hyperoval":
         raise ValueError(f"cannot dualize a {arc.kind}")
+    return arc, tuple(dual(e) for e in arc.elements)
+
+
+def _dual_spread(arc: PseudoArc, betas, i: int) -> Spread:
+    """Gamma_i of the pseudo-hyperoval `arc` with duals `betas`, verified.
+
+    Gamma_i is read in beta_i's own frame: with B_i the RREF basis of
+    beta_i = dual(e_i), x.B_i lies in beta_j = dual(e_j) iff (E_j.B_i^T).x^T
+    = 0, so element j of Gamma_i, the canonical rows of beta_i ^ beta_j in
+    beta_i's chart, is the kernel of the n x 2n matrix E_j.B_i^T.
+    """
     fld = arc.ambient.field
-    betas = tuple(dual(e) for e in arc.elements)
-    gammas = []
-    for i, beta in enumerate(betas):
-        space = ProjSpace(beta.rank - 1, fld)
-        columns = list(zip(*beta.rows))
-        elements = []
-        for j, e in enumerate(arc.elements):
-            if j != i:
-                ker = kernel(fld, mat_mul(fld, e.rows, columns), beta.rank)
-                elements.append(Subspace(space, ker, _pivots_of(ker)))
-        gammas.append(verified_spread(
-            Spread(space, tuple(elements), carrier=beta, origin=f"gamma[{i}]"),
-            f"Gamma_{i}"))
-    return DualArc(arc, betas, tuple(gammas))
+    beta = betas[i]
+    space = ProjSpace(beta.rank - 1, fld)
+    columns = list(zip(*beta.rows))
+    elements = []
+    for j, e in enumerate(arc.elements):
+        if j != i:
+            ker = kernel(fld, mat_mul(fld, e.rows, columns), beta.rank)
+            elements.append(Subspace(space, ker, _pivots_of(ker)))
+    return verified_spread(
+        Spread(space, tuple(elements), carrier=beta, origin=f"gamma[{i}]"), f"Gamma_{i}")
+
+
+def dual_arc(arc: PseudoArc) -> DualArc:
+    """Dualize; pseudo-ovals are first completed by their nucleus (q even).
+    Every Gamma_i is built and verified (`_dual_spread`)."""
+    arc, betas = _completed_duals(arc)
+    return DualArc(arc, betas, tuple(_dual_spread(arc, betas, i) for i in range(len(betas))))
 
 
 def count_reguli_through_pair(spread: Spread, ai: int, bi: int):

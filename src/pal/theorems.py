@@ -20,7 +20,7 @@ from operator import lt
 from .pseudoarcs import PseudoArc
 from .sigma import NotRegularError, recognize_regular
 from .spreads import (DualArc, Spread, _closure_witness, derive_spread_from_element,
-                      distinct_reguli, is_regular_spread, verify_spread)
+                      distinct_reguli, regularity_reports, verify_spread)
 
 THEOREMS = ("6.1", "6.2", "6.3", "7.1")
 
@@ -86,14 +86,11 @@ def check_theorem(arc: PseudoArc, params: TheoremParams) -> TheoremReport:
     k = len(arc.elements)
     given = _given_indices(params, q, n, k)
 
-    def check_one(i: int) -> dict:
-        # derive_spread_from_element raises unless the spread verifies
-        rr = is_regular_spread(derive_spread_from_element(arc, i))
-        return {"index": i, "given": i in given, "spread_ok": True,
-                "regular": rr.regular, "vacuous": rr.vacuous,
-                "witness": rr.witness}
-
-    spreads = [check_one(i) for i in range(k)]
+    # derive_spread_from_element raises unless the spread verifies
+    derived = [derive_spread_from_element(arc, i) for i in range(k)]
+    spreads = [{"index": i, "given": i in given, "spread_ok": True,
+                "regular": rr.regular, "vacuous": rr.vacuous, "witness": rr.witness}
+               for i, rr in enumerate(regularity_reports(derived))]
     regular_flags = {e["index"]: e["regular"] for e in spreads}
 
     believed_regular = arc.witness is not None

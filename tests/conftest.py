@@ -6,8 +6,9 @@ from itertools import product
 import pytest
 
 from pal import (ProjSpace, Spread, conic, desarguesian_spread, dual_arc,
-                 extend_to_hyperoval, gf, make_tower, opposite_regulus, reduction_map,
-                 regulus_through, translation_oval)
+                 extend_to_hyperoval, gf, make_pseudo_arc, make_tower, opposite_regulus,
+                 reduction_map, regulus_through, translation_oval)
+from pal.projective import mat_inv, vec_mat
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +60,25 @@ def arc_q8n2():
 def arc_q4n3():
     """65-element pseudo-oval of PG(8, 4) from the conic over GF(64)."""
     return reduction_map(4, 3).reduce_arc(conic(64))
+
+
+@pytest.fixture(scope="session")
+def moved_oval(conic_oval):
+    """The (4,2) conic oval moved by a seeded collineation of PG(5, 4): not
+    canonically reducible, so it is recovered in the theta frame."""
+    rnd = random.Random(11)
+    fld = conic_oval.ambient.field
+    while True:
+        m = [tuple(rnd.randrange(4) for _ in range(6)) for _ in range(6)]
+        try:
+            mat_inv(fld, m)
+            break
+        except ValueError:
+            continue
+    return make_pseudo_arc(
+        conic_oval.ambient,
+        [conic_oval.ambient.subspace([vec_mat(fld, r, m) for r in e.rows])
+         for e in conic_oval.elements])
 
 
 @pytest.fixture(scope="session")

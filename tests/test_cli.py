@@ -550,7 +550,71 @@ def test_certificate_keeps_cli_bytes(tmp_path, capsys, monkeypatch, shuffled_hal
     assert on == off
     assert len(certified) == asked  # the sweep no longer asks the certificate
     assert len(on[1]) == len(commands) - 2 + 2 * 19  # each derive writes 18 spreads, 1 report
-    assert certified.count(True) > 50 and False in certified
+    # one certificate per distinct element set per command: 1 for each derive
+    # --all and for dualize (the spreads of each share one set), 2 for each
+    # theorem (the derived spreads, then Gamma_i in recognition), 1 for each
+    # check-regular of desarg, and 1 more for --mode fixed --transversals,
+    # whose transversals read the 'auto' report
+    assert certified.count(True) == 12 and False in certified
+
+
+@pytest.mark.parametrize("name", ["conic_hyperoval", "moved_oval"])
+def test_one_certificate_per_element_set(request, tmp_path, monkeypatch, name):
+    """derive --all, dualize and theorem 6.1 certify each distinct element
+    set of the spreads they check once: the conic's derived spreads and its
+    Gamma_s are one set each, the moved arc's are all distinct.  Theorem
+    6.1 certifies Gamma_i once more, in recognition."""
+    import pal.spreads
+    from pal import derive_spread_from_element, dual_arc, extend_to_hyperoval
+    arc = request.getfixturevalue(name)
+    if arc.kind == "pseudo-oval":
+        arc = extend_to_hyperoval(arc)
+    io.save(tmp_path / "hyper.json", io.pseudo_arc_to_json(arc))
+    k = len(arc.elements)
+    derived = len({derive_spread_from_element(arc, i).element_set() for i in range(k)})
+    gammas = len({g.element_set() for g in dual_arc(arc).gammas})
+    assert (derived, gammas) == ((1, 1) if name == "conic_hyperoval" else (k, k))
+    certify = pal.spreads.spread_field
+    certified = []
+
+    def spy(spread):
+        field = certify(spread)
+        certified.append(field is not None)
+        return field
+
+    monkeypatch.setattr(pal.spreads, "spread_field", spy)
+    monkeypatch.chdir(tmp_path)
+    for argv, expected in ((["derive", "hyper.json", "--all", "--outdir", "d"], derived),
+                           (["dualize", "hyper.json", "-o", "dual.json"], gammas),
+                           (["theorem", "--id", "6.1", "hyper.json", "-o", "t.json"],
+                            derived + 1)):
+        certified.clear()
+        assert main(argv) == 0
+        assert certified == [True] * expected
+
+
+def test_transversals_reuse_the_auto_report(tmp_path, monkeypatch, shuffled_hall):
+    """check-regular --transversals hands its report to the transversals when
+    its mode is the one 'auto' picks (full at (4, 2)), so a Hall spread is
+    swept once; in mode fixed the transversals sweep again."""
+    import pal.sigma
+    from pal import desarguesian_spread
+    sweep = pal.sigma.is_regular_spread
+    sweeps = []
+
+    def spy(spread):
+        sweeps.append(spread)
+        return sweep(spread)
+
+    monkeypatch.setattr(pal.sigma, "is_regular_spread", spy)
+    for spread, ok in ((shuffled_hall(4, 1), False), (desarguesian_spread(4, 2), True)):
+        io.save(tmp_path / "s.json", io.spread_to_json(spread))
+        for mode, again in (("auto", 0), ("full", 0), ("fixed", 1)):
+            sweeps.clear()
+            assert main(["check-regular", str(tmp_path / "s.json"), "--mode", mode,
+                         "--transversals", "-o", str(tmp_path / "r.json")]) == (0 if ok else 1)
+            assert len(sweeps) == again
+            assert io.load(tmp_path / "r.json")["transversals"]["ok"] is ok
 
 
 def test_unrecognized_arc_fails_theorem_and_plane_model(unrecognizable, arc_file, hyper_file,

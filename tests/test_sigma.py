@@ -8,13 +8,13 @@ import pytest
 
 import pal.sigma
 import pal.spreads
-from pal import (DualArc, NotRegularError, ProjSpace, RecognitionResult, Regulus,
+from pal import (NotRegularError, ProjSpace, RecognitionResult, Regulus,
                  Spread, build_sigma, conic, derive_spread_from_element,
-                 desarguesian_spread, dual_arc, gf, is_regular_spread, make_pseudo_arc, make_tower,
-                 meet, opposite_regulus, plane_model, recognize_regular,
-                 regulus_through, span, spread_transversals, verify_spread)
+                 desarguesian_spread, dual_arc, extend_to_hyperoval, gf, is_regular_spread,
+                 make_pseudo_arc, make_tower, meet, opposite_regulus, plane_model,
+                 recognize_regular, regulus_through, span, spread_transversals, verify_spread)
 from pal.fields import FieldTower, field_make
-from pal.projective import Subspace, _normalized_vectors, mat_inv, mat_mul, rref, vec_mat
+from pal.projective import Subspace, _normalized_vectors, mat_mul, rref, vec_mat
 from pal.reduction import extend_subspace, frobenius_subspace, rational_orbit_span
 from pal.sigma import PlaneModel, _elements_inside, _recognize_choice
 from pal.spreads import spread_field
@@ -400,12 +400,12 @@ def sigma23(small_arc):
     return da, sigma, scaffold
 
 
-def test_plane_model_matches_pair_span_oracle(sigma_setup, sigma23, conic_oval,
+def test_plane_model_matches_pair_span_oracle(sigma_setup, sigma23, moved_oval,
                                               conic_hyperoval):
     """On the sigmas of `sigma_setup` and `sigma23`, and on those that
     recognition generates for the (4, 2) conic hyperoval and for the moved
     (4, 2) oval (theta frame)."""
-    moved = recognize_regular(moved_oval(conic_oval))
+    moved = recognize_regular(moved_oval)
     assert moved.identification["convention"] == "theta-frame-v1"
     hyper = recognize_regular(conic_hyperoval)
     for sigma, scaffold in (sigma_setup[2:], sigma23[1:], (moved.sigma, moved.scaffold),
@@ -413,12 +413,12 @@ def test_plane_model_matches_pair_span_oracle(sigma_setup, sigma23, conic_oval,
         assert plane_model(sigma, scaffold) == pair_span_plane_model(sigma)
 
 
-def test_sigma_elements_match_rational_orbit_spans(sigma_setup, sigma23, conic_oval,
+def test_sigma_elements_match_rational_orbit_spans(sigma_setup, sigma23, moved_oval,
                                                   conic_hyperoval):
     """build_sigma reads every element off one GF(q) matrix; the oracle is
     the rational span of the Galois orbit of c.theta_1, for c the points of
     PG(2, q^n) in order, on the sigmas of the pair-span oracle test."""
-    moved = recognize_regular(moved_oval(conic_oval))
+    moved = recognize_regular(moved_oval)
     hyper = recognize_regular(conic_hyperoval)
     for sigma, scaffold in (sigma_setup[2:], sigma23[1:], (moved.sigma, moved.scaffold),
                             (hyper.sigma, hyper.scaffold)):
@@ -575,34 +575,16 @@ def test_recognize_small_arc(small_arc, rmap23):
     assert list(back.elements) == list(small_arc.elements)
 
 
-def moved_oval(conic_oval):
-    """The (4,2) conic oval moved by a seeded collineation of PG(5, 4): not
-    canonically reducible, so it is recovered in the theta frame."""
-    rnd = random.Random(11)
-    fld = conic_oval.ambient.field
-    while True:
-        m = [tuple(rnd.randrange(4) for _ in range(6)) for _ in range(6)]
-        try:
-            mat_inv(fld, m)
-            break
-        except ValueError:
-            continue
-    return make_pseudo_arc(
-        conic_oval.ambient,
-        [conic_oval.ambient.subspace([vec_mat(fld, r, m) for r in e.rows])
-         for e in conic_oval.elements])
-
-
 @pytest.mark.parametrize("name", ["small_arc", "conic_oval", "conic_hyperoval",
                                   "translation_arc", "moved_oval"])
-def test_every_regulus_choice_recovers_the_arc(request, conic_oval, name):
+def test_every_regulus_choice_recovers_the_arc(request, name):
     """One regulus choice decides: the completions of the first (j, i) pair,
     one per distinct regulus (a fill that spans a regulus already tried
     builds the same Sigma), and a seeded fill of 20 other pairs (the nucleus
     dual included) succeed and recover the arc that `recognize_regular`
     recovers; the moved oval, whose theta frame depends on the choice, as an
     oval in that frame."""
-    arc = moved_oval(conic_oval) if name == "moved_oval" else request.getfixturevalue(name)
+    arc = request.getfixturevalue(name)
     ref = recognize_regular(arc)
     da = dual_arc(arc)
     k = len(da.betas)
@@ -621,7 +603,8 @@ def test_every_regulus_choice_recovers_the_arc(request, conic_oval, name):
     for j, i in rnd.sample(pairs, 20):
         choices.append((j, i, [i, *rnd.sample([m for m in range(k) if m not in (j, i)], 2)]))
     for j, i, generators in choices:
-        res = _recognize_choice(arc, da, j, i, generators)
+        res = _recognize_choice(arc, da.arc, da.betas, j, da.gammas[j], i, da.gammas[i],
+                                generators)
         assert res.regular and res.choice == {"j": j, "i": i, "generators": generators}
         assert res.line_counts == ref.line_counts
         if name == "moved_oval":
@@ -653,6 +636,43 @@ def test_recognition_builds_one_sigma(sigma_calls, conic_oval, conic_hyperoval,
         assert len(sigma_calls) == n
 
 
+@pytest.mark.parametrize("name, given, choice", [
+    ("conic_oval", None, {"j": 0, "i": 1, "generators": [1, 17, 2]}),
+    ("translation_arc", None, {"j": 0, "i": 1, "generators": [1, 17, 2]}),
+    ("conic_hyperoval", None, {"j": 0, "i": 1, "generators": [1, 2, 3]}),
+    # the given indices of theorem 6.3 with rho = 15 and of 7.1 with delta0 = 1
+    ("conic_hyperoval", list(range(3, 18)), {"j": 3, "i": 4, "generators": [4, 0, 1]}),
+    ("conic_hyperoval", list(range(2, 18)), {"j": 2, "i": 3, "generators": [3, 0, 1]}),
+    ("hyperoval_q4n3", None, {"j": 0, "i": 1, "generators": [1, 2, 3]}),
+])
+def test_recognition_verifies_two_gammas(request, monkeypatch, arc_q4n3, name, given, choice):
+    """Recognition builds and verifies Gamma_j and Gamma_i only, and its
+    result is the one read off the full dual arc, with the choice that
+    recognition made when it built every Gamma_s."""
+    arc = (extend_to_hyperoval(arc_q4n3) if name == "hyperoval_q4n3"
+           else request.getfixturevalue(name))
+    labels = []
+    verify = pal.spreads.verified_spread
+
+    def spy(spread, label):
+        labels.append(label)
+        return verify(spread, label)
+    monkeypatch.setattr(pal.spreads, "verified_spread", spy)
+    res = recognize_regular(arc, given=given)
+    monkeypatch.undo()
+    j, i = choice["j"], choice["i"]
+    assert [label for label in labels if label.startswith("Gamma_")] == [f"Gamma_{j}",
+                                                                        f"Gamma_{i}"]
+    assert res.regular and res.choice == choice
+    assert set(res.line_counts) == {arc.q**arc.n + 1}
+    assert res.identification["frame"] == "canonical"
+    da = dual_arc(arc)
+    ref = _recognize_choice(arc, da.arc, da.betas, j, da.gammas[j], i, da.gammas[i],
+                            choice["generators"])
+    assert (res.choice, res.line_counts, res.identification, res.plane_arc) == \
+        (ref.choice, ref.line_counts, ref.identification, ref.plane_arc)
+
+
 def test_failed_choice_is_reported_after_one_sigma(unrecognizable, sigma_calls, conic_oval):
     """A dual element short of q^n + 1 elements of Sigma: not regular, with
     no second choice."""
@@ -673,8 +693,9 @@ def test_recognition_rejects_gamma_j_without_the_regulus(conic_hyperoval, monkey
     rest = tuple(e for e in g0.elements if e not in reg.element_set())
     hall = Spread(g0.space, opposite[:2] + rest + opposite[2:], carrier=g0.carrier)
     assert verify_spread(hall).ok and not is_regular_spread(hall).regular
-    bad = DualArc(da.arc, da.betas, (hall, *da.gammas[1:]))
-    monkeypatch.setattr(pal.sigma, "dual_arc", lambda arc: bad)
+    dual_spread = pal.sigma._dual_spread
+    monkeypatch.setattr(pal.sigma, "_dual_spread",
+                        lambda ext, betas, s: hall if s == 0 else dual_spread(ext, betas, s))
     with pytest.raises(NotRegularError, match=r"Gamma_0 is not closed under the regulus "
                        r"through \(1, 2, 3\)") as err:
         recognize_regular(conic_hyperoval)
@@ -705,8 +726,8 @@ def test_recognize_refuses_given_out_of_range(conic_hyperoval, given, bad):
     assert str(err.value) == f"given indices out of range: {bad}"
 
 
-def test_recognize_moved_arc_theta_frame(conic_oval):
-    res = recognize_regular(moved_oval(conic_oval))
+def test_recognize_moved_arc_theta_frame(moved_oval):
+    res = recognize_regular(moved_oval)
     assert res.regular
     assert res.identification["convention"] == "theta-frame-v1"
     assert res.plane_arc.kind == "oval"

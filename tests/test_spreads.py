@@ -8,13 +8,13 @@ import pytest
 import pal.spreads
 from pal import (Chart, NotRegularError, ProjSpace, Spread, conic, count_reguli_through_pair,
                  derive_spread_from_element, derive_spread_from_nucleus,
-                 derive_tangent_spread_odd, desarguesian_spread, dual_arc, gf,
-                 is_regular_spread, make_pseudo_arc, meet, opposite_regulus,
-                 reduction_map, regulus_through, span,
+                 derive_tangent_spread_odd, desarguesian_spread, dual_arc,
+                 extend_to_hyperoval, gf, is_regular_spread, make_pseudo_arc, meet,
+                 opposite_regulus, reduction_map, regularity_reports, regulus_through, span,
                  spread_reguli_design, tangent_spaces, transversal_lines,
                  verify_spread)
 from pal.projective import Subspace, mat_inv, rank
-from pal.spreads import RegularityReport, Regulus, SpreadReport
+from pal.spreads import RegularityReport, Regulus, SpreadReport, sweep_mode
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +447,82 @@ def test_certificate_keeps_reports(pg34_spread, conic_hyperoval, arc_q8n2, arc_q
     assert [verdicts.get(id(s)) for s in planted] == [False] * len(planted)
     assert not any(isinstance(o, RegularityReport) and o.regular
                    for row in off[-len(planted):] for o in row)
+
+
+def _shuffled(spread, seed):
+    elems = list(spread.elements)
+    random.Random(seed).shuffle(elems)
+    return Spread(spread.space, tuple(elems))
+
+
+def _check_shared_reports(spreads, monkeypatch):
+    """regularity_reports(spreads) equals the per-spread reports; the
+    certificate's data stays only on the first spread of each certified
+    element set, and each such set is certified once.  Returns the reports
+    and the spread_field verdicts in call order."""
+    expected = [is_regular_spread(s) for s in spreads]
+    certify = pal.spreads.spread_field
+    verdicts = []
+
+    def spy(spread):
+        field = certify(spread)
+        verdicts.append(field is not None)
+        return field
+
+    monkeypatch.setattr(pal.spreads, "spread_field", spy)
+    reports = regularity_reports(spreads)
+    monkeypatch.undo()
+    assert reports == expected
+    assert [r.mode for r in reports] == [sweep_mode(s) for s in spreads]
+    firsts = {}
+    for s, r in zip(spreads, expected):
+        if r.spread_set is not None:
+            firsts.setdefault(s.element_set(), s)
+    assert [r.spread_set is not None for r in reports] == \
+        [firsts.get(s.element_set()) is s for s in spreads]
+    assert verdicts.count(True) == len(firsts)
+    return reports, verdicts
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_shared_reports_of_derived_spreads(q, conic_hyperoval, arc_q8n2, monkeypatch):
+    """The k derived spreads of a conic hyperoval are one element set: one
+    certificate for all of them."""
+    arc = conic_hyperoval if q == 4 else extend_to_hyperoval(arc_q8n2)
+    derived = [derive_spread_from_element(arc, i) for i in range(len(arc.elements))]
+    assert len({s.element_set() for s in derived}) == 1
+    assert _check_shared_reports(derived, monkeypatch)[1] == [True]
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_shared_reports_of_shuffled_desarguesian_spreads(q, monkeypatch):
+    """Seeded element orders of one Desarguesian spread, and a second spread
+    of PG(3, q): one certificate per element set."""
+    desarg = desarguesian_spread(q, 2)
+    spreads = [_shuffled(desarg, seed) for seed in range(4)]
+    # reversing the coordinates is a collineation: the image is a spread
+    spreads.insert(2, Spread(desarg.space, tuple(
+        desarg.space.subspace([r[::-1] for r in e.rows]) for e in desarg.elements)))
+    n_sets = len({s.element_set() for s in spreads})
+    assert n_sets == 2
+    assert _check_shared_reports(spreads, monkeypatch)[1] == [True] * n_sets
+
+
+def test_shared_reports_keep_refusals_apart(hall_fixtures, pg34_spread, monkeypatch):
+    """Hall spreads keep their own sweeps and witnesses, also when two share
+    an element set; q = 2 spreads stay vacuous; Desarguesian spreads between
+    them share one certificate."""
+    vacuous = [desarguesian_spread(2, 2), desarguesian_spread(2, 3),
+               _shuffled(desarguesian_spread(2, 2), 5)]
+    spreads = [hall_fixtures[0], vacuous[0], pg34_spread, hall_fixtures[1], vacuous[1],
+               _shuffled(pg34_spread, 9), hall_fixtures[2], vacuous[2], hall_fixtures[3]]
+    assert hall_fixtures[0].element_set() == hall_fixtures[1].element_set()
+    assert hall_fixtures[0].elements != hall_fixtures[1].elements
+    reports, _ = _check_shared_reports(spreads, monkeypatch)
+    hall = [any(s is h for h in hall_fixtures) for s in spreads]
+    assert [r.vacuous for r in reports] == [s.space.field.order == 2 for s in spreads]
+    assert [r.regular for r in reports] == [not h for h in hall]
+    assert all(r.witness is not None for r, h in zip(reports, hall) if h)
 
 
 def test_reguli_design_and_pair_count_match_plain_sweep(pg34_spread, hall_fixtures):

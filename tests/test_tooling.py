@@ -1,6 +1,7 @@
 """Tooling checks: the benchmark's tracer still finds every pal function it
-wraps, a round of each benchmark workload passes its own checks, and no pal
-module keeps an unused import or an unused private function."""
+wraps, a round of each benchmark workload passes its own checks without
+repeating work, and no pal module keeps an unused import or an unused
+private function."""
 
 from __future__ import annotations
 
@@ -44,6 +45,41 @@ def test_bench_theorem_workload_checks():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
+
+
+def test_theorem_workload_work_counts(tmp_path, monkeypatch):
+    """The eight CLI commands of theorem-q4n2 make at most 6 spread-set
+    certificates (one per element set per command: derive --all 1, each
+    theorem 2 with recognition's Gamma_i, the plane model 1) and build the
+    full dual arc once, for design --dual-blocks."""
+    import pal.cli
+    import pal.spreads
+    calls = Counter()
+    for name in ("spread_field", "dual_arc"):
+        orig = getattr(pal.spreads, name)
+
+        def spy(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        for mod in [m for n, m in sys.modules.items() if n.startswith("pal.")]:
+            if vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, spy)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+            ["construct", "--q", "4", "--n", "2", "--source", "conic", "-o", "oval.json"],
+            ["construct", "--q", "4", "--n", "2", "--source", "hyperoval-from:conic",
+             "-o", "hyper.json"],
+            ["verify", "hyper.json"],
+            ["derive", "hyper.json", "--all", "--outdir", "deltas"],
+            ["theorem", "--id", "6.1", "hyper.json", "-o", "t61.json"],
+            ["theorem", "--id", "6.2", "oval.json", "-o", "t62.json"],
+            ["design", "--dual-blocks", "hyper.json", "--tabulate", "--save-design",
+             "-o", "dual_blocks.json"],
+            ["design", "--plane-model-from", "oval.json", "--save-design",
+             "-o", "plane_model.json"]):
+        assert pal.cli.main(argv) == 0
+    assert calls["spread_field"] <= 6, calls
+    assert calls["dual_arc"] <= 1
 
 
 def test_bench_reject_workload_checks():
