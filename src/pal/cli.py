@@ -24,7 +24,7 @@ from .spreads import (derive_spread_from_element, derive_spread_from_nucleus,
                       dual_arc, is_regular_spread, opposite_regulus,
                       regularity_reports, regulus_through, sweep_mode,
                       verify_spread)
-from .theorems import (DesignSpec, TheoremParams, check_design, check_theorem,
+from .theorems import (THEOREMS, DesignSpec, TheoremParams, check_design, check_theorem,
                        lines_design, regulus_blocks, spread_reguli_design)
 
 DEFAULT_CAP = 64
@@ -45,6 +45,15 @@ def _emit(args, obj: dict) -> None:
 
 def _load_arc(path) -> PseudoArc:
     return io.pseudo_arc_from_json(io.load(path, "pseudo-arc"))
+
+
+def _index_list(text: str | None) -> tuple[int, ...] | None:
+    """A comma-separated list of integers, '' being the empty list; None
+    when an item is not an integer."""
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        return None
 
 
 # -- construct ------------------------------------------------------------------
@@ -203,10 +212,7 @@ def cmd_dualize(args) -> int:
 
 def cmd_regulus(args) -> int:
     spread = io.spread_from_json(io.load(args.input, "spread"))
-    try:
-        idx = [int(x) for x in args.elements.split(",")]
-    except ValueError:
-        idx = []
+    idx = _index_list(args.elements) or ()
     if len(idx) != 3 or not all(0 <= i < len(spread) for i in idx):
         print(f"error: bad element indices {args.elements!r}", file=sys.stderr)
         return INVALID
@@ -260,13 +266,10 @@ def cmd_check_regular(args) -> int:
 
 def cmd_theorem(args) -> int:
     arc = _load_arc(args.input)
-    given = None
-    if args.given:
-        try:
-            given = tuple(int(x) for x in args.given.split(","))
-        except ValueError:
-            print(f"error: bad --given indices {args.given!r}", file=sys.stderr)
-            return INVALID
+    given = None if args.given is None else _index_list(args.given)
+    if args.given is not None and given is None:
+        print(f"error: bad --given indices {args.given!r}", file=sys.stderr)
+        return INVALID
     params = TheoremParams(args.id, rho=args.rho, delta0=args.delta0, given=given)
     rep = check_theorem(arc, params)
     out = _report("theorem-report", {
@@ -301,11 +304,7 @@ def cmd_design(args) -> int:
         spec = _pg2_lines_design(args.pg2_lines)
     elif args.spread_reguli is not None:
         spread = io.spread_from_json(io.load(args.spread_reguli, "spread"))
-        try:
-            exc = tuple(int(x) for x in args.exceptions.split(",")) \
-                if args.exceptions else ()
-        except ValueError:
-            exc = None
+        exc = _index_list(args.exceptions)
         if exc is None or not all(0 <= x < len(spread) for x in exc):
             print(f"error: bad --exceptions indices {args.exceptions!r}", file=sys.stderr)
             return INVALID
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_regular)
 
     p = sub.add_parser("theorem", help="run a characterization-theorem check")
-    p.add_argument("--id", required=True, choices=("6.1", "6.2", "6.3", "7.1"))
+    p.add_argument("--id", required=True, choices=THEOREMS)
     p.add_argument("--rho", type=int)
     p.add_argument("--delta0", type=int, default=0)
     p.add_argument("--given", help="comma-separated indices of given spreads")

@@ -138,24 +138,6 @@ def kernel(field: FiniteField, rows, ncols: int) -> tuple[Vec, ...]:
     return rref(field, basis)[0]
 
 
-def lin_solve(field: FiniteField, rows, target: Vec) -> Vec | None:
-    """One solution x of x . rows = target (free variables at 0), or None."""
-    m = len(rows)
-    if m == 0:
-        return () if not any(target) else None
-    aug = [tuple(rows[i][j] for i in range(m)) + (target[j],)
-           for j in range(len(target))]
-    rr, pivots = rref(field, aug)
-    x = [0] * m
-    for row, p in zip(rr, pivots):
-        if p == m:
-            return None  # inconsistent
-        x[p] = row[m]
-    if vec_mat(field, tuple(x), rows) != tuple(target):
-        return None
-    return tuple(x)
-
-
 def mat_inv(field: FiniteField, rows: list[Vec]) -> list[Vec]:
     """Inverse of a square matrix; raises ValueError if singular."""
     n = len(rows)

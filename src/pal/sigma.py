@@ -6,32 +6,34 @@ every element as the graph of a map A -> C and normalizing by one of them
 turns the element set into a field of matrices isomorphic to GF(q^n).
 `spreads.spread_field` is the one test of that field, shared with the
 regularity certificate, and it hands over the matrices, a generator X and
-its minimal polynomial.  Their simultaneous eigenvectors over GF(q^n) give
-the n conjugate transversal lines U_l that every extended spread element
-meets in one point.  Together with the transversals T_l of a regulus
-through the contact points u_l they span the planes theta_l, and the
-rational (n-1)-spaces meeting the planes are the generated spread.  Its
-element i is the field reduction of point i of PG(2, q^n), read in theta_1
-coordinates, which the scaffold keeps; the plane model reads its lines off
-those coordinates, since field reduction carries the lines of PG(2, q^n) to
-the (2n-1)-spaces spanned by two elements.  Recognition runs exactly
-that construction on the dual of an arc, for one regulus choice, and asks
-whether every dual element is a line of the model plane.  One choice
-decides: success reduces a recovered plane arc to the arc, and for a
-regular arc every choice generates the Desarguesian spread that the dual
-elements are spanned by (see `recognize_regular`).
+its minimal polynomial.  An eigenvector of X over GF(q^n) gives the
+transversal line U_1 that every extended element meets in one point; with
+the transversal T_1 of a regulus through the contact point u_1 it spans the
+plane theta_1.  All else is rational, and x -> x^q fixes GF(q), so U_l,
+u_l, T_l and theta_l are the Frobenius conjugates of the l = 1 ones, and
+their checks run for l = 1 only.  The rational (n-1)-spaces meeting the
+planes are the generated spread: one GF(q) matrix psi of rank 3n, kept in
+the scaffold, maps the field reduction of point c of PG(2, q^n) to the
+element of c.  Field reduction carries the lines of PG(2, q^n) to the
+(2n-1)-spaces spanned by two elements, and the plane model reads its lines
+off the coordinates c.  Recognition runs that construction on the dual of
+an arc, for one regulus choice, and asks whether psi^-1 maps every dual
+element to a line of PG(2, q^n).  One choice decides: success reduces a
+recovered plane arc to the arc, and for a regular arc every choice
+generates the Desarguesian spread that the dual elements are spanned by
+(see `recognize_regular`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
 from .projective import (Chart, ProjSpace, Subspace, Vec, _normalized_vectors,
-                         dual, kernel, mat_mul, meet, normalize_point,
-                         plane_line_codes, point_owners, rank, span, vec_mat)
+                         dual, kernel, mat_inv, mat_mul, meet, normalize_point,
+                         plane_line_codes, rank, span, vec_mat)
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, _orbit_sums, extend_subspace, frobenius_subspace,
                         rationalize_subspace)
@@ -59,6 +61,7 @@ class SigmaScaffold:
     regulus_transversals: tuple[Subspace, ...]  # T_l
     planes: tuple[Subspace, ...]               # theta_l
     plane_coords: dict                         # element -> theta_1 coords
+    psi: tuple[Vec, ...]                       # GF(q)^3n -> ambient, rank 3n
 
 
 def spread_transversals(spread: Spread, tower: FieldTower,
@@ -80,27 +83,32 @@ def spread_transversals(spread: Spread, tower: FieldTower,
         raise ValueError("tower does not match the spread")
     u_lines = _eigen_lines(spread, tower, "spread", report)
     top_space = u_lines[0].ambient
+    # the elements are rational, so an element meets U_l as it meets U_1
     for e in spread.elements:
-        ext = extend_subspace(e, tower, top_space)
-        for u in u_lines:
-            if meet(ext, u).rank != 1:
-                raise AssertionError("extended element misses a transversal line")
+        if meet(extend_subspace(e, tower, top_space), u_lines[0]).rank != 1:
+            raise AssertionError("extended element misses a transversal line")
     return tuple(u_lines)
 
 
 def _eigen_lines(spread: Spread, tower: FieldTower, label: str,
                  closure: RegularityReport | None = None):
-    """The transversal lines U_l of a regular spread, via eigenvectors of its
-    matrix field, ordered as one Frobenius orbit.
+    """The transversal lines U_l of a regular spread: U_1 from an eigenvector
+    of its matrix field, and U_l its Frobenius conjugates.
 
     Checks, in this order: regularity (NotRegularError with the sweep's
     witness), the shape PG(2n-1, q) (ValueError), and `spread_field`
     (NotRegularError with the spread-set witness); `label` names the spread
     in the messages.  The eigenvalues are the roots of the minimal
-    polynomial of the field's generator X.  `closure`, when given, is the
-    spread's report from `is_regular_spread` in mode 'auto', so the sweep
-    is not run again.  When the regularity certificate decided, the report
-    carries its `spread_field` result, which is reused.
+    polynomial of the field's generator X, which must be the n conjugates
+    of the smallest root mu.  `closure`, when given, is the spread's report
+    from `is_regular_spread` in mode 'auto', so the sweep is not run again.
+    When the regularity certificate decided, the report carries its
+    `spread_field` result, which is reused.
+
+    X, A, C and the spread-set matrices are rational, so x -> x^q maps the
+    mu-eigenvector v and its line <v.A, v.G> to those of mu^q: the checks
+    on v hold for every root when they hold for mu, and U_l is U_1
+    conjugated l - 1 times.
     """
     if closure is None:
         closure = is_regular_spread(spread)
@@ -120,37 +128,35 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str,
     roots = top.roots([tower.embed(x) for x in mp])
     if len(roots) != n:
         raise AssertionError(f"minimal polynomial has {len(roots)} roots in GF(q^n)")
-    orbit = [roots[0]]
-    while len(orbit) < n:
-        orbit.append(tower.frobenius(orbit[-1]))
-    if sorted(orbit) != roots:
+    mu = roots[0]
+    if sorted(_conjugates(mu, tower.frobenius, n)) != roots:
         raise AssertionError("eigenvalues are not one Galois orbit")
-    top_space = ProjSpace(spread.space.dim, top)
     g_rows = _graph_rows(fld, a.rows, fmap, c.rows)
     a_ext, g_ext, gen_ext = (_embed(m, tower) for m in (a.rows, g_rows, gen))
-    mats_ext = [_embed(m, tower) for m in mats.values()]
-    u_lines = []
-    for mu in orbit:
-        # right kernel of transpose(gen) - mu*I is the row eigenspace
-        rows_t = []
-        for j in range(n):
-            row = [gen_ext[i][j] for i in range(n)]
-            row[j] = top.sub(row[j], mu)
-            rows_t.append(tuple(row))
-        ker = kernel(top, rows_t, n)
-        if len(ker) != 1:
-            raise AssertionError("eigenspace is not one-dimensional")
-        avec = ker[0]
-        for m_ext in mats_ext:
-            img = vec_mat(top, avec, m_ext)
-            if normalize_point(top, img) != normalize_point(top, avec):
-                raise AssertionError("spread-set matrices are not simultaneously diagonal")
-        u_lines.append(top_space.subspace([vec_mat(top, avec, a_ext),
-                                           vec_mat(top, avec, g_ext)]))
-    for l in range(n):
-        if frobenius_subspace(u_lines[l], tower) != u_lines[(l + 1) % n]:
-            raise AssertionError("transversal lines are not one Galois orbit")
-    return u_lines
+    # right kernel of transpose(gen) - mu*I is the row eigenspace
+    rows_t = [tuple(top.sub(gen_ext[i][j], mu if i == j else 0) for i in range(n))
+              for j in range(n)]
+    ker = kernel(top, rows_t, n)
+    if len(ker) != 1:
+        raise AssertionError("eigenspace is not one-dimensional")
+    avec = ker[0]
+    for m in mats.values():
+        img = vec_mat(top, avec, _embed(m, tower))
+        if normalize_point(top, img) != normalize_point(top, avec):
+            raise AssertionError("spread-set matrices are not simultaneously diagonal")
+    u_1 = ProjSpace(spread.space.dim, top).subspace([vec_mat(top, avec, a_ext),
+                                                     vec_mat(top, avec, g_ext)])
+    return _conjugates(u_1, partial(frobenius_subspace, tower=tower), n)
+
+
+def _conjugates(x, frobenius, n: int) -> list:
+    """[x, x^q, ..., x^(q^(n-1))] with `frobenius` the map x -> x^q on x's
+    kind: the orbit of length n that every U_l, u_l, T_l and theta_l is
+    read from."""
+    orbit = [x]
+    while len(orbit) < n:
+        orbit.append(frobenius(orbit[-1]))
+    return orbit
 
 
 def _embed(rows, tower: FieldTower) -> list[Vec]:
@@ -165,8 +171,9 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     Returns (sigma, scaffold).  The construction follows the extension-field
     route: transversal lines U_l of gamma_i, contact points u_l on the
     common element, transversals T_l of gamma through them, planes
-    theta_l = <T_l, U_l>, and the rational orbit spans of theta_1's points,
-    all read through one GF(q) matrix of rank 3n (the map psi below).
+    theta_l = <T_l, U_l> (each computed for l = 1 and conjugated), and the
+    rational orbit spans of theta_1's points, all read through one GF(q)
+    matrix of rank 3n (the map psi below).
     """
     if gamma.carrier is None or gamma_i.carrier is None:
         raise ValueError("build_sigma needs carrier subspaces on both inputs")
@@ -185,18 +192,14 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
         raise ValueError("beta_i ^ beta_j is not an element of gamma")
     if alpha_i not in gamma_i.element_set():
         raise ValueError("beta_i ^ beta_j is not an element of gamma_i")
-    u_lines_int = _eigen_lines(gamma_i, tower, "gamma_i")
+    u_line_i = _eigen_lines(gamma_i, tower, "gamma_i")[0]
 
     top_ambient = ProjSpace(ambient.dim, top)
-    chart_i_ext = Chart(extend_subspace(beta_i, tower, top_ambient))
-    u_lines = [chart_i_ext.to_ambient(u) for u in u_lines_int]
-    alpha_ext = extend_subspace(alpha, tower, top_ambient)
-    contact = []
-    for u in u_lines:
-        pt = meet(alpha_ext, u)
-        if pt.rank != 1:
-            raise AssertionError("contact point u_l is not a single point")
-        contact.append(pt.rows[0])
+    u_line = Chart(extend_subspace(beta_i, tower, top_ambient)).to_ambient(u_line_i)
+    pt = meet(extend_subspace(alpha, tower, top_ambient), u_line)
+    if pt.rank != 1:
+        raise AssertionError("contact point u_l is not a single point")
+    u = pt.rows[0]
 
     # the transversal of gamma through u_l is the line through u_l meeting two
     # other elements a and c: a + c = beta_j, so <u_l, a> meets c in one point
@@ -204,37 +207,33 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
         + gamma_i.ambient_elements()
     generators_ext = [extend_subspace(e, tower, top_ambient) for e in generators]
     a_ext, c_ext = [g for e, g in zip(gamma.elements, generators_ext) if e != alpha_j][:2]
-    transversals = []
-    for u in contact:
-        pt = meet(top_ambient.subspace([u, *a_ext.rows]), c_ext)
-        if pt.rank != 1:
-            raise AssertionError("<u_l, a> does not meet c in one point")
-        t_line = top_ambient.subspace([u, pt.rows[0]])
-        if t_line.rank != 2:
-            raise AssertionError("transversal through u_l is not a line")
-        transversals.append(t_line)
+    pt = meet(top_ambient.subspace([u, *a_ext.rows]), c_ext)
+    if pt.rank != 1:
+        raise AssertionError("<u_l, a> does not meet c in one point")
+    t_line = top_ambient.subspace([u, pt.rows[0]])
+    if t_line.rank != 2:
+        raise AssertionError("transversal through u_l is not a line")
+    theta1 = span([t_line, u_line])
+    if theta1.rank != 3:
+        raise AssertionError("theta plane has wrong dimension")
+    for e in generators_ext:
+        if meet(theta1, e).rank != 1:
+            raise AssertionError("theta plane misses a generating element")
 
-    planes = []
-    for t_line, u_line in zip(transversals, u_lines):
-        theta = span([t_line, u_line])
-        if theta.rank != 3:
-            raise AssertionError("theta plane has wrong dimension")
-        planes.append(theta)
-    for l in range(n):
-        if frobenius_subspace(planes[l], tower) != planes[(l + 1) % n]:
-            raise AssertionError("theta planes are not one Galois orbit")
-    for theta in planes:
-        for e in generators_ext:
-            if meet(theta, e).rank != 1:
-                raise AssertionError("theta plane misses a generating element")
+    # beta_i, alpha, a, c and the generators are rational, so conjugating
+    # u_1, T_1 and theta_1 gives u_l, T_l and theta_l, which pass the checks
+    # above because their l = 1 versions do
+    conjugate = partial(frobenius_subspace, tower=tower)
+    u_lines, transversals, planes = (_conjugates(s, conjugate, n)
+                                     for s in (u_line, t_line, theta1))
+    contact = _conjugates(u, lambda v: tuple(map(tower.frobenius, v)), n)
 
     # psi(w) = restrict(sum_l sigma^l(w.theta_1)) is GF(q)-linear in the
     # expansion of w, and row j*n + i of psi_rows is psi(x^i e_j), the orbit
     # sums of theta_1's row j; so the rational orbit span of c.theta_1, which
     # psi(x^i c) for i < n spans, is (the blown-up c).psi_rows
-    theta1 = planes[0]
-    psi_rows = [tuple(map(tower.restrict, acc))
-                for row in theta1.rows for acc in _orbit_sums(row, tower)]
+    psi_rows = tuple(tuple(map(tower.restrict, acc))
+                     for row in theta1.rows for acc in _orbit_sums(row, tower))
     if rank(tower.base, psi_rows) != 3 * n:
         raise AssertionError("psi does not have rank 3n")
     blow_up = ReductionMap(tower)._blow_up
@@ -254,7 +253,7 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
         if e not in present:
             raise AssertionError("generating element missing from sigma")
     scaffold = SigmaScaffold(tower, top_ambient, tuple(u_lines), tuple(contact),
-                             tuple(transversals), tuple(planes), coords)
+                             tuple(transversals), tuple(planes), coords, psi_rows)
     return sigma, scaffold
 
 
@@ -343,10 +342,11 @@ def recognize_regular(arc: PseudoArc, given: list[int] | None = None):
     regulus through the intersections of beta_j with beta_i, the nucleus
     dual for ovals and the non-given duals, in that order, filled up to
     three from the lowest free indices.  `_recognize_choice` generates
-    Sigma(gamma_j, Gamma_i) and asks whether every dual element carries
-    q^n + 1 of its elements.  On success the plane arc is recovered in the
-    fixed reduction frame when the arc is canonically reducible, and in the
-    theta-plane frame (with a frame witness) otherwise.
+    Sigma(gamma_j, Gamma_i) and asks whether psi^-1 maps every dual element
+    to a line of PG(2, q^n), that is, whether it carries q^n + 1 elements of
+    Sigma.  On success the plane arc is recovered in the fixed reduction
+    frame when the arc is canonically reducible, and in the theta-plane
+    frame (with a frame witness) otherwise.
 
     One choice decides.  Success recovers a plane arc whose reduction, in
     the canonical or the theta frame, is the arc, so the arc is regular.
@@ -400,8 +400,14 @@ def _recognize_choice(arc: PseudoArc, ext: PseudoArc, betas, j: int, gamma_j: Sp
     its nucleus for ovals), `betas` its duals, and gamma_j and gamma_i are
     Gamma_j and Gamma_i as `dual_arc` lists them.  Raises NotRegularError
     when Gamma_j does not contain gamma_j; returns the failure result when
-    some dual element does not carry q^n + 1 elements of
-    Sigma(gamma_j, Gamma_i)."""
+    some dual element beta_k does not carry q^n + 1 elements of Sigma, that
+    is, when psi^-1(beta_k) spans a plane of PG(2, q^n), not a line.
+
+    The two agree: the bijection psi maps the GF(q^n)-multiples of c onto the element of c, so
+    beta_k carries the elements of the points in W = psi^-1(beta_k), a
+    2n-dimensional GF(q)-space.  A line holds q^n + 1 points; conversely
+    q^n + 1 points cover all q^2n - 1 nonzero vectors of W, so W is closed
+    under GF(q^n), a line, and its GF(q^n)-span has rank 2, not 3."""
     field = arc.ambient.field
     tower = FieldTower(field, field_make(field.m * arc.n))
     # element m of Gamma_j is beta_j ^ beta_m, with index j left out
@@ -414,30 +420,29 @@ def _recognize_choice(arc: PseudoArc, ext: PseudoArc, betas, j: int, gamma_j: Sp
              "triple": list(generators)})
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=betas[j])
     sigma, scaffold = build_sigma(reg, gamma_i, tower)
-    inside = _elements_inside(sigma, betas)
-    counts = tuple(len(els) for els in inside)
-    if any(c != arc.q**arc.n + 1 for c in counts):
+    lines = _model_lines(scaffold, betas)
+    if any(line.rank != 2 for line in lines):
         return RecognitionResult(False, None, None, None, None, {}, None)
-    plane, ident = _recover(arc, ext, inside, scaffold, tower)
+    plane, ident = _recover(arc, ext, lines, scaffold, tower)
     choice = {"j": j, "i": i, "generators": list(generators)}
+    counts = tuple(line.n_points() for line in lines)
     return RecognitionResult(True, plane, ident, sigma, scaffold, choice, counts)
 
 
-def _elements_inside(sigma: Spread, subspaces) -> list[list[Subspace]]:
-    """For each subspace, the elements of the spread sigma inside it, in
-    sigma's order.  Every point has one owner in a spread, so an element
-    lies inside S exactly when it owns all its points among the codes of S."""
-    owner = point_owners(sigma.elements)
-    per = sigma.elements[0].n_points()
-    inside = []
-    for s in subspaces:
-        owned = Counter(map(owner.__getitem__, s.point_codes()))
-        inside.append([sigma.elements[i] for i in sorted(owned) if owned[i] == per])
-    return inside
+def _model_lines(scaffold: SigmaScaffold, subspaces) -> list[Subspace]:
+    """psi^-1 of each subspace of the ambient space, read in PG(2, q^n): the
+    GF(q^n)-span of the compressed preimages of its rows."""
+    tower = scaffold.tower
+    psi_inv = mat_inv(tower.base, list(scaffold.psi))
+    compress = ReductionMap(tower).compress_vec
+    plane = ProjSpace(2, tower.top)
+    return [plane.subspace([compress(vec_mat(tower.base, r, psi_inv)) for r in s.rows])
+            for s in subspaces]
 
 
-def _recover(arc, ext, inside, scaffold, tower):
-    """The plane arc and its identification (frame) of a recognized arc."""
+def _recover(arc, ext, lines, scaffold, tower):
+    """The plane arc and its identification (frame) of a recognized arc;
+    `lines` are the model lines psi^-1(beta_k) of its dual elements."""
     top = tower.top
     rmap = ReductionMap(tower)
     points = []
@@ -453,24 +458,14 @@ def _recover(arc, ext, inside, scaffold, tower):
     else:
         points = []
         theta1 = scaffold.planes[0]
-        chart_rows = theta1.rows
-        for idx, els in enumerate(inside):
-            coords = [scaffold.plane_coords[e] for e in els]
-            line = ProjSpace(2, top).subspace(coords[:2])
-            if line.rank != 2 or not all(line.contains_point(c) for c in coords):
-                raise AssertionError("model points of a dual element are not collinear")
+        for idx, line in enumerate(lines):
             coeff = kernel(top, line.rows, 3)
             points.append(normalize_point(top, coeff[0]))
             # frame witness: the dual of the rational span of the conjugate
             # model lines is the original arc element
-            amb_rows = [vec_mat(top, r, chart_rows) for r in line.rows]
-            w = scaffold.top_space.subspace(amb_rows)
-            conj = w
-            rows = list(w.rows)
-            for _ in range(tower.n - 1):
-                conj = frobenius_subspace(conj, tower)
-                rows.extend(conj.rows)
-            w_all = scaffold.top_space.subspace(rows)
+            w = scaffold.top_space.subspace([vec_mat(top, r, theta1.rows) for r in line.rows])
+            conjugates = _conjugates(w, partial(frobenius_subspace, tower=tower), tower.n)
+            w_all = scaffold.top_space.subspace([r for c in conjugates for r in c.rows])
             rational = rationalize_subspace(w_all, tower, arc.ambient)
             if dual(rational) != ext.elements[idx]:
                 raise AssertionError("theta-frame witness failed to reproduce "

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _normalized_vectors,
-                         _pivots_of, _row_ops, dual, kernel, lin_solve, mat_inv, mat_mul,
+                         _pivots_of, _row_ops, dual, kernel, mat_inv, mat_mul,
                          meet, rank, reduce_mod, rref, span, vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces
 
@@ -421,9 +421,11 @@ def spread_field(spread: Spread):
         return None
     if basis is None:
         return None
-    # powers and flats are still those of X: X^n is a combination of them
+    # powers and flats are still those of X and independent, so the relations
+    # sum c_k X^k = 0 (Cayley-Hamilton gives one) are one line, with c_n != 0
     x_n = tuple(x for r in mat_mul(fld, powers[-1], gen) for x in r)
-    minpoly = [fld.neg(s) for s in lin_solve(fld, flats, x_n)] + [1]
+    relation, = kernel(fld, list(zip(*flats, x_n)), n + 1)
+    minpoly = [fld.mul(fld.inv(relation[-1]), c) for c in relation]
     return a, c, fmap, mats, gen, minpoly
 
 

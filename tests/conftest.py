@@ -158,12 +158,14 @@ def subfield_closed_set():
 
 @pytest.fixture()
 def unrecognizable(monkeypatch):
-    """Recognition with one element of Sigma dropped from the first dual
-    element's list, so the line counts fail and no arc is recognized."""
+    """Recognition with the model line of the first dual element replaced by
+    the whole plane PG(2, q^n), so that element is not a line and no arc is
+    recognized."""
     import pal.sigma
-    inside = pal.sigma._elements_inside
+    model_lines = pal.sigma._model_lines
 
-    def drop_one(sigma, subspaces):
-        lists = inside(sigma, subspaces)
-        return [lists[0][1:], *lists[1:]]
-    monkeypatch.setattr(pal.sigma, "_elements_inside", drop_one)
+    def plane_first(scaffold, subspaces):
+        lines = model_lines(scaffold, subspaces)
+        plane = lines[0].ambient
+        return [plane.subspace([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), *lines[1:]]
+    monkeypatch.setattr(pal.sigma, "_model_lines", plane_first)

@@ -698,6 +698,14 @@ REJECTIONS = [
      "theorem 6.1 takes no given indices"),
     (["theorem", "--id", "6.2", "--given", "0,1", "oval.json"], 2,
      "theorem 6.2 takes no given indices"),
+    (["theorem", "--id", "6.1", "--given", "", "hyper.json"], 2,
+     "theorem 6.1 takes no given indices"),
+    (["theorem", "--id", "6.2", "--given", "", "oval.json"], 2,
+     "theorem 6.2 takes no given indices"),
+    (["theorem", "--id", "6.3", "--given", "", "hyper.json"], 2,
+     "theorem 6.3 needs at least q^n - 1 = 15 given spreads"),
+    (["theorem", "--id", "7.1", "--given", "", "hyper.json"], 2,
+     "theorem 7.1 needs at least q^n + 1 - delta0 given spreads"),
     (["theorem", "--id", "6.3", "--delta0", "1", "hyper.json"], 2,
      "theorem 6.3 takes no delta0"),
     (["design", "--pg2-lines", "4", "--exceptions", "0,1"], 2,

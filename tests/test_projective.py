@@ -10,7 +10,7 @@ from pal import (ProjSpace, QuotientMap, Spread, derive_spread_from_element,
                  nucleus, opposite_regulus, regulus_through, span,
                  tangent_spaces, verify_spread)
 from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
-from pal.projective import (Chart, _normalized_vectors, lin_solve, mat_inv, mat_mul,
+from pal.projective import (Chart, _normalized_vectors, mat_inv, mat_mul,
                             rank, reduce_mod, rref, vec_mat)
 from pal.spreads import SpreadReport
 
@@ -209,9 +209,6 @@ def test_linear_algebra_helpers():
     assert prod == [tuple(1 if i == j else 0 for j in range(3)) for i in range(3)]
     with pytest.raises(ValueError):
         mat_inv(F4, [(1, 1, 0), (1, 1, 0), (0, 0, 1)])
-    x = lin_solve(F4, rows, (1, 1, 1))
-    assert x is not None and vec_mat(F4, x, rows) == (1, 1, 1)
-    assert lin_solve(F4, [(1, 0, 0), (0, 1, 0)], (0, 0, 1)) is None
 
 
 def test_rref_canonical_properties():

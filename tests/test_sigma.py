@@ -16,7 +16,7 @@ from pal import (NotRegularError, ProjSpace, RecognitionResult, Regulus,
 from pal.fields import FieldTower, field_make
 from pal.projective import Subspace, _normalized_vectors, mat_mul, rref, vec_mat
 from pal.reduction import extend_subspace, frobenius_subspace, rational_orbit_span
-from pal.sigma import PlaneModel, _elements_inside, _recognize_choice
+from pal.sigma import PlaneModel, _model_lines, _recognize_choice
 from pal.spreads import spread_field
 
 
@@ -169,6 +169,28 @@ def test_spread_field_is_a_closed_matrix_field(q, n):
             value[i] = tuple(fld.add(v, coeff if i == j else 0)
                              for j, v in enumerate(value[i]))
     assert not any(any(row) for row in value)
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (2, 3), (8, 2), (4, 3), (2, 4), (16, 2)])
+def test_spread_field_minimal_polynomial(q, n):
+    """The minimal polynomial read off the kernel, checked a second way: the
+    sum of c_k X^k over explicit powers of X vanishes, and the polynomial
+    has n distinct roots in GF(q^n), the n conjugates of one of them."""
+    spread = desarguesian_spread(q, n)
+    *_, x, minpoly = spread_field(spread)
+    fld = spread.space.field
+    assert len(minpoly) == n + 1 and minpoly[-1] == 1
+    total = [[0] * n for _ in range(n)]
+    power = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for coeff in minpoly:
+        total = [[fld.add(t, fld.mul(coeff, p)) for t, p in zip(trow, prow)]
+                 for trow, prow in zip(total, power)]
+        power = mat_mul(fld, power, x)
+    assert not any(any(row) for row in total)
+    tower = FieldTower(fld, field_make(fld.m * n))
+    roots = tower.top.roots([tower.embed(c) for c in minpoly])
+    assert len(roots) == n
+    assert sorted(tower.galois_orbit(roots[0])) == roots
 
 
 def test_transversals_reject_ring_spread_set(zero_divisor_set):
@@ -505,7 +527,7 @@ def test_plane_model_rejects_non_spread(sigma_setup):
         plane_model(Spread(sigma.space, tuple(elems)), scaffold)
 
 
-# -- incidence by lookup ----------------------------------------------------------
+# -- incidence through psi^-1 ---------------------------------------------------
 
 
 def contains_inside(spread, subspaces):
@@ -513,21 +535,49 @@ def contains_inside(spread, subspaces):
     return [[e for e in spread.elements if s.contains(e)] for s in subspaces]
 
 
-def test_inside_lists_match_contains(sigma_setup, sigma23):
-    for da, sigma in ((sigma_setup[0], sigma_setup[2]), sigma23[:2]):
-        inside = _elements_inside(sigma, da.betas)
-        assert inside == contains_inside(sigma, da.betas)
-        order = sigma.space.field.order ** sigma.elements[0].rank
-        assert all(len(els) == order + 1 for els in inside)
+def test_model_lines_of_the_conic_duals(sigma_setup, sigma23):
+    """psi^-1 maps every dual element of the conic to a line of PG(2, q^n),
+    and the elements of the line's points are the ones inside the dual
+    element."""
+    da, _, sigma, scaffold = sigma_setup
+    for da, sigma, scaffold in ((da, sigma, scaffold), sigma23):
+        lines = _model_lines(scaffold, da.betas)
+        assert [line.rank for line in lines] == [2] * len(da.betas)
+        for line, inside in zip(lines, contains_inside(sigma, da.betas)):
+            points = set(line.point_vectors())
+            assert [e for e in sigma.elements if scaffold.plane_coords[e] in points] == inside
+            assert len(inside) == len(points)
 
 
-def test_inside_lists_match_contains_off_the_model(reduced_plane, conic_dual):
-    """On the regulus-switched spread some dual elements of the conic no
-    longer carry q^n + 1 elements: the counts that refuse recognition."""
-    _, _, switched = regulus_switched(reduced_plane, 5)
-    inside = _elements_inside(switched, conic_dual.betas)
-    assert inside == contains_inside(switched, conic_dual.betas)
-    assert any(len(els) != 17 for els in inside)
+def test_model_lines_off_the_model(sigma_setup, moved_oval):
+    """The duals of the moved oval are not lines of the conic's model plane:
+    every image spans PG(2, q^n), and no dual element carries q^n + 1
+    elements of the conic's sigma."""
+    _, _, sigma, scaffold = sigma_setup
+    betas = dual_arc(moved_oval).betas
+    assert [line.rank for line in _model_lines(scaffold, betas)] == [3] * len(betas)
+    assert all(len(inside) < 17 for inside in contains_inside(sigma, betas))
+
+
+@pytest.fixture(scope="module")
+def scaffold_q4n3(arc_q4n3):
+    return recognize_regular(arc_q4n3).scaffold
+
+
+def test_scaffold_is_frobenius_orbits(sigma_setup, sigma23, scaffold_q4n3):
+    """U_l, u_l, T_l and theta_l are the Frobenius orbits of their first
+    entries, of length n and closing up after n steps."""
+    for scaffold in (sigma_setup[3], sigma23[2], scaffold_q4n3):
+        tower, n = scaffold.tower, scaffold.tower.n
+        for orbit in (scaffold.transversal_lines, scaffold.regulus_transversals,
+                      scaffold.planes):
+            assert len(orbit) == n
+            for l in range(n):
+                assert frobenius_subspace(orbit[l], tower) == orbit[(l + 1) % n]
+        points = scaffold.contact_points
+        assert len(points) == n
+        for l in range(n):
+            assert tuple(map(tower.frobenius, points[l])) == points[(l + 1) % n]
 
 
 def test_recognition_makes_no_containment_tests(conic_oval, monkeypatch):
@@ -674,8 +724,8 @@ def test_recognition_verifies_two_gammas(request, monkeypatch, arc_q4n3, name, g
 
 
 def test_failed_choice_is_reported_after_one_sigma(unrecognizable, sigma_calls, conic_oval):
-    """A dual element short of q^n + 1 elements of Sigma: not regular, with
-    no second choice."""
+    """A dual element that psi^-1 maps to a plane: not regular, with no
+    second choice."""
     res = recognize_regular(conic_oval)
     assert res == RecognitionResult(False, None, None, None, None, {}, None)
     assert len(sigma_calls) == 1

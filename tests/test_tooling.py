@@ -82,6 +82,28 @@ def test_theorem_workload_work_counts(tmp_path, monkeypatch):
     assert calls["dual_arc"] <= 1
 
 
+def test_recognition_work_counts(conic_hyperoval, monkeypatch):
+    """Recognition of the (4,2) conic hyperoval asks incidence through psi^-1,
+    so it builds no point-owner map, and it meets U_1, u_1, T_1 and theta_1
+    only, the other conjugates being read off them: at most 25 `meet` calls
+    (one point-owner map and 49 meets when every conjugate was met)."""
+    import pal.projective
+    from pal import recognize_regular
+    calls = Counter()
+    for name in ("meet", "point_owners"):
+        orig = getattr(pal.projective, name)
+
+        def spy(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        for mod in [m for n, m in sys.modules.items() if n.startswith("pal.")]:
+            if vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, spy)
+    assert recognize_regular(conic_hyperoval).regular
+    assert calls["point_owners"] == 0
+    assert calls["meet"] <= 25, calls
+
+
 def test_bench_reject_workload_checks():
     # one round of reject-q4q8: Hall spreads and near-miss pseudo-ovals, each
     # checked against the bench's own witnesses
