@@ -14,8 +14,8 @@ from .pseudoarcs import (PseudoArc, extend_to_hyperoval, make_pseudo_arc,
                          nucleus, tangent_spaces, verify_pseudo_arc)
 from .reduction import ReductionMap, desarguesian_spread, reduction_map
 from .sigma import (NotRegularError, PlaneModel, RecognitionResult,
-                    SigmaScaffold, build_sigma, plane_model, recognize_regular,
-                    spread_transversals)
+                    SigmaScaffold, build_sigma, generated_spread, plane_model,
+                    recognize_regular, spread_transversals)
 from .spreads import (DualArc, Regulus, Spread, count_reguli_through_pair,
                       derive_spread_from_element, derive_spread_from_nucleus,
                       derive_tangent_spread_odd, distinct_reguli, dual_arc,

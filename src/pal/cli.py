@@ -315,7 +315,7 @@ def cmd_design(args) -> int:
         if not res.regular:
             print("error: arc was not recognized as regular", file=sys.stderr)
             return FAIL
-        model = plane_model(res.sigma, res.scaffold)
+        model = plane_model(res.scaffold)
         spec = lines_design(range(len(model.spread.elements)), model.members)
     else:
         # the source group is required, so --dual-blocks is the one left

@@ -21,17 +21,25 @@ from functools import lru_cache
 MAX_DEGREE = 16
 TABLE_MAX_DEGREE = 8  # largest m whose q x q multiplication table is kept
 
-# Fixed moduli shipped with the artifact, keyed by degree.  Any other
-# irreducible modulus is accepted when given explicitly.
+# Fixed moduli shipped with the artifact, one for every degree up to
+# MAX_DEGREE.  Any other irreducible modulus is accepted when given explicitly.
 DEFAULT_MODULUS = {
-    1: 0b11,                # x + 1
-    2: 0b111,               # x^2 + x + 1
-    3: 0b1011,              # x^3 + x + 1
-    4: 0b10011,             # x^4 + x + 1
-    6: 0b1011011,           # x^6 + x^4 + x^3 + x + 1
-    8: 0b100011101,         # x^8 + x^4 + x^3 + x^2 + 1
-    9: 0b1000010001,        # x^9 + x^4 + 1
-    12: 0b1000001010011,    # x^12 + x^6 + x^4 + x + 1
+    1: 0b11,                    # x + 1
+    2: 0b111,                   # x^2 + x + 1
+    3: 0b1011,                  # x^3 + x + 1
+    4: 0b10011,                 # x^4 + x + 1
+    5: 0b100101,                # x^5 + x^2 + 1
+    6: 0b1011011,               # x^6 + x^4 + x^3 + x + 1
+    7: 0b10000011,              # x^7 + x + 1
+    8: 0b100011101,             # x^8 + x^4 + x^3 + x^2 + 1
+    9: 0b1000010001,            # x^9 + x^4 + 1
+    10: 0b10000001001,          # x^10 + x^3 + 1
+    11: 0b100000000101,         # x^11 + x^2 + 1
+    12: 0b1000001010011,        # x^12 + x^6 + x^4 + x + 1
+    13: 0b10000000011011,       # x^13 + x^4 + x^3 + x + 1
+    14: 0b100010001000011,      # x^14 + x^10 + x^6 + x + 1
+    15: 0b1000000000000011,     # x^15 + x + 1
+    16: 0b10001000000001011,    # x^16 + x^12 + x^3 + x + 1
 }
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -80,8 +88,6 @@ class FiniteField:
             if not 1 <= m <= MAX_DEGREE:
                 raise ValueError(f"degree m={m} out of range 1..{MAX_DEGREE}")
             if modulus is None:
-                if m not in DEFAULT_MODULUS:
-                    raise ValueError(f"no default modulus for m={m}; pass one explicitly")
                 modulus = DEFAULT_MODULUS[m]
             if modulus.bit_length() - 1 != m:
                 raise ValueError(f"modulus degree {modulus.bit_length() - 1} != m={m}")

@@ -312,8 +312,8 @@ def summary(obj: dict) -> list[str]:
         space, elements = pseudo_arc_items(obj)
         arc_kind = _get(obj, "arc_kind", str)
         witness = _get(obj, "witness", dict, type(None), default=None)
-        m = space.field.m
-        lines.append(f"  q=2^{m}={2 ** m}, n={(space.dim + 1) // 3}, "
+        fld = space.field
+        lines.append(f"  q={fld.p}^{fld.m}={fld.order}, n={(space.dim + 1) // 3}, "
                      f"{len(elements)} elements, kind={arc_kind}")
         if witness:
             lines.append(f"  witness: {witness.get('source_kind')} "

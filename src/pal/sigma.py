@@ -12,16 +12,15 @@ the transversal T_1 of a regulus through the contact point u_1 it spans the
 plane theta_1.  All else is rational, and x -> x^q fixes GF(q), so U_l,
 u_l, T_l and theta_l are the Frobenius conjugates of the l = 1 ones, and
 their checks run for l = 1 only.  The rational (n-1)-spaces meeting the
-planes are the generated spread: one GF(q) matrix psi of rank 3n, kept in
-the scaffold, maps the field reduction of point c of PG(2, q^n) to the
-element of c.  Field reduction carries the lines of PG(2, q^n) to the
-(2n-1)-spaces spanned by two elements, and the plane model reads its lines
-off the coordinates c.  Recognition runs that construction on the dual of
-an arc, for one regulus choice, and asks whether psi^-1 maps every dual
-element to a line of PG(2, q^n).  One choice decides: success reduces a
-recovered plane arc to the arc, and for a regular arc every choice
-generates the Desarguesian spread that the dual elements are spanned by
-(see `recognize_regular`).
+planes are the generated spread, held as one GF(q) matrix psi of rank 3n
+that maps the field reduction of point c of PG(2, q^n) to the element of c.
+Only the plane model builds the elements (`generated_spread`), and reads
+its lines off the lines of PG(2, q^n).  Recognition runs the construction
+on the dual of an arc, for one regulus choice, and asks whether psi^-1
+maps every dual element to a line of PG(2, q^n).  One choice decides:
+success reduces a recovered plane arc to the arc, and for a regular arc
+every choice generates the Desarguesian spread that the dual elements are
+spanned by (see `recognize_regular`).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class SigmaScaffold:
     contact_points: tuple[Vec, ...]            # u_l
     regulus_transversals: tuple[Subspace, ...]  # T_l
     planes: tuple[Subspace, ...]               # theta_l
-    plane_coords: dict                         # element -> theta_1 coords
     psi: tuple[Vec, ...]                       # GF(q)^3n -> ambient, rank 3n
 
 
@@ -168,12 +166,12 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     """The regular (n-1)-spread of PG(3n-1, q) generated by a regulus gamma
     (living in a carrier beta_j) and a regular spread gamma_i (in beta_i).
 
-    Returns (sigma, scaffold).  The construction follows the extension-field
-    route: transversal lines U_l of gamma_i, contact points u_l on the
-    common element, transversals T_l of gamma through them, planes
-    theta_l = <T_l, U_l> (each computed for l = 1 and conjugated), and the
-    rational orbit spans of theta_1's points, all read through one GF(q)
-    matrix of rank 3n (the map psi below).
+    Returns the scaffold, which holds sigma as the GF(q) matrix psi of rank
+    3n (see `generated_spread`, which builds the elements).  The route:
+    transversal lines U_l of gamma_i, contact points u_l on the common
+    element, transversals T_l of gamma through them and planes
+    theta_l = <T_l, U_l>, each computed for l = 1 and conjugated.  psi^-1
+    must map every generating element to a point of PG(2, q^n).
     """
     if gamma.carrier is None or gamma_i.carrier is None:
         raise ValueError("build_sigma needs carrier subspaces on both inputs")
@@ -183,7 +181,6 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
         raise ValueError("carriers live in different spaces")
     top = tower.top
     n = tower.n
-    q = tower.q
     alpha = meet(beta_i, beta_j)
     chart_j = Chart(beta_j)
     alpha_j = chart_j.to_internal(alpha)
@@ -228,33 +225,43 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
                                      for s in (u_line, t_line, theta1))
     contact = _conjugates(u, lambda v: tuple(map(tower.frobenius, v)), n)
 
-    # psi(w) = restrict(sum_l sigma^l(w.theta_1)) is GF(q)-linear in the
-    # expansion of w, and row j*n + i of psi_rows is psi(x^i e_j), the orbit
-    # sums of theta_1's row j; so the rational orbit span of c.theta_1, which
-    # psi(x^i c) for i < n spans, is (the blown-up c).psi_rows
+    # row j*n + i of psi_rows is psi(x^i e_j), the orbit sums of theta_1's
+    # row j restricted to GF(q) (see `generated_spread`)
     psi_rows = tuple(tuple(map(tower.restrict, acc))
                      for row in theta1.rows for acc in _orbit_sums(row, tower))
     if rank(tower.base, psi_rows) != 3 * n:
         raise AssertionError("psi does not have rank 3n")
-    blow_up = ReductionMap(tower)._blow_up
-    elements = []
-    coords = {}
-    for c in _normalized_vectors(top, 3):
-        el = ambient.subspace(mat_mul(tower.base, blow_up([c]), psi_rows))
-        elements.append(el)
-        coords[el] = c
-    expected = q ** (2 * n) + q**n + 1
-    if len(set(elements)) != expected:
-        raise AssertionError("generated spread has repeated elements")
-    sigma = verified_spread(
-        Spread(ambient, tuple(elements), origin="sigma(gamma, Gamma_i)"), "generated spread")
-    present = sigma.element_set()
-    for e in generators:
-        if e not in present:
-            raise AssertionError("generating element missing from sigma")
     scaffold = SigmaScaffold(tower, top_ambient, tuple(u_lines), tuple(contact),
-                             tuple(transversals), tuple(planes), coords, psi_rows)
-    return sigma, scaffold
+                             tuple(transversals), tuple(planes), psi_rows)
+    # g is an element of sigma iff psi^-1(g) is GF(q^n).c for a point c
+    if any(point.rank != 1 for point in _model_lines(scaffold, generators)):
+        raise AssertionError("generating element missing from sigma")
+    return scaffold
+
+
+def generated_spread(scaffold: SigmaScaffold) -> Spread:
+    """The spread sigma of `build_sigma`, built and verified: element i is
+    psi of the field reduction of point i of PG(2, Q), Q = q^n, in
+    `_normalized_vectors` order.
+
+    Let psi(v) = sum_{l<n} (v.theta_1)^(q^l), coordinatewise: a GF(q)-linear
+    map from GF(Q)^3 to the rational vectors, whose matrix on the field
+    reduction is `scaffold.psi`.  `build_sigma` checked that it has rank 3n,
+    so psi is a bijection, and it carries the field reduction of PG(2, Q), a
+    spread of PG(3n-1, q), onto a spread.  For w = c.theta_1, psi(x.c) =
+    sum_l x^(q^l) w^(q^l) lies in the rational span of the Frobenius orbit
+    of w, which has rank at most n, so the element of c is that span.  A
+    line of PG(2, Q) is a 2-dimensional W: psi(W) has rank 2n, holds the
+    elements of the points on the line, and meets the element of any other
+    point c' in psi(W ^ GF(Q).c') = 0.  So two elements span exactly the
+    elements of the points on their joining line, and psi^-1 maps a
+    (2n-1)-space holding Q + 1 elements to a line (see `_recognize_choice`).
+    """
+    base, rmap = scaffold.tower.base, ReductionMap(scaffold.tower)
+    elements = tuple(rmap.target.subspace(mat_mul(base, rmap._blow_up([c]), scaffold.psi))
+                     for c in _normalized_vectors(rmap.source.field, 3))
+    return verified_spread(Spread(rmap.target, elements, origin="sigma(gamma, Gamma_i)"),
+                           "generated spread")
 
 
 @dataclass(frozen=True)
@@ -267,58 +274,31 @@ class PlaneModel:
     points_per_line: int
 
 
-def plane_model(sigma: Spread, scaffold: SigmaScaffold) -> PlaneModel:
+def plane_model(scaffold: SigmaScaffold) -> PlaneModel:
     """The plane of order Q = q^n whose points are the elements of the
-    generated spread sigma, read off the coordinates `scaffold.plane_coords`
-    that `build_sigma` gave them.
+    spread that `build_sigma` generated.
 
-    Lines are the (2n-1)-spaces spanned by two elements; they are the lines
-    of PG(2, Q) carried over by field reduction.  `build_sigma` makes the
-    element of the point c the rational span of the Frobenius orbit of
-    w = c.theta_1.  Let psi(v) = sum_{l<n} (v.theta_1)^(q^l), coordinatewise:
-    a GF(q)-linear map from GF(Q)^3 to the rational vectors.  psi(x.c) =
-    sum_l x^(q^l) w^(q^l) is rational and lies in the orbit span, so it lies
-    in the element of c.  That element has rank n, so the n orbit vectors
-    w^(q^l) are independent and psi(x.c) = 0 only for x = 0: psi maps
-    GF(Q).c onto the element of c.  Every nonzero vector lies in one GF(Q).c,
-    so psi is injective, hence bijective.  A line of PG(2, Q) is a
-    2-dimensional W: psi(W) has rank 2n, holds the elements of the points on
-    the line, and meets the element of any other point c' in
-    psi(W ^ GF(Q).c') = 0.  So two elements span exactly the elements of the
-    points on their joining line.
-
-    The argument needs sigma to be the spread that `build_sigma` generated
-    and verified, with those coordinates.  The coordinates are keyed by the
-    element subspaces, so requiring that every element of sigma has
-    coordinates and that they are the Q^2 + Q + 1 points of PG(2, Q) ties
-    sigma to that spread, and no second `verify_spread` is needed.  Raises
-    ValueError when sigma has the wrong size or fails that test.  Each line
-    is the span of its first two members (an AssertionError unless it has
-    rank 2n), and the lines are sorted by their basis rows.
+    Element i of `generated_spread` is the image of point i of PG(2, Q), so
+    the lines are the (2n-1)-spaces spanned by two elements, one per line of
+    PG(2, Q), and their members are the positions of that line's points.
+    Each line is the span of its first two members (an AssertionError
+    unless it has rank 2n), and the lines are sorted by their basis rows.
     """
+    sigma = generated_spread(scaffold)
     elems = sigma.elements
-    order = sigma.space.field.order ** elems[0].rank
-    expected_pts = order**2 + order + 1
-    if len(elems) != expected_pts:
-        raise ValueError(f"{len(elems)} elements cannot model a plane of order {order}")
-    coords = [scaffold.plane_coords.get(e) for e in elems]
-    if None in coords:
-        raise ValueError(f"element {coords.index(None)} of sigma has no plane coordinates")
     plane = ProjSpace(2, scaffold.tower.top)
-    if set(coords) != set(_normalized_vectors(plane.field, 3)):
-        raise ValueError(f"sigma's plane coordinates are not the {expected_pts} "
-                         f"points of PG(2, {order})")
-    position = {plane.encode(c): i for i, c in enumerate(coords)}
+    position = {plane.encode(c): i
+                for i, c in enumerate(_normalized_vectors(plane.field, 3))}
     model = []
     for codes in plane_line_codes(plane):
         members = [position[c] for c in codes]
         line = span([elems[members[0]], elems[members[1]]])
-        if line.rank != 2 * elems[0].rank:
+        if line.rank != 2 * scaffold.tower.n:
             raise AssertionError("two elements of sigma do not span a (2n-1)-space")
         model.append((line, frozenset(members)))
     model.sort(key=lambda lm: lm[0].rows)
     lines, members = zip(*model)
-    return PlaneModel(sigma, lines, members, order + 1)
+    return PlaneModel(sigma, lines, members, plane.field.order + 1)
 
 
 @dataclass(frozen=True)
@@ -326,7 +306,6 @@ class RecognitionResult:
     regular: bool
     plane_arc: PlaneArc | None
     identification: dict | None
-    sigma: Spread | None
     scaffold: SigmaScaffold | None
     choice: dict
     line_counts: tuple[int, ...] | None
@@ -403,11 +382,12 @@ def _recognize_choice(arc: PseudoArc, ext: PseudoArc, betas, j: int, gamma_j: Sp
     some dual element beta_k does not carry q^n + 1 elements of Sigma, that
     is, when psi^-1(beta_k) spans a plane of PG(2, q^n), not a line.
 
-    The two agree: the bijection psi maps the GF(q^n)-multiples of c onto the element of c, so
-    beta_k carries the elements of the points in W = psi^-1(beta_k), a
-    2n-dimensional GF(q)-space.  A line holds q^n + 1 points; conversely
-    q^n + 1 points cover all q^2n - 1 nonzero vectors of W, so W is closed
-    under GF(q^n), a line, and its GF(q^n)-span has rank 2, not 3."""
+    The two agree: the bijection psi maps GF(q^n).c onto the element of c
+    (see `generated_spread`), so beta_k carries the elements of the points
+    in W = psi^-1(beta_k), a 2n-dimensional GF(q)-space.  A line holds
+    q^n + 1 points; conversely q^n + 1 points cover all q^2n - 1 nonzero
+    vectors of W, so W is closed under GF(q^n), a line, and its
+    GF(q^n)-span has rank 2, not 3."""
     field = arc.ambient.field
     tower = FieldTower(field, field_make(field.m * arc.n))
     # element m of Gamma_j is beta_j ^ beta_m, with index j left out
@@ -419,30 +399,29 @@ def _recognize_choice(arc: PseudoArc, ext: PseudoArc, betas, j: int, gamma_j: Sp
             {"kind": "regulus-closure", "spread": f"gamma[{j}]",
              "triple": list(generators)})
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=betas[j])
-    sigma, scaffold = build_sigma(reg, gamma_i, tower)
+    scaffold = build_sigma(reg, gamma_i, tower)
     lines = _model_lines(scaffold, betas)
     if any(line.rank != 2 for line in lines):
-        return RecognitionResult(False, None, None, None, None, {}, None)
-    plane, ident = _recover(arc, ext, lines, scaffold, tower)
+        return RecognitionResult(False, None, None, None, {}, None)
+    plane, ident = _recover(arc, ext, lines, scaffold)
     choice = {"j": j, "i": i, "generators": list(generators)}
     counts = tuple(line.n_points() for line in lines)
-    return RecognitionResult(True, plane, ident, sigma, scaffold, choice, counts)
+    return RecognitionResult(True, plane, ident, scaffold, choice, counts)
 
 
 def _model_lines(scaffold: SigmaScaffold, subspaces) -> list[Subspace]:
     """psi^-1 of each subspace of the ambient space, read in PG(2, q^n): the
     GF(q^n)-span of the compressed preimages of its rows."""
-    tower = scaffold.tower
-    psi_inv = mat_inv(tower.base, list(scaffold.psi))
-    compress = ReductionMap(tower).compress_vec
-    plane = ProjSpace(2, tower.top)
-    return [plane.subspace([compress(vec_mat(tower.base, r, psi_inv)) for r in s.rows])
+    base, rmap = scaffold.tower.base, ReductionMap(scaffold.tower)
+    psi_inv = mat_inv(base, list(scaffold.psi))
+    return [rmap.source.subspace([rmap.compress_vec(vec_mat(base, r, psi_inv)) for r in s.rows])
             for s in subspaces]
 
 
-def _recover(arc, ext, lines, scaffold, tower):
+def _recover(arc, ext, lines, scaffold):
     """The plane arc and its identification (frame) of a recognized arc;
     `lines` are the model lines psi^-1(beta_k) of its dual elements."""
+    tower = scaffold.tower
     top = tower.top
     rmap = ReductionMap(tower)
     points = []

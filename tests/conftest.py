@@ -160,12 +160,15 @@ def subfield_closed_set():
 def unrecognizable(monkeypatch):
     """Recognition with the model line of the first dual element replaced by
     the whole plane PG(2, q^n), so that element is not a line and no arc is
-    recognized."""
+    recognized.  build_sigma's images of the generating elements (rank n)
+    are left as they are."""
     import pal.sigma
     model_lines = pal.sigma._model_lines
 
     def plane_first(scaffold, subspaces):
         lines = model_lines(scaffold, subspaces)
+        if subspaces[0].rank != 2 * scaffold.tower.n:
+            return lines
         plane = lines[0].ambient
         return [plane.subspace([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), *lines[1:]]
     monkeypatch.setattr(pal.sigma, "_model_lines", plane_first)

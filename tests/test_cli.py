@@ -5,7 +5,8 @@ import json
 import pytest
 
 import pal.cli
-from pal import Spread, check_design, conic, io, plane_model, recognize_regular, reduction_map
+from pal import (ProjSpace, Spread, check_design, conic, gf, io, make_pseudo_arc, plane_model,
+                 recognize_regular, reduction_map, span)
 from pal.cli import main
 
 
@@ -38,6 +39,17 @@ def test_construct_small_case(tmp_path):
                  "-o", str(path)]) == 0
     obj = io.load(path, "pseudo-arc")
     assert len(obj["elements"]) == 9 and obj["n"] == 3
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (32, 1)])
+def test_construct_and_verify_order_32(tmp_path, q, n):
+    """q^n = 32 is under the cap, and GF(32) has a default modulus."""
+    path = tmp_path / "a.json"
+    assert main(["construct", "--q", str(q), "--n", str(n), "--source", "conic",
+                 "-o", str(path)]) == 0
+    obj = io.load(path, "pseudo-arc")
+    assert (len(obj["elements"]), obj["n"], obj["arc_kind"]) == (33, n, "pseudo-oval")
+    assert main(["verify", str(path)]) == 0
 
 
 def test_construct_rejects_bad_translation(tmp_path):
@@ -340,7 +352,6 @@ def test_design_cli(tmp_path):
 
 def decoded_pg2_lines_design(q):
     """Reference design: each line of PG(2, q) by decoding its points."""
-    from pal import ProjSpace, gf
     from pal.projective import kernel
     from pal.theorems import lines_design
     space = ProjSpace(2, gf(q))
@@ -381,27 +392,6 @@ def test_design_plane_model_byte_deterministic(arc_file, tmp_path, capsys):
     assert outputs[0] == outputs[1]
     rep = io.load(tmp_path / "a.json", "design-report")
     assert rep["ok"] and (rep["v"], rep["k"], rep["blocks"]) == (273, 17, 273)
-
-
-def test_design_plane_model_of_non_plane_exits_2(arc_file, tmp_path, capsys, monkeypatch):
-    """A recognition whose scaffold does not match its sigma: one element is
-    swapped for a line meeting element 0, which has no plane coordinates."""
-    from types import SimpleNamespace
-    from pal import cli
-    real = cli.recognize_regular
-
-    def tampered(arc):
-        res = real(arc)
-        elems = list(res.sigma.elements)
-        elems[1] = res.sigma.space.subspace([elems[0].rows[0], elems[1].rows[0]])
-        return SimpleNamespace(regular=True, sigma=Spread(res.sigma.space, tuple(elems)),
-                               scaffold=res.scaffold)
-    monkeypatch.setattr(cli, "recognize_regular", tampered)
-    capsys.readouterr()
-    assert main(["design", "--plane-model-from", str(arc_file),
-                 "-o", str(tmp_path / "d.json")]) == 2
-    assert capsys.readouterr().err == "error: element 1 of sigma has no plane coordinates\n"
-    assert not (tmp_path / "d.json").exists()
 
 
 def test_design_dual_blocks_tabulation(hyper_file, tmp_path):
@@ -839,7 +829,7 @@ def test_design_sources_give_sorted_int_tuples(source, rejected, tmp_path, capsy
         reference = [frozenset(b) for b in scrambled]
     elif source == "plane-model-from":
         res = recognize_regular(io.pseudo_arc_from_json(io.load("oval.json")))
-        reference = list(plane_model(res.sigma, res.scaffold).members)
+        reference = list(plane_model(res.scaffold).members)
     else:
         reference = sorted(map(frozenset, spec.blocks), key=sorted)
     assert list(spec.blocks) == [tuple(sorted(b)) for b in reference]
@@ -862,7 +852,14 @@ def test_report_on_every_written_kind(rejected, tmp_path, capsys):
                  ["design", "--pg2-lines", "4", "-o", str(d / "design.json")]):
         assert main(argv) == 0
     io.save(d / "unknown.json", {"schema": io.SCHEMA, "kind": "mystery"})
+    # the conic of PG(2, 5) as an n = 1 pseudo-oval: q is read off the field
+    odd = make_pseudo_arc(ProjSpace(2, gf(5)), [span([p]) for p in conic(gf(5)).points])
+    io.save(d / "odd.json", io.pseudo_arc_to_json(odd))
     expected = {
+        rejected / "oval.json": ["kind=pseudo-arc",
+                                 "  q=2^2=4, n=2, 17 elements, kind=pseudo-oval",
+                                 "  witness: oval via powerbasis-v1"],
+        d / "odd.json": ["kind=pseudo-arc", "  q=5^1=5, n=1, 6 elements, kind=pseudo-oval"],
         rejected / "delta_0.json": ["kind=spread", "  17 elements in PG(3, 4), origin=delta[0]"],
         d / "regulus.json": ["kind=regulus",
                              "  5 elements in PG(3, 4), contained_in_spread=True"],
@@ -872,7 +869,8 @@ def test_report_on_every_written_kind(rejected, tmp_path, capsys):
         d / "design.json": ["kind=design-report", "  2-(21,5,1): ok=True, blocks=21"],
         d / "unknown.json": ["kind=mystery", "  (no summary available)"],
     }
-    for path, (kind, line) in expected.items():
+    for path, (kind, *lines) in expected.items():
         capsys.readouterr()
         assert main(["report", str(path)]) == 0
-        assert capsys.readouterr() == (f"pal-v1 file: {kind}\n{line}\n", "")
+        assert capsys.readouterr() == ("".join(f"{line}\n" for line in
+                                               [f"pal-v1 file: {kind}", *lines]), "")

@@ -46,7 +46,7 @@ def test_field_make_errors():
     with pytest.raises(ValueError, match="reducible"):
         field_make(4, 0b10101)  # x^4+x^2+1 = (x^2+x+1)^2
     with pytest.raises(ValueError):
-        field_make(5)  # no default modulus for m=5
+        field_make(17)  # above MAX_DEGREE
     with pytest.raises(ValueError):
         field_make(0)
     with pytest.raises(ValueError, match="leading"):

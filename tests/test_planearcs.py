@@ -232,9 +232,9 @@ def test_verify_karc_matches_triple_sweep(order):
 
 
 def _ovals(q):
-    """The conic and the translation ovals of PG(2, q); GF(32) over x^5 + x^2 + 1."""
+    """The conic and the translation ovals of PG(2, q)."""
     m = q.bit_length() - 1
-    field = field_make(m, 0b100101 if m == 5 else None)
+    field = field_make(m)
     return [conic(field)] + [translation_oval(field, k) for k in range(2, m) if gcd(k, m) == 1]
 
 

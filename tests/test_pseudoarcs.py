@@ -252,12 +252,11 @@ def _fresh(arc):
 def _even_ovals(conic_oval, translation_arc, small_arc, arc_q8n2, arc_q4n3):
     """The q-even pseudo-ovals: the (4,2) conic and translation ovals, the
     conics at (2,3), (8,2) and (4,3), the (4,3) translation oval t -> t^32,
-    and the plane conics and translation ovals of PG(2, Q), Q = 2..64
-    (GF(32) over x^5 + x^2 + 1)."""
+    and the plane conics and translation ovals of PG(2, Q), Q = 2..64."""
     arcs = [conic_oval, translation_arc, small_arc, arc_q8n2, arc_q4n3,
             reduction_map(4, 3).reduce_arc(translation_oval(64, 5))]
     for m in range(1, 7):
-        field = field_make(m, 0b100101 if m == 5 else None)
+        field = field_make(m)
         plane = [conic(field)] + [translation_oval(field, k) for k in range(2, m)
                                   if gcd(k, m) == 1]
         arcs += [make_pseudo_arc(a.ambient, [span([p]) for p in a.points]) for a in plane]

@@ -10,7 +10,8 @@ import pal.sigma
 import pal.spreads
 from pal import (NotRegularError, ProjSpace, RecognitionResult, Regulus,
                  Spread, build_sigma, conic, derive_spread_from_element,
-                 desarguesian_spread, dual_arc, extend_to_hyperoval, gf, is_regular_spread,
+                 desarguesian_spread, dual_arc, extend_to_hyperoval, generated_spread, gf,
+                 is_regular_spread,
                  make_pseudo_arc, make_tower, meet, opposite_regulus, plane_model,
                  recognize_regular, regulus_through, span, spread_transversals, verify_spread)
 from pal.fields import FieldTower, field_make
@@ -225,8 +226,8 @@ def sigma_setup(conic_dual, tower42):
     gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
     reg = regulus_through(*gens)
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
-    sigma, scaffold = build_sigma(reg, da.gammas[0], tower42)
-    return da, reg, sigma, scaffold
+    scaffold = build_sigma(reg, da.gammas[0], tower42)
+    return da, reg, generated_spread(scaffold), scaffold
 
 
 def test_sigma_counts_and_partition(sigma_setup):
@@ -350,7 +351,8 @@ def test_sigma_q2_n3(small_arc):
     gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
     reg = regulus_through(*gens)
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
-    sigma, scaffold = build_sigma(reg, da.gammas[0], tower)
+    scaffold = build_sigma(reg, da.gammas[0], tower)
+    sigma = generated_spread(scaffold)
     assert len(sigma.elements) == 73  # 64 + 8 + 1
     assert verify_spread(sigma).ok
     assert len(scaffold.planes) == 3
@@ -372,18 +374,14 @@ def test_sigma_q2_n3(small_arc):
 
 def test_plane_model_axioms(sigma_setup):
     _, _, sigma, scaffold = sigma_setup
-    model = plane_model(sigma, scaffold)
+    model = plane_model(scaffold)
+    assert model.spread == sigma
     assert len(model.lines) == 273
     assert model.points_per_line == 17
     assert all(len(m) == 17 for m in model.members)
     # unique joins: every pair of elements on exactly one line
     pair_count = sum(len(m) * (len(m) - 1) // 2 for m in model.members)
     assert pair_count == 273 * 272 // 2
-
-
-def test_plane_model_rejects_wrong_count(pg34_spread, sigma_setup):
-    with pytest.raises(ValueError, match="^17 elements cannot model a plane of order 16$"):
-        plane_model(pg34_spread, sigma_setup[3])
 
 
 def pair_span_plane_model(sigma):
@@ -418,8 +416,8 @@ def sigma23(small_arc):
     gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
     reg = regulus_through(*gens)
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
-    sigma, scaffold = build_sigma(reg, da.gammas[0], make_tower(1, 3))
-    return da, sigma, scaffold
+    scaffold = build_sigma(reg, da.gammas[0], make_tower(1, 3))
+    return da, generated_spread(scaffold), scaffold
 
 
 def test_plane_model_matches_pair_span_oracle(sigma_setup, sigma23, moved_oval,
@@ -430,26 +428,23 @@ def test_plane_model_matches_pair_span_oracle(sigma_setup, sigma23, moved_oval,
     moved = recognize_regular(moved_oval)
     assert moved.identification["convention"] == "theta-frame-v1"
     hyper = recognize_regular(conic_hyperoval)
-    for sigma, scaffold in (sigma_setup[2:], sigma23[1:], (moved.sigma, moved.scaffold),
-                            (hyper.sigma, hyper.scaffold)):
-        assert plane_model(sigma, scaffold) == pair_span_plane_model(sigma)
+    for scaffold in (sigma_setup[3], sigma23[2], moved.scaffold, hyper.scaffold):
+        assert plane_model(scaffold) == pair_span_plane_model(generated_spread(scaffold))
 
 
 def test_sigma_elements_match_rational_orbit_spans(sigma_setup, sigma23, moved_oval,
                                                   conic_hyperoval):
-    """build_sigma reads every element off one GF(q) matrix; the oracle is
-    the rational span of the Galois orbit of c.theta_1, for c the points of
-    PG(2, q^n) in order, on the sigmas of the pair-span oracle test."""
+    """generated_spread reads every element off one GF(q) matrix; the oracle
+    is the rational span of the Galois orbit of c.theta_1, for c the points
+    of PG(2, q^n) in order, on the scaffolds of the pair-span oracle test."""
     moved = recognize_regular(moved_oval)
     hyper = recognize_regular(conic_hyperoval)
-    for sigma, scaffold in (sigma_setup[2:], sigma23[1:], (moved.sigma, moved.scaffold),
-                            (hyper.sigma, hyper.scaffold)):
+    for scaffold in (sigma_setup[3], sigma23[2], moved.scaffold, hyper.scaffold):
         tower, theta1 = scaffold.tower, scaffold.planes[0].rows
-        points = _normalized_vectors(tower.top, 3)
-        assert [scaffold.plane_coords[e] for e in sigma.elements] == points
+        sigma = generated_spread(scaffold)
         assert list(sigma.elements) == [
             rational_orbit_span(vec_mat(tower.top, c, theta1), tower, sigma.space)
-            for c in points]
+            for c in _normalized_vectors(tower.top, 3)]
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (4, 2), (8, 2), (4, 3)])
@@ -472,18 +467,6 @@ def test_spread_transversals_run_spread_field_once(q, n, monkeypatch):
     fld = spread.space.field
     spread_transversals(spread, FieldTower(fld, field_make(fld.m * n)))
     assert calls == [spread]
-
-
-def test_plane_model_rejects_foreign_coordinates(sigma_setup):
-    """Coordinates that do not name every element of sigma by a distinct
-    point of PG(2, 16): one point repeated, or none at all."""
-    _, _, sigma, scaffold = sigma_setup
-    coords = {**scaffold.plane_coords, sigma.elements[7]: scaffold.plane_coords[sigma.elements[3]]}
-    with pytest.raises(ValueError, match="^sigma's plane coordinates are not the 273 points "
-                                         r"of PG\(2, 16\)$"):
-        plane_model(sigma, replace(scaffold, plane_coords=coords))
-    with pytest.raises(ValueError, match="^element 0 of sigma has no plane coordinates$"):
-        plane_model(sigma, replace(scaffold, plane_coords={}))
 
 
 @pytest.fixture(scope="module")
@@ -519,14 +502,6 @@ def test_plane_model_rejects_regulus_switch(reduced_plane, line_index):
         pair_span_plane_model(switched)
 
 
-def test_plane_model_rejects_non_spread(sigma_setup):
-    _, _, sigma, scaffold = sigma_setup
-    elems = list(sigma.elements)
-    elems[1] = sigma.space.subspace([elems[0].rows[0], elems[1].rows[0]])  # meets element 0
-    with pytest.raises(ValueError, match="^element 1 of sigma has no plane coordinates$"):
-        plane_model(Spread(sigma.space, tuple(elems)), scaffold)
-
-
 # -- incidence through psi^-1 ---------------------------------------------------
 
 
@@ -537,15 +512,16 @@ def contains_inside(spread, subspaces):
 
 def test_model_lines_of_the_conic_duals(sigma_setup, sigma23):
     """psi^-1 maps every dual element of the conic to a line of PG(2, q^n),
-    and the elements of the line's points are the ones inside the dual
-    element."""
+    and the elements of the line's points, at their positions in
+    generated_spread, are the ones inside the dual element."""
     da, _, sigma, scaffold = sigma_setup
     for da, sigma, scaffold in ((da, sigma, scaffold), sigma23):
         lines = _model_lines(scaffold, da.betas)
         assert [line.rank for line in lines] == [2] * len(da.betas)
+        coords = _normalized_vectors(scaffold.tower.top, 3)
         for line, inside in zip(lines, contains_inside(sigma, da.betas)):
             points = set(line.point_vectors())
-            assert [e for e in sigma.elements if scaffold.plane_coords[e] in points] == inside
+            assert [e for c, e in zip(coords, sigma.elements) if c in points] == inside
             assert len(inside) == len(points)
 
 
@@ -727,7 +703,7 @@ def test_failed_choice_is_reported_after_one_sigma(unrecognizable, sigma_calls, 
     """A dual element that psi^-1 maps to a plane: not regular, with no
     second choice."""
     res = recognize_regular(conic_oval)
-    assert res == RecognitionResult(False, None, None, None, None, {}, None)
+    assert res == RecognitionResult(False, None, None, None, {}, None)
     assert len(sigma_calls) == 1
 
 

@@ -72,7 +72,7 @@ def test_forward_not_applicable_without_witness(conic_hyperoval, monkeypatch):
     is not believed regular, so the forward direction does not apply."""
     arc = make_pseudo_arc(conic_hyperoval.ambient, conic_hyperoval.elements)
     assert arc.witness is None
-    failed = RecognitionResult(False, None, None, None, None, {}, None)
+    failed = RecognitionResult(False, None, None, None, {}, None)
     monkeypatch.setattr(theorems, "recognize_regular", lambda arc, given=None: failed)
     rep = check_theorem(arc, TheoremParams("6.1"))
     assert all(e["regular"] for e in rep.spreads)

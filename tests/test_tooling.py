@@ -6,6 +6,7 @@ private function."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -47,16 +48,12 @@ def test_bench_theorem_workload_checks():
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
 
 
-def test_theorem_workload_work_counts(tmp_path, monkeypatch):
-    """The eight CLI commands of theorem-q4n2 make at most 6 spread-set
-    certificates (one per element set per command: derive --all 1, each
-    theorem 2 with recognition's Gamma_i, the plane model 1) and build the
-    full dual arc once, for design --dual-blocks."""
-    import pal.cli
-    import pal.spreads
+def _count_calls(monkeypatch, targets) -> Counter:
+    """Calls of each (module, function) of `targets`, counted by name in
+    every pal module that holds the function."""
     calls = Counter()
-    for name in ("spread_field", "dual_arc"):
-        orig = getattr(pal.spreads, name)
+    for module, name in targets:
+        orig = getattr(importlib.import_module(f"pal.{module}"), name)
 
         def spy(*args, _orig=orig, _name=name):
             calls[_name] += 1
@@ -64,6 +61,18 @@ def test_theorem_workload_work_counts(tmp_path, monkeypatch):
         for mod in [m for n, m in sys.modules.items() if n.startswith("pal.")]:
             if vars(mod).get(name) is orig:
                 monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_theorem_workload_work_counts(tmp_path, monkeypatch):
+    """The eight CLI commands of theorem-q4n2 make at most 6 spread-set
+    certificates (one per element set per command: derive --all 1, each
+    theorem 2 with recognition's Gamma_i, the plane model 1), build the
+    full dual arc once, for design --dual-blocks, and build the elements of
+    a generated spread once, for design --plane-model-from."""
+    import pal.cli
+    calls = _count_calls(monkeypatch, [("spreads", "spread_field"), ("spreads", "dual_arc"),
+                                       ("sigma", "generated_spread")])
     monkeypatch.chdir(tmp_path)
     for argv in (
             ["construct", "--q", "4", "--n", "2", "--source", "conic", "-o", "oval.json"],
@@ -80,28 +89,33 @@ def test_theorem_workload_work_counts(tmp_path, monkeypatch):
         assert pal.cli.main(argv) == 0
     assert calls["spread_field"] <= 6, calls
     assert calls["dual_arc"] <= 1
+    assert calls["generated_spread"] == 1
 
 
 def test_recognition_work_counts(conic_hyperoval, monkeypatch):
     """Recognition of the (4,2) conic hyperoval asks incidence through psi^-1,
-    so it builds no point-owner map, and it meets U_1, u_1, T_1 and theta_1
-    only, the other conjugates being read off them: at most 25 `meet` calls
-    (one point-owner map and 49 meets when every conjugate was met)."""
-    import pal.projective
+    so it builds no point-owner map and no element of the generated spread,
+    which it holds as psi alone: it verifies two spreads, Gamma_j and
+    Gamma_i (three when the generated spread was built and verified too).
+    It meets U_1, u_1, T_1 and theta_1 only, the other conjugates being read
+    off them: at most 25 `meet` calls (one point-owner map and 49 meets
+    when every conjugate was met)."""
     from pal import recognize_regular
-    calls = Counter()
-    for name in ("meet", "point_owners"):
-        orig = getattr(pal.projective, name)
-
-        def spy(*args, _orig=orig, _name=name):
-            calls[_name] += 1
-            return _orig(*args)
-        for mod in [m for n, m in sys.modules.items() if n.startswith("pal.")]:
-            if vars(mod).get(name) is orig:
-                monkeypatch.setattr(mod, name, spy)
+    calls = _count_calls(monkeypatch, [("projective", "meet"), ("projective", "point_owners"),
+                                       ("sigma", "generated_spread"),
+                                       ("spreads", "verify_spread")])
     assert recognize_regular(conic_hyperoval).regular
-    assert calls["point_owners"] == 0
+    assert calls["point_owners"] == 0 and calls["generated_spread"] == 0
+    assert calls["verify_spread"] == 2
     assert calls["meet"] <= 25, calls
+
+
+def test_readme_quick_tour_runs():
+    """README's python quick tour runs as written, so a changed signature
+    cannot leave it stale."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    exec(compile(tour.split("```", 1)[0], "README.md", "exec"), {})
 
 
 def test_bench_reject_workload_checks():
