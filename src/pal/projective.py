@@ -21,14 +21,18 @@ operation is `[a ^ T[c][b] ...]`; odd prime fields and m > 8 call
 Point sets are keyed on point codes: a normalized coordinate vector packed
 big-endian into one int, one byte per coordinate when the field has at most
 256 elements (two bytes up to GF(2^16)).  In characteristic 2 with m <= 8
-the xor of two codes is the code of the vector sum, so
-`Subspace.point_codes` builds each point as one xor per basis row, and
-`point_vectors` is its decode, in the same order.
+the xor of two codes is the code of the vector sum, so `point_codes_of`
+builds the points of many equal-rank subspaces at once: row k of every
+subspace is laid end to end in one int, one fixed-width chunk each, and one
+xor per basis row makes a point of every subspace.  `Subspace.point_codes`
+is that routine on one subspace, and `point_vectors` is its decode, in the
+same order.  `QuotientMap.images` likewise reduces the rows of many
+subspaces modulo the center one coordinate column at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -315,39 +319,77 @@ class Subspace:
         return [Point(self.ambient, decode(c)) for c in sorted(self.point_codes())]
 
     def point_codes(self) -> list[int]:
-        """Point codes of all points, in the order of `point_vectors`.
-
-        The order is that of the coefficient vectors in `_normalized_vectors`:
-        lead row index descending, then the later rows' multipliers in
-        `product` order.  Over a table field a point is the lead row's code
-        xor one multiple of each later row.  Since c -> c*row is additive,
-        the multiples c*row, c = 0..q-1, are the xor combinations of the m
-        multiples x^j * row (`bytes.translate` reads each one), and doubling
-        the list once per j keeps c in increasing order.  Other fields pack
-        `vec_mat` per point.
-        """
-        field = self.ambient.field
-        tables = field.mul_bytes()
-        if tables is None:
-            pack = self.ambient.encode
-            return [pack(vec_mat(field, c, self.rows))
-                    for c in _normalized_vectors(field, self.rank)]
-        out: list[int] = []
-        tails = [0]  # codes of the combinations of the rows after the lead
-        for k in range(self.rank - 1, -1, -1):
-            row = bytes(self.rows[k])
-            lead = int.from_bytes(row, "big")
-            out += [lead ^ t for t in tails]
-            if k:
-                for j in range(field.m):
-                    b = int.from_bytes(row.translate(tables[1 << j]), "big")
-                    tails += [b ^ t for t in tails]
-        return out
+        """Point codes of all points, in the order of `point_vectors` (`point_codes_of`)."""
+        return point_codes_of([self])[0]
 
     def point_vectors(self) -> list[Vec]:
         """Normalized coordinate vectors of all points (unsorted, fast path)."""
         decode = self.ambient.decode
         return [decode(c) for c in self.point_codes()]
+
+
+def point_codes_of(subspaces) -> list[list[int]]:
+    """The point codes of each of `subspaces`, which have equal rank and
+    share one ambient; entry j lists subspace j's points in the order of
+    `point_vectors`.
+
+    That order is the order of the coefficient vectors in
+    `_normalized_vectors`: lead row index descending, then the later rows'
+    multipliers in `product` order.  Over a table field a point is the lead
+    row's code xor one multiple of each later row.  Since c -> c*row is
+    additive, the multiples c*row, c = 0..q-1, are the xor combinations of
+    the m multiples x^j * row (`bytes.translate` reads each one), and
+    doubling the list once per j keeps c in increasing order.
+
+    All subspaces go through that doubling together: row k of subspace j is
+    chunk j of one int, zero-padded to W in {1, 2, 4, 8} bytes in the host's
+    byte order (one strided slice assignment per coordinate), so each xor
+    builds point p of every subspace, and one `memoryview` cast reads the
+    chunks back as codes: subspace j's codes are the stride slice [j::E] of
+    E subspaces.  Points of PG(d, q) with d + 1 > 8 take W = d + 1 bytes,
+    big-endian, read chunk by chunk.  Other fields pack `vec_mat` per point.
+    """
+    subs = list(subspaces)
+    if not subs:
+        return []
+    space, r = subs[0].ambient, subs[0].rank
+    if any(s.ambient is not space and s.ambient != space for s in subs):
+        raise ValueError("ambient spaces differ")
+    if any(s.rank != r for s in subs):
+        raise ValueError("subspaces of mixed rank")
+    field = space.field
+    tables = field.mul_bytes()
+    if tables is None or r == 0:
+        coeffs = _normalized_vectors(field, r)
+        pack = space.encode
+        return [[pack(vec_mat(field, c, s.rows)) for c in coeffs] for s in subs]
+    length = space.dim + 1
+    width = next((w for w in (1, 2, 4, 8) if w >= length), length)
+    count = len(subs)
+    # byte offset of coordinate c in a chunk: the last coordinate is the
+    # least significant byte of a code
+    little = width <= 8 and sys.byteorder == "little"
+    offsets = [length - 1 - c if little else width - length + c for c in range(length)]
+    src = b"".join(map(bytes, [row for s in subs for row in s.rows]))
+    out: list[int] = []
+    tails = [0]  # codes of the combinations of the rows after the lead
+    for k in range(r - 1, -1, -1):
+        layer = bytearray(width * count)
+        for c, o in enumerate(offsets):
+            layer[o::width] = src[k * length + c::r * length]
+        row = bytes(layer)
+        lead = int.from_bytes(row, "big")
+        out += [lead ^ t for t in tails]
+        if k:
+            for j in range(field.m):
+                b = int.from_bytes(row.translate(tables[1 << j]), "big")
+                tails += [b ^ t for t in tails]
+    buf = b"".join(x.to_bytes(width * count, "big") for x in out)
+    if width <= 8:
+        codes = memoryview(buf).cast("BHIQ"[width.bit_length() - 1])
+        return [codes[j::count].tolist() for j in range(count)]
+    flat = [int.from_bytes(buf[i:i + width], "big") for i in range(0, len(buf), width)]
+    return [flat[j::count] for j in range(count)]
 
 
 def point_owners(subspaces) -> dict[int, int]:
@@ -358,18 +400,30 @@ def point_owners(subspaces) -> dict[int, int]:
     exactly when it owns all its points among the codes of S.
     """
     owner: dict[int, int] = {}
-    for idx, s in enumerate(subspaces):
-        owner.update(dict.fromkeys(s.point_codes(), idx))
+    for idx, codes in enumerate(point_codes_of(subspaces)):
+        owner.update(dict.fromkeys(codes, idx))
     return owner
 
 
-def plane_line_codes(space: ProjSpace) -> Iterator[list[int]]:
-    """The lines of the plane `space` = PG(2, Q), one per dual point in
-    `_normalized_vectors` order: the point codes of the kernel line of that
-    point, in `Subspace.point_codes` order."""
+def plane_line_codes(space: ProjSpace) -> list[list[int]]:
+    """The lines of the plane `space` = PG(2, Q), one per dual point d in
+    `_normalized_vectors` order: the point codes of the line d.x = 0, in
+    `Subspace.point_codes` order.
+
+    With r the last nonzero coordinate of d, the line is the graph of
+    x_r = -(1/d_r) sum_{j < r} d_j x_j, so its RREF rows are e_j - (d_j/d_r) e_r
+    for j != r, with pivots j: column r is free, and d_j = 0 for j > r.
+    """
     field = space.field
+    lines = []
     for d in _normalized_vectors(field, 3):
-        yield space.subspace(kernel(field, [d], 3)).point_codes()
+        r = 2 if d[2] else 1 if d[1] else 0
+        s = field.neg(field.inv(d[r]))
+        pivots = tuple(j for j in range(3) if j != r)
+        rows = tuple(tuple(1 if c == j else field.mul(s, d[j]) if c == r else 0
+                           for c in range(3)) for j in pivots)
+        lines.append(Subspace(space, rows, pivots))
+    return point_codes_of(lines)
 
 
 def span(parts) -> Subspace:
@@ -433,6 +487,14 @@ class QuotientMap:
     so span(C, S) ^ W is spanned by S's rows reduced modulo C, and W's
     chart reads their non-pivot coordinates.  That is `image_vec` on each
     row of S, in PG(d - r, q) either way.
+
+    `images` maps many subspaces at once.  As C is in RREF, reduction
+    modulo C sends v to v - sum_t v[p_t] * C_t, so non-pivot coordinate j
+    of the image is v[j] - sum_t C_t[j] * v[p_t].  Over a table field the
+    rows of all subspaces are laid end to end in one byte string, so column
+    o is its stride slice, and coordinate j of every image row is column j
+    xor the translates of the pivot columns by C_t[j].  Each image is then
+    put in RREF.
     """
 
     def __init__(self, center: Subspace):
@@ -449,9 +511,36 @@ class QuotientMap:
         return tuple(red[j] for j in self._nonpivot)
 
     def image(self, s: Subspace) -> Subspace:
-        if s.ambient != self.ambient:
+        return self.images([s])[0]
+
+    def images(self, subspaces) -> list[Subspace]:
+        """The image of each of `subspaces`, in order (class docstring)."""
+        subs = list(subspaces)
+        amb = self.ambient
+        if any(s.ambient is not amb and s.ambient != amb for s in subs):
             raise ValueError("ambient spaces differ")
-        return self.space.subspace([self.image_vec(r) for r in s.rows])
+        tables = amb.field.mul_bytes()
+        if tables is None:
+            return [self.space.subspace([self.image_vec(r) for r in s.rows]) for s in subs]
+        d = amb.dim + 1
+        src = b"".join(map(bytes, [r for s in subs for r in s.rows]))
+        count = len(src) // d
+        center = self.center
+        pivot_cols = [src[p::d] for p in center.pivots]
+        columns = []
+        for j in self._nonpivot:
+            acc = int.from_bytes(src[j::d], "big")
+            for crow, col in zip(center.rows, pivot_cols):
+                if crow[j]:
+                    acc ^= int.from_bytes(col.translate(tables[crow[j]]), "big")
+            columns.append(acc.to_bytes(count, "big"))
+        vecs = list(zip(*columns))
+        out = []
+        start = 0
+        for s in subs:
+            out.append(self.space.subspace(vecs[start:start + s.rank]))
+            start += s.rank
+        return out
 
     def lift_vec(self, u: Vec) -> Vec:
         v = [0] * (self.ambient.dim + 1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .projective import (ProjSpace, QuotientMap, Subspace, meet, normalize_point,
-                         point_owners, span)
+                         point_codes_of, point_owners, span)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,9 @@ def verify_pseudo_arc(ambient: ProjSpace, elements) -> PseudoArcReport:
     exactly when both have rank n and meet trivially.  So one pass per
     center i <= k - 3 over the images of the later elements answers all of
     its triples: images of rank < n are bad, and the others' point codes go
-    into one dict, where a repeated code is a meeting pair.
+    into one set, where a repeated code is a meeting pair.  Every element
+    must lie in `ambient`: the images of one center are built together, on
+    the byte codes of one field.
 
     The witness is the first non-spanning triple in `combinations` order,
     the one a plain triple sweep reports: the first center with a failure,
@@ -71,6 +73,8 @@ def verify_pseudo_arc(ambient: ProjSpace, elements) -> PseudoArcReport:
     elems = list(elements)
     if len(elems) < 3:
         raise ValueError("a generalized arc needs at least 3 elements")
+    if any(e.ambient is not ambient and e.ambient != ambient for e in elems):
+        raise ValueError("ambient spaces differ")
     ranks = {e.rank for e in elems}
     if len(ranks) != 1:
         raise ValueError(f"mixed element dimensions {sorted(r - 1 for r in ranks)}")
@@ -97,37 +101,47 @@ def _first_failing_pair(center: Subspace, elems, n: int) -> tuple[int, int] | No
     center, elems[a] and elems[b] do not span the space; None if none.
 
     A pair fails iff one of its images in the quotient by `center` has rank
-    < n, or the two images share a point.  A first bad image b makes the
-    answer (0, 1) if b = 0 and (0, b) otherwise: every pair found before it
-    starts at a > 0, and every later pair ends past b.  A code's owner is
-    the last image that listed it, and an image b that repeats codes meets
-    the smallest of their owners.  That finds the first meeting pair
-    (a*, b*), not just the first met: the owner of a code shared by a* and
-    b* lies in [a*, b*) and meets a*, so it is a* itself, and no owner of a
-    code of b* is smaller.  Once the best pair starts at 0, later images
-    only add pairs with a larger b.
+    < n, or the two images share a point.  All images are built in one
+    `QuotientMap.images` call, and the point codes of those before the
+    first bad one in one `point_codes_of` call; at n = 1 an image is the
+    point of one row's `image_vec`, which is cheaper than a `Subspace`.
+    When no code repeats, one set settles every pair among them.  A first
+    bad image b makes the answer (0, 1) if b = 0 and (0, b) otherwise,
+    unless a meeting pair before it starts at 0: every other pair found
+    before it starts at a > 0, and every later pair ends past b.
+
+    Repeated codes take an ordered walk.  A code's owner is the last image
+    that listed it, and an image b that repeats codes meets the smallest of
+    their owners.  That finds the first meeting pair (a*, b*), not just the
+    first met: the owner of a code shared by a* and b* lies in [a*, b*) and
+    meets a*, so it is a* itself, and no owner of a code of b* is smaller.
+    Once the best pair starts at 0, later images only add pairs with a
+    larger b.
     """
     qm = QuotientMap(center)
     if n == 1:
         # an image is the point of one row's image vector; zero means rank 0
         field, encode = qm.space.field, qm.space.encode
-        images = ((encode(normalize_point(field, v)),) if any(v) else None
-                  for v in (qm.image_vec(e.rows[0]) for e in elems))
+        vecs = [qm.image_vec(e.rows[0]) for e in elems]
+        bad = next((b for b, v in enumerate(vecs) if not any(v)), None)
+        codes = [(encode(normalize_point(field, v)),) for v in vecs[:bad]]
     else:
-        images = (img.point_codes() if img.rank == n else None
-                  for img in map(qm.image, elems))
-    owner: dict[int, int] = {}
-    best = None
-    for b, codes in enumerate(images):
-        if codes is None:
-            return (0, max(b, 1))
-        if not owner.keys().isdisjoint(codes):
-            meets = (min(owner[c] for c in codes if c in owner), b)
-            best = meets if best is None else min(best, meets)
-            if best[0] == 0:
-                return best
-        owner.update(dict.fromkeys(codes, b))
-    return best
+        images = qm.images(elems)
+        bad = next((b for b, img in enumerate(images) if img.rank != n), None)
+        codes = point_codes_of(images[:bad])
+    if len(set().union(*codes)) < sum(map(len, codes)):
+        owner: dict[int, int] = {}
+        best = None
+        for b, cs in enumerate(codes):
+            if not owner.keys().isdisjoint(cs):
+                meets = (min(owner[c] for c in cs if c in owner), b)
+                best = meets if best is None else min(best, meets)
+                if best[0] == 0:
+                    return best
+            owner.update(dict.fromkeys(cs, b))
+        if bad is None:
+            return best
+    return None if bad is None else (0, max(bad, 1))
 
 
 def classify_kind(ambient: ProjSpace, n: int, k: int) -> str:
@@ -153,12 +167,10 @@ def _tangent(arc: PseudoArc, i: int, owner: dict[int, int]) -> Subspace:
     if arc.kind != "pseudo-oval":
         raise ValueError(f"tangent spaces exist for pseudo-ovals, not {arc.kind}")
     qm = QuotientMap(arc.elements[i])
-    images = [qm.image(e) for j, e in enumerate(arc.elements) if j != i]
-    covered = set()
-    for img in images:
-        if img.rank != arc.n:
-            raise ValueError(f"element {i} meets another element: not a pseudo-oval")
-        covered.update(img.point_codes())
+    images = qm.images(e for j, e in enumerate(arc.elements) if j != i)
+    if any(img.rank != arc.n for img in images):
+        raise ValueError(f"element {i} meets another element: not a pseudo-oval")
+    covered = set().union(*point_codes_of(images))
     q = arc.q
     expected = (q**arc.n - 1) // (q - 1)
     uncovered = [c for c in qm.space.whole().point_codes() if c not in covered]

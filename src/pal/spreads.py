@@ -65,7 +65,7 @@ from itertools import combinations
 
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _normalized_vectors,
                          _pivots_of, _row_ops, dual, kernel, mat_inv, mat_mul,
-                         meet, rank, reduce_mod, rref, span, vec_mat)
+                         meet, point_codes_of, rank, reduce_mod, rref, span, vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces
 
 # 'auto' regularity sweeps all triples up to this many; above it (spreads of
@@ -150,8 +150,14 @@ class RegularityReport:
 def verify_spread(spread: Spread) -> SpreadReport:
     """Count, pairwise skewness and exact point cover, with witnesses.
 
-    Points are keyed on their codes (`Subspace.point_codes`); a code met
-    twice is decoded back to the coordinate vector that names the meeting
+    Every element must lie in `spread.space`.  Points are keyed on their
+    codes, listed for all elements in one `point_codes_of` call.  A
+    repeated code names a meeting pair; once the count is right, pairwise
+    disjoint elements cover expected * (q^r-1)/(q-1) distinct points, which
+    is every point of the space, so the cover needs no check of its own.
+    One set of all codes settles a spread; only a repeat walks the elements
+    in order, and the first code of the first element that meets an earlier
+    one is decoded back to the coordinate vector that names the meeting
     pair, the same witness a walk over `point_vectors` finds.
     """
     elems = spread.elements
@@ -159,6 +165,9 @@ def verify_spread(spread: Spread) -> SpreadReport:
     q = space.field.order
     if not elems:
         return SpreadReport(False, 0, -1, {"kind": "wrong-count"}, "no elements")
+    if any(e.ambient is not space and e.ambient != space for e in elems):
+        return SpreadReport(False, len(elems), -1, {"kind": "ambient-mismatch"},
+                            f"elements do not lie in {space}")
     ranks = {e.rank for e in elems}
     if len(ranks) != 1:
         return SpreadReport(False, len(elems), -1, {"kind": "mixed-dimensions"},
@@ -174,12 +183,7 @@ def verify_spread(spread: Spread) -> SpreadReport:
     if len(elems) != expected:
         return SpreadReport(False, len(elems), expected, {"kind": "wrong-count"},
                             f"{len(elems)} elements, expected {expected}")
-    # a repeated point code names a meeting pair; once the count is right,
-    # pairwise disjoint elements cover expected * (q^r-1)/(q-1) distinct
-    # points, which is every point of the space, so the cover needs no
-    # check of its own.  One set of all codes settles a spread; only a
-    # repeat walks the elements again to name the first meeting pair.
-    per_element = [e.point_codes() for e in elems]
+    per_element = point_codes_of(elems)
     if len(set().union(*per_element)) < sum(map(len, per_element)):
         covered: dict[int, int] = {}
         for idx, codes in enumerate(per_element):
@@ -518,7 +522,7 @@ def regularity_reports(spreads) -> list[RegularityReport]:
 def _quotient_spread(center: Subspace, subspaces, origin: str, label: str) -> Spread:
     """The images of `subspaces` in the quotient by `center`, verified as a spread."""
     proj = QuotientMap(center)
-    return verified_spread(Spread(proj.space, tuple(map(proj.image, subspaces)),
+    return verified_spread(Spread(proj.space, tuple(proj.images(subspaces)),
                                   origin=origin), label)
 
 

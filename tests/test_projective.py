@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -10,8 +11,9 @@ from pal import (ProjSpace, QuotientMap, Spread, derive_spread_from_element,
                  nucleus, opposite_regulus, regulus_through, span,
                  tangent_spaces, verify_spread)
 from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
-from pal.projective import (Chart, _normalized_vectors, mat_inv, mat_mul,
-                            rank, reduce_mod, rref, vec_mat)
+from pal.projective import (Chart, _normalized_vectors, kernel, mat_inv, mat_mul,
+                            plane_line_codes, point_codes_of, rank, reduce_mod, rref,
+                            vec_mat)
 from pal.spreads import SpreadReport
 
 F2 = gf(2)
@@ -316,6 +318,82 @@ def test_point_codes_decode_to_point_vectors(field, monkeypatch):
         assert [p.coords for p in sub.points()] == sorted(ref)
     monkeypatch.setattr(field, "mul_table", lambda: None)
     assert [s.point_codes() for s in subs] == codes
+
+
+def _rank_exactly(space, rnd, r):
+    while True:
+        sub = rand_subspace(space, rnd, r)
+        if sub.rank == r:
+            return sub
+
+
+@pytest.mark.parametrize("m", range(1, TABLE_MAX_DEGREE + 1))
+def test_point_codes_of_matches_encode_at_every_width(m):
+    """A batch's codes are `encode` of each point in `_normalized_vectors`
+    order, for points of 3, 4, 6 and 9 bytes: chunks padded to 4 and 8
+    bytes, an exact 4-byte chunk, and the chunk-by-chunk read past 8."""
+    field = FiniteField(2, m)
+    rnd = random.Random(m)
+    for length in (3, 4, 6, 9):
+        space = ProjSpace(length - 1, field)
+        for r in range(min(length, 4) + 1):
+            if (field.order ** r - 1) // (field.order - 1) > 1100:
+                break
+            subs = [_rank_exactly(space, rnd, r) for _ in range(5)]
+            coeffs = _normalized_vectors(field, r)
+            assert point_codes_of(subs) == [
+                [space.encode(vec_mat(field, c, s.rows)) for c in coeffs] for s in subs]
+    assert point_codes_of([]) == []
+
+
+def test_point_codes_of_lays_chunks_out_in_host_byte_order(monkeypatch):
+    """Each point's bytes fill one chunk in either layout: built for the
+    other byte order, the codes read back byte-swapped."""
+    space = ProjSpace(5, F4)
+    rnd = random.Random(3)
+    subs = [_rank_exactly(space, rnd, 3) for _ in range(4)]
+    codes = point_codes_of(subs)
+    swapped = [[int.from_bytes(c.to_bytes(8, "big"), "little") for c in cs] for cs in codes]
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    assert point_codes_of(subs) == swapped
+
+
+def test_point_codes_of_refuses_mixed_batches():
+    rnd = random.Random(4)
+    with pytest.raises(ValueError, match="^ambient spaces differ$"):
+        point_codes_of([_rank_exactly(PG34, rnd, 2), _rank_exactly(ProjSpace(3, gf(8)), rnd, 2)])
+    with pytest.raises(ValueError, match="^subspaces of mixed rank$"):
+        point_codes_of([_rank_exactly(PG34, rnd, 2), _rank_exactly(PG34, rnd, 1)])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_images_match_image_vec_row_by_row(field):
+    """`images` of a batch of every rank, with subspaces that meet or lie in
+    the center, equals the RREF of `image_vec` on each row."""
+    rnd = random.Random(field.order)
+    space = ProjSpace(5, field)
+    for _ in range(12):
+        center = _rank_exactly(space, rnd, rnd.randint(1, 4))
+        qm = QuotientMap(center)
+        subs = [rand_subspace(space, rnd) for _ in range(6)]
+        subs += [space.subspace(center.rows[:1] + (rand_subspace(space, rnd, 1).rows or ())),
+                 center]
+        rnd.shuffle(subs)
+        assert qm.images(subs) == [
+            qm.space.subspace([qm.image_vec(r) for r in s.rows]) for s in subs]
+        assert [qm.image(s) for s in subs] == qm.images(subs)
+    assert qm.images([]) == []
+    with pytest.raises(ValueError, match="^ambient spaces differ$"):
+        qm.images([PG34.whole()])
+
+
+@pytest.mark.parametrize("order", [2, 4, 5, 16])
+def test_plane_line_codes_are_the_kernel_lines(order):
+    """The lines of PG(2, Q), one per dual point, are the kernel lines."""
+    space = ProjSpace(2, gf(order))
+    assert plane_line_codes(space) == [
+        space.subspace(kernel(space.field, [d], 3)).point_codes()
+        for d in _normalized_vectors(space.field, 3)]
 
 
 def _reference_verify_spread(spread):

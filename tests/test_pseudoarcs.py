@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import gcd
 
@@ -8,7 +9,7 @@ import pytest
 from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, field_make, gf,
                  make_pseudo_arc, meet, nucleus, reduction_map, span,
                  tangent_lines, tangent_spaces, translation_oval, verify_pseudo_arc)
-from pal.projective import point_owners, rref
+from pal.projective import point_owners, rank, rref
 from pal.pseudoarcs import PseudoArc, PseudoArcReport, _tangent
 
 
@@ -111,21 +112,30 @@ def test_quotient_sweep_matches_triple_sweep(conic_oval, arc_q4n3):
                          (1, 2, 3)]
 
 
+def _count_images(monkeypatch) -> list[int]:
+    """The number of images each `QuotientMap.images` call makes; `image`
+    is one such call."""
+    made = []
+    images = QuotientMap.images
+
+    def counted(self, subspaces):
+        out = images(self, subspaces)
+        made.append(len(out))
+        return out
+    monkeypatch.setattr(QuotientMap, "images", counted)
+    return made
+
+
 def test_quotient_sweep_work_count(arc_q4n3, monkeypatch):
-    """One image per later element and center: sum_{i <= k-3} (k-1-i) images,
-    where a per-triple sweep would do C(k, 3) rank checks."""
+    """One image per later element and center, in one batch per center:
+    sum_{i <= k-3} (k-1-i) images, where a per-triple sweep would do
+    C(k, 3) rank checks."""
     import pal.pseudoarcs
-    calls = []
-    image = QuotientMap.image
-
-    def counted(self, s):
-        calls.append(1)
-        return image(self, s)
-
-    monkeypatch.setattr(QuotientMap, "image", counted)
+    made = _count_images(monkeypatch)
     k = len(arc_q4n3)
     assert verify_pseudo_arc(arc_q4n3.ambient, arc_q4n3.elements).ok
-    assert len(calls) == sum(k - 1 - i for i in range(k - 2)) == 2079
+    assert made == [k - 1 - i for i in range(k - 2)]
+    assert sum(made) == 2079
     assert not hasattr(pal.pseudoarcs, "rank")
 
 
@@ -134,6 +144,72 @@ def test_size_bound(conic_hyperoval):
     extra = space.subspace([(1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0)])
     rep = verify_pseudo_arc(space, list(conic_hyperoval.elements) + [extra])
     assert not rep.ok and "bound" in rep.reason and rep.max_k == 18
+
+
+def test_elements_of_another_space_are_refused(conic_oval, arc_q8n2):
+    """Elements of PG(5, 8) passed with the ambient PG(5, 4), all of them
+    or one in a list, raise before any image is built."""
+    space = conic_oval.ambient
+    for elems in (arc_q8n2.elements[:17],
+                  conic_oval.elements[:9] + arc_q8n2.elements[9:10] + conic_oval.elements[10:]):
+        with pytest.raises(ValueError, match="^ambient spaces differ$"):
+            verify_pseudo_arc(space, elems)
+
+
+def _rank_sweep(ambient, elements):
+    """The first non-spanning triple in `combinations` order by one rank
+    check per triple, or None."""
+    full = ambient.dim + 1
+    return next((t for t in combinations(range(len(elements)), 3)
+                 if rank(ambient.field, sum((elements[x].rows for x in t), ())) != full),
+                None)
+
+
+def _seeded_misses(arc, rnd, count=50):
+    """`count` element lists from `arc`: prefixes of 3..24 elements, each
+    with one or two elements replaced by a space inside the span of two
+    others (skew to both), or by one through a point of another element
+    (the center of its pass), placed right after it or later."""
+    elems = list(arc.elements)
+    space, n = arc.ambient, arc.n
+    out = []
+    for case in range(count):
+        size = rnd.randint(3, min(24, len(elems)))
+        cur = elems[:size]
+        for _ in range(1 + case % 2):
+            if case % 3:
+                p, a, b = rnd.sample(range(size), 3)
+                cur = _near_miss(cur, p, b, a)
+                continue
+            c = rnd.randrange(size - 1)
+            p = c + 1 if case % 4 == 0 else rnd.randrange(size)
+            if p == c:
+                continue
+            while True:
+                rows = [cur[c].rows[rnd.randrange(n)]] + [
+                    tuple(rnd.randrange(space.field.order) for _ in range(space.dim + 1))
+                    for _ in range(n - 1)]
+                line = space.subspace(rows)
+                if line.rank == n:
+                    break
+            cur = cur[:p] + [line] + cur[p + 1:]
+        out.append(cur)
+    return out
+
+
+def test_quotient_pass_matches_rank_sweep_on_seeded_misses(
+        conic_oval, arc_q8n2, small_arc, arc_q4n3):
+    """50 seeded near-misses at each of (4,2), (8,2), (2,3) and (4,3): the
+    witness is the first failing triple of a plain rank sweep."""
+    rnd = random.Random(25)
+    found = 0
+    for arc in (conic_oval, arc_q8n2, small_arc, arc_q4n3):
+        for elems in _seeded_misses(arc, rnd):
+            rep = verify_pseudo_arc(arc.ambient, elems)
+            assert rep.witness_triple == _rank_sweep(arc.ambient, elems)
+            assert rep.ok == (rep.witness_triple is None)
+            found += not rep.ok
+    assert found >= 150
 
 
 def test_mixed_dimension_error(conic_oval):
@@ -287,23 +363,19 @@ def test_tangents_through_nucleus_work_count(arc_q4n3, monkeypatch):
     """Two partitions of 64 images each and one pass of 65 images through
     the nucleus, where partition completion at every element takes
     65 * 64 = 4,160."""
-    calls = []
-    image = QuotientMap.image
-    monkeypatch.setattr(QuotientMap, "image",
-                        lambda self, s: calls.append(1) or image(self, s))
+    made = _count_images(monkeypatch)
     tangent_spaces(_fresh(arc_q4n3))
-    assert len(calls) == 2 * 64 + 65
+    assert made == [64, 64, 65]
+    assert sum(made) == 2 * 64 + 65
 
 
 def test_extension_reuses_the_nucleus_pass(arc_q4n3, monkeypatch):
     """Extending a fresh (4,3) oval takes only the tangent spaces' images:
     the nucleus pass that certified them is not run again."""
-    calls = []
-    image = QuotientMap.image
-    monkeypatch.setattr(QuotientMap, "image",
-                        lambda self, s: calls.append(1) or image(self, s))
+    made = _count_images(monkeypatch)
     hyper = extend_to_hyperoval(_fresh(arc_q4n3))
-    assert len(calls) == 2 * 64 + 65
+    assert made == [64, 64, 65]
+    assert sum(made) == 2 * 64 + 65
     assert hyper.elements[-1] == nucleus(arc_q4n3)
 
 

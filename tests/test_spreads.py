@@ -79,16 +79,29 @@ def test_verify_spread_meeting_witness(pg34_spread, pos, i, j, pair, point):
 
 @pytest.mark.parametrize("q, n", [(4, 2), (2, 3)])
 def test_verify_spread_lists_each_elements_points_once(q, n, monkeypatch):
+    """One `point_codes_of` call over exactly the spread's elements, in
+    order, and no point list of a single element."""
     spread = desarguesian_spread(q, n)
     calls = []
-    point_codes = Subspace.point_codes
+    point_codes_of = pal.spreads.point_codes_of
 
-    def counted(self):
-        calls.append(self)
-        return point_codes(self)
-    monkeypatch.setattr(Subspace, "point_codes", counted)
+    def counted(subspaces):
+        calls.append(list(subspaces))
+        return point_codes_of(calls[-1])
+    monkeypatch.setattr(pal.spreads, "point_codes_of", counted)
+    monkeypatch.setattr(Subspace, "point_codes", lambda self: calls.append(self))
     assert verify_spread(spread).ok
-    assert calls == list(spread.elements)
+    assert calls == [list(spread.elements)]
+
+
+def test_verify_spread_refuses_elements_of_another_space(conic_oval):
+    """Elements of PG(3, 8), or lines of PG(5, 4), labelled as a spread of
+    PG(3, 4) are refused before any rank or count check."""
+    space = desarguesian_spread(4, 2).space
+    for elements in (desarguesian_spread(8, 2).elements[:17], conic_oval.elements,
+                     desarguesian_spread(4, 2).elements[:16] + conic_oval.elements[:1]):
+        assert verify_spread(Spread(space, tuple(elements))) == SpreadReport(
+            False, 17, -1, {"kind": "ambient-mismatch"}, "elements do not lie in PG(3, 4)")
 
 
 def test_degenerate_spreads_are_rejected_not_raised(pg34_spread):
