@@ -10,8 +10,8 @@ fields GF(p), p <= 13, exist only for the odd-order plane-arc spot checks;
 no odd prime-power extensions are provided.
 
 Subfield towers GF(q) < GF(q^n) with q = 2^h carry the Frobenius map
-x -> x^q, Galois orbits, and the expand/compress maps between GF(q^n)^k
-and GF(q)^(nk) used by field reduction.
+x -> x^q and the expand/compress maps between GF(q^n)^k and GF(q)^(nk)
+used by field reduction.
 """
 
 from __future__ import annotations
@@ -344,15 +344,6 @@ class FieldTower:
         for _ in range(self.h):
             a = self.top.mul(a, a)
         return a
-
-    def galois_orbit(self, a: int) -> list[int]:
-        """[a, a^q, a^(q^2), ...] up to the first repetition."""
-        orbit = [self.top.check(a)]
-        v = self.frobenius(a)
-        while v != a:
-            orbit.append(v)
-            v = self.frobenius(v)
-        return orbit
 
     def compress(self, chunks: tuple[int, ...]) -> int:
         """(c_0..c_{n-1}) over GF(q) -> sum embed(c_i) * x^i in GF(q^n)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .fields import FiniteField, gf
-from .projective import Point, ProjSpace, Subspace, _normalized_vectors, kernel, vec_mat
+from .projective import Point, ProjSpace, Subspace
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, tangent_spaces, verify_pseudo_arc
 
 
@@ -97,17 +97,6 @@ def translation_oval(Q: int | FiniteField, k: int) -> PlaneArc:
     coords = [(1, t, field.pow(t, e)) for t in field.elements()]
     coords.append((0, 0, 1))
     return make_arc(ambient, coords)
-
-
-def lines_through_point(p: Point) -> list[Subspace]:
-    """The pencil of Q+1 lines through p, via the dual line's points."""
-    space = p.ambient
-    duals = kernel(space.field, [p.coords], 3)
-    lines = []
-    for c in _normalized_vectors(space.field, 2):
-        coeff = vec_mat(space.field, c, duals)
-        lines.append(space.subspace(kernel(space.field, [coeff], 3)))
-    return lines
 
 
 def _pseudo_oval(arc: PlaneArc) -> PseudoArc:

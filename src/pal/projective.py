@@ -27,7 +27,9 @@ subspace is laid end to end in one int, one fixed-width chunk each, and one
 xor per basis row makes a point of every subspace.  `Subspace.point_codes`
 is that routine on one subspace, and `point_vectors` is its decode, in the
 same order.  `QuotientMap.images` likewise reduces the rows of many
-subspaces modulo the center one coordinate column at a time.
+subspaces modulo the center one coordinate column at a time.  Over a table
+field the quotient images travel from that reduction to their point codes
+as packed rows, ints in the point-code layout, with no per-entry lists.
 """
 
 from __future__ import annotations
@@ -295,10 +297,6 @@ class Subspace:
         return all(not any(reduce_mod(self.ambient.field, r, self.rows, self.pivots))
                    for r in other.rows)
 
-    def contains_point(self, p: Point | Vec) -> bool:
-        v = p.coords if isinstance(p, Point) else p
-        return not any(reduce_mod(self.ambient.field, v, self.rows, self.pivots))
-
     def coefficients_of(self, vec: Vec) -> Vec:
         """Coordinates of an ambient vector of this subspace w.r.t. its basis."""
         c = tuple(vec[p] for p in self.pivots)
@@ -335,19 +333,8 @@ def point_codes_of(subspaces) -> list[list[int]]:
 
     That order is the order of the coefficient vectors in
     `_normalized_vectors`: lead row index descending, then the later rows'
-    multipliers in `product` order.  Over a table field a point is the lead
-    row's code xor one multiple of each later row.  Since c -> c*row is
-    additive, the multiples c*row, c = 0..q-1, are the xor combinations of
-    the m multiples x^j * row (`bytes.translate` reads each one), and
-    doubling the list once per j keeps c in increasing order.
-
-    All subspaces go through that doubling together: row k of subspace j is
-    chunk j of one int, zero-padded to W in {1, 2, 4, 8} bytes in the host's
-    byte order (one strided slice assignment per coordinate), so each xor
-    builds point p of every subspace, and one `memoryview` cast reads the
-    chunks back as codes: subspace j's codes are the stride slice [j::E] of
-    E subspaces.  Points of PG(d, q) with d + 1 > 8 take W = d + 1 bytes,
-    big-endian, read chunk by chunk.  Other fields pack `vec_mat` per point.
+    multipliers in `product` order.  Over a table field `_point_codes`
+    builds them from the rows as bytes; other fields pack `vec_mat` per point.
     """
     subs = list(subspaces)
     if not subs:
@@ -358,19 +345,41 @@ def point_codes_of(subspaces) -> list[list[int]]:
     if any(s.rank != r for s in subs):
         raise ValueError("subspaces of mixed rank")
     field = space.field
-    tables = field.mul_bytes()
-    if tables is None or r == 0:
+    if field.mul_bytes() is None:
         coeffs = _normalized_vectors(field, r)
         pack = space.encode
         return [[pack(vec_mat(field, c, s.rows)) for c in coeffs] for s in subs]
+    return _point_codes(space, b"".join(map(bytes, [row for s in subs for row in s.rows])),
+                        len(subs))
+
+
+def _point_codes(space: ProjSpace, src: bytes, count: int) -> list[list[int]]:
+    """`point_codes_of` over a table field on `count` subspaces of `space`
+    of one rank, given by `src`: their rows end to end, subspace by
+    subspace, each row in the point-code layout.
+
+    A point is the lead row's code xor one multiple of each later row.
+    Since c -> c*row is additive, the multiples c*row, c = 0..q-1, are the
+    xor combinations of the m multiples x^j * row (`bytes.translate` reads
+    each one), and doubling the list once per j keeps c in increasing order.
+    All subspaces are doubled together: row k of every subspace is laid end
+    to end in one int, one chunk of W in {1, 2, 4, 8} bytes each in the
+    host's byte order (one strided slice assignment per coordinate), and
+    one `memoryview` cast reads the chunks back, subspace j's codes being
+    the stride slice [j::E] of E subspaces.  A point of more than 8
+    coordinates takes a big-endian chunk of its own length, read singly.
+    """
+    if not count:
+        return []
+    field = space.field
+    tables = field.mul_bytes()
     length = space.dim + 1
+    r = len(src) // (length * count)
     width = next((w for w in (1, 2, 4, 8) if w >= length), length)
-    count = len(subs)
     # byte offset of coordinate c in a chunk: the last coordinate is the
     # least significant byte of a code
     little = width <= 8 and sys.byteorder == "little"
     offsets = [length - 1 - c if little else width - length + c for c in range(length)]
-    src = b"".join(map(bytes, [row for s in subs for row in s.rows]))
     out: list[int] = []
     tails = [0]  # codes of the combinations of the rows after the lead
     for k in range(r - 1, -1, -1):
@@ -390,6 +399,35 @@ def point_codes_of(subspaces) -> list[list[int]]:
         return [codes[j::count].tolist() for j in range(count)]
     flat = [int.from_bytes(buf[i:i + width], "big") for i in range(0, len(buf), width)]
     return [flat[j::count] for j in range(count)]
+
+
+def _packed_echelon(rows, tables, length: int, reduced: bool) -> list[int]:
+    """Row echelon form of `rows`, packed as point codes of `length`
+    coordinates over a table field, with every pivot 1: its nonzero rows by
+    pivot column ascending.  With `reduced` the pivot columns are cleared
+    too, which gives the RREF (`QuotientMap` docstring)."""
+    basis: list[tuple[int, int]] = []  # (bit shift of the pivot byte, row), pivot ascending
+    for r in rows:
+        for s, b in basis:
+            c = r >> s & 255
+            if c:
+                r ^= int.from_bytes(b.to_bytes(length, "big").translate(tables[c]), "big")
+        if r:
+            s = (r.bit_length() - 1) & ~7
+            c = r >> s
+            lead = r.to_bytes(length, "big")
+            if c != 1:
+                # c's table row holds 1 at the inverse of c
+                lead = lead.translate(tables[tables[c].index(1)])
+                r = int.from_bytes(lead, "big")
+            if reduced:
+                for i, (t, b) in enumerate(basis):
+                    c = b >> s & 255
+                    if c:
+                        basis[i] = t, b ^ int.from_bytes(lead.translate(tables[c]), "big")
+            basis.append((s, r))
+            basis.sort(reverse=True)
+    return [b for _, b in basis]
 
 
 def point_owners(subspaces) -> dict[int, int]:
@@ -493,8 +531,13 @@ class QuotientMap:
     of the image is v[j] - sum_t C_t[j] * v[p_t].  Over a table field the
     rows of all subspaces are laid end to end in one byte string, so column
     o is its stride slice, and coordinate j of every image row is column j
-    xor the translates of the pivot columns by C_t[j].  Each image is then
-    put in RREF.
+    xor the translates of the pivot columns by C_t[j].
+
+    Each image row is read out as one int in the point-code layout, and
+    each image is put in echelon form on those ints (`_packed_echelon`): a
+    row's pivot is its leading byte, at bit shift (bit_length - 1) & ~7,
+    and a row operation is one xor of a translate.  `images` decodes the
+    RREF once per image; `image_codes` passes the rows on to the codes.
     """
 
     def __init__(self, center: Subspace):
@@ -510,35 +553,61 @@ class QuotientMap:
         red = reduce_mod(self.ambient.field, v, self.center.rows, self.center.pivots)
         return tuple(red[j] for j in self._nonpivot)
 
-    def image(self, s: Subspace) -> Subspace:
-        return self.images([s])[0]
-
-    def images(self, subspaces) -> list[Subspace]:
-        """The image of each of `subspaces`, in order (class docstring)."""
+    def _listed(self, subspaces) -> list[Subspace]:
         subs = list(subspaces)
         amb = self.ambient
         if any(s.ambient is not amb and s.ambient != amb for s in subs):
             raise ValueError("ambient spaces differ")
-        tables = amb.field.mul_bytes()
-        if tables is None:
-            return [self.space.subspace([self.image_vec(r) for r in s.rows]) for s in subs]
-        d = amb.dim + 1
+        return subs
+
+    def images(self, subspaces) -> list[Subspace]:
+        """The image of each of `subspaces`, in order (class docstring)."""
+        if self.ambient.field.mul_bytes() is None:
+            return [self.space.subspace([self.image_vec(r) for r in s.rows])
+                    for s in self._listed(subspaces)]
+        length = self.space.dim + 1
+        return [Subspace(self.space, tuple(tuple(r.to_bytes(length, "big")) for r in rows),
+                         tuple(length - 1 - ((r.bit_length() - 1) >> 3) for r in rows))
+                for rows in self._packed_images(subspaces, reduced=True)]
+
+    def image_codes(self, subspaces, rank: int) -> tuple[int | None, list[list[int]]]:
+        """(b, codes): b is the position of the first image whose rank is not
+        `rank`, None if there is none, and codes[j] lists the point codes of
+        image j < b.  Over a table field no `Subspace` is built, and the
+        rows are not reduced: any echelon basis with pivots 1 lists each
+        point once, normalized, in an order of its own."""
+        if self.ambient.field.mul_bytes() is None:
+            images = self.images(subspaces)
+            bad = next((b for b, img in enumerate(images) if img.rank != rank), None)
+            return bad, point_codes_of(images[:bad])
+        rows = self._packed_images(subspaces, reduced=False)
+        bad = next((b for b, r in enumerate(rows) if len(r) != rank), None)
+        good, length = rows[:bad], self.space.dim + 1
+        src = b"".join([r.to_bytes(length, "big") for img in good for r in img])
+        return bad, _point_codes(self.space, src, len(good))
+
+    def _packed_images(self, subspaces, reduced: bool) -> list[list[int]]:
+        """Each image's echelon rows as point codes; table fields only."""
+        subs = self._listed(subspaces)
+        tables = self.ambient.field.mul_bytes()
+        d = self.ambient.dim + 1
+        length = len(self._nonpivot)
         src = b"".join(map(bytes, [r for s in subs for r in s.rows]))
         count = len(src) // d
         center = self.center
         pivot_cols = [src[p::d] for p in center.pivots]
-        columns = []
-        for j in self._nonpivot:
+        buf = bytearray(count * length)  # image row t is buf[t*length:(t+1)*length]
+        for o, j in enumerate(self._nonpivot):
             acc = int.from_bytes(src[j::d], "big")
             for crow, col in zip(center.rows, pivot_cols):
                 if crow[j]:
                     acc ^= int.from_bytes(col.translate(tables[crow[j]]), "big")
-            columns.append(acc.to_bytes(count, "big"))
-        vecs = list(zip(*columns))
+            buf[o::length] = acc.to_bytes(count, "big")
+        rows = [int.from_bytes(buf[t:t + length], "big") for t in range(0, len(buf), length)]
         out = []
         start = 0
         for s in subs:
-            out.append(self.space.subspace(vecs[start:start + s.rank]))
+            out.append(_packed_echelon(rows[start:start + s.rank], tables, length, reduced))
             start += s.rank
         return out
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .projective import (ProjSpace, QuotientMap, Subspace, meet, normalize_point,
-                         point_codes_of, point_owners, span)
+                         point_owners, span)
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,10 @@ def _first_failing_pair(center: Subspace, elems, n: int) -> tuple[int, int] | No
     center, elems[a] and elems[b] do not span the space; None if none.
 
     A pair fails iff one of its images in the quotient by `center` has rank
-    < n, or the two images share a point.  All images are built in one
-    `QuotientMap.images` call, and the point codes of those before the
-    first bad one in one `point_codes_of` call; at n = 1 an image is the
-    point of one row's `image_vec`, which is cheaper than a `Subspace`.
+    < n, or the two images share a point.  One `QuotientMap.image_codes`
+    call lists the point codes of the images before the first bad one, with
+    no `Subspace` over a table field; at n = 1 an image is the point of one
+    row's `image_vec`, which is cheaper still.
     When no code repeats, one set settles every pair among them.  A first
     bad image b makes the answer (0, 1) if b = 0 and (0, b) otherwise,
     unless a meeting pair before it starts at 0: every other pair found
@@ -126,9 +126,7 @@ def _first_failing_pair(center: Subspace, elems, n: int) -> tuple[int, int] | No
         bad = next((b for b, v in enumerate(vecs) if not any(v)), None)
         codes = [(encode(normalize_point(field, v)),) for v in vecs[:bad]]
     else:
-        images = qm.images(elems)
-        bad = next((b for b, img in enumerate(images) if img.rank != n), None)
-        codes = point_codes_of(images[:bad])
+        bad, codes = qm.image_codes(elems, n)
     if len(set().union(*codes)) < sum(map(len, codes)):
         owner: dict[int, int] = {}
         best = None
@@ -163,14 +161,15 @@ def make_pseudo_arc(ambient: ProjSpace, elements, witness: dict | None = None) -
 
 def _tangent(arc: PseudoArc, i: int, owner: dict[int, int]) -> Subspace:
     """Tangent space at element i; `owner` maps each point code of the
-    elements to its element (`point_owners`: the elements are pairwise skew)."""
+    elements to its element (`point_owners`: the elements are pairwise skew).
+    One `QuotientMap.image_codes` call lists the points the other images cover."""
     if arc.kind != "pseudo-oval":
         raise ValueError(f"tangent spaces exist for pseudo-ovals, not {arc.kind}")
     qm = QuotientMap(arc.elements[i])
-    images = qm.images(e for j, e in enumerate(arc.elements) if j != i)
-    if any(img.rank != arc.n for img in images):
+    bad, codes = qm.image_codes((e for j, e in enumerate(arc.elements) if j != i), arc.n)
+    if bad is not None:
         raise ValueError(f"element {i} meets another element: not a pseudo-oval")
-    covered = set().union(*point_codes_of(images))
+    covered = set().union(*codes)
     q = arc.q
     expected = (q**arc.n - 1) // (q - 1)
     uncovered = [c for c in qm.space.whole().point_codes() if c not in covered]

@@ -64,15 +64,6 @@ class ReductionMap:
             raise AssertionError("reduced point has wrong rank")
         return sub
 
-    def reduce_line(self, line: Subspace) -> Subspace:
-        """(2n-1)-subspace carrying the reductions of the line's points."""
-        if line.ambient != self.source or line.rank != 2:
-            raise ValueError("reduce_line expects a line of the source space")
-        sub = self.target.subspace(self._blow_up(line.rows))
-        if sub.rank != 2 * self.tower.n:
-            raise AssertionError("reduced line has wrong rank")
-        return sub
-
     def invert_point(self, sub: Subspace) -> Point | None:
         """The source point whose reduction is sub, or None."""
         if sub.ambient != self.target or sub.rank != self.tower.n:

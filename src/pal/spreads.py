@@ -581,11 +581,6 @@ class DualArc:
     betas: tuple[Subspace, ...]
     gammas: tuple[Spread, ...]
 
-    def alpha_internal(self, i: int, j: int) -> Subspace:
-        """beta_i ^ beta_j in beta_i's chart: element j (index-aligned) of Gamma_i."""
-        k = j if j < i else j - 1
-        return self.gammas[i].elements[k]
-
 
 def _completed_duals(arc: PseudoArc):
     """The pseudo-hyperoval to dualize, a pseudo-oval completed by its

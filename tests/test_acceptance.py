@@ -23,6 +23,8 @@ from pal import (NotRegularError, ProjSpace, Spread, TheoremParams, build_sigma,
 from pal.cli import _pg2_lines_design, main
 from pal.theorems import DesignSpec
 
+from helpers import alpha_internal, galois_orbit
+
 
 class Budget:
     def __init__(self, criterion: int, seconds: float):
@@ -72,8 +74,8 @@ def sigma_and_model(tmp_path):
         tower = make_tower(2, 2)
         da = dual_arc(arc)
         from pal import Regulus
-        gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2),
-                da.alpha_internal(1, 3)]
+        gens = [alpha_internal(da, 1, 0), alpha_internal(da, 1, 2),
+                alpha_internal(da, 1, 3)]
         reg = regulus_through(*gens)
         reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
         model = plane_model(build_sigma(reg, da.gammas[0], tower))
@@ -272,7 +274,7 @@ def test_criterion_10_invariant_suites(tmp_path):
             total = 0
             for a in top.elements():
                 if a not in seen:
-                    orbit = tower.galois_orbit(a)
+                    orbit = galois_orbit(tower, a)
                     assert n % len(orbit) == 0
                     seen.update(orbit)
                     total += len(orbit)

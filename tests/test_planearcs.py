@@ -8,8 +8,10 @@ import pytest
 
 from pal import (ProjSpace, conic, field_make, gf, make_arc, meet, oval_nucleus_and_complete,
                  span, tangent_lines, translation_oval, verify_karc)
-from pal.planearcs import ArcReport, lines_through_point
+from pal.planearcs import ArcReport
 from pal.projective import QuotientMap
+
+from helpers import contains_point, lines_through_point
 
 
 def test_conic_sizes():
@@ -99,8 +101,8 @@ def test_even_tangents_concur_exhaustive(q, k):
     assert common.rank == 1
     # each tangent meets the arc exactly once
     for t, p in zip(taus, arc.points):
-        assert t.contains_point(p)
-        assert sum(1 for x in arc.points if t.contains_point(x)) == 1
+        assert contains_point(t, p)
+        assert sum(1 for x in arc.points if contains_point(t, x)) == 1
 
 
 @pytest.mark.parametrize("q", [2, 4, 16])
@@ -120,13 +122,13 @@ def test_pencil_size():
     assert len(pencil) == 17
     assert len(set(pencil)) == 17
     for line in pencil:
-        assert line.contains_point((1, 5, 7))
+        assert contains_point(line, (1, 5, 7))
 
 
 def test_line_through_two_arc_points_is_secant():
     arc = conic(16)
     line = span([arc.points[0], arc.points[1]])
-    hits = sum(1 for p in arc.points if line.contains_point(p))
+    hits = sum(1 for p in arc.points if contains_point(line, p))
     assert hits == 2
 
 
@@ -172,7 +174,7 @@ def tangents_by_pencil_scan(arc):
     out = []
     for p in arc.points:
         tangents = [line for line in lines_through_point(p)
-                    if sum(1 for x in arc.points if line.contains_point(x)) == 1]
+                    if sum(1 for x in arc.points if contains_point(line, x)) == 1]
         assert len(tangents) == 1
         out.append(tangents[0])
     return out
@@ -265,20 +267,21 @@ def test_nucleus_and_completion_match_meet_of_tangents(q):
 
 
 def _count_images(monkeypatch) -> dict[str, int]:
-    """Images made by `QuotientMap.images` (`image` is one such call), and
-    calls of `image_vec`, which the n = 1 pass makes once per image."""
+    """Images made by `QuotientMap._packed_images` (the batch behind
+    `images` and `image_codes` over a table field), and calls of
+    `image_vec`, which the n = 1 pass makes once per image."""
     calls = {"images": 0, "image_vec": 0}
-    images, image_vec = QuotientMap.images, QuotientMap.image_vec
+    packed, image_vec = QuotientMap._packed_images, QuotientMap.image_vec
 
-    def counted_images(self, subspaces):
-        out = images(self, subspaces)
+    def counted_images(self, subspaces, reduced):
+        out = packed(self, subspaces, reduced)
         calls["images"] += len(out)
         return out
 
     def counted_vec(self, v):
         calls["image_vec"] += 1
         return image_vec(self, v)
-    monkeypatch.setattr(QuotientMap, "images", counted_images)
+    monkeypatch.setattr(QuotientMap, "_packed_images", counted_images)
     monkeypatch.setattr(QuotientMap, "image_vec", counted_vec)
     return calls
 

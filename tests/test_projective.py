@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 import sys
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -11,9 +13,9 @@ from pal import (ProjSpace, QuotientMap, Spread, derive_spread_from_element,
                  nucleus, opposite_regulus, regulus_through, span,
                  tangent_spaces, verify_spread)
 from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
-from pal.projective import (Chart, _normalized_vectors, kernel, mat_inv, mat_mul,
-                            plane_line_codes, point_codes_of, rank, reduce_mod, rref,
-                            vec_mat)
+from pal.projective import (Chart, _normalized_vectors, _packed_echelon, _point_codes,
+                            kernel, mat_inv, mat_mul, plane_line_codes, point_codes_of,
+                            rank, reduce_mod, rref, vec_mat)
 from pal.spreads import SpreadReport
 
 F2 = gf(2)
@@ -130,13 +132,13 @@ def test_quotient_map():
     line = PG54.subspace([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
     qm = QuotientMap(line)
     assert qm.space == PG34
-    assert qm.image(line).rank == 0
+    assert qm.images([line])[0].rank == 0
     skew = PG54.subspace([(0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)])
-    img = qm.image(skew)
+    img = qm.images([skew])[0]
     assert img.dim == 1
     lifted = qm.preimage(img)
     assert lifted.contains(skew) and lifted.contains(line)
-    assert qm.image(lifted) == img
+    assert qm.images([lifted])[0] == img
     with pytest.raises(ValueError):
         QuotientMap(PG54.empty())
     with pytest.raises(ValueError):
@@ -149,12 +151,12 @@ def test_quotient_dimension_formula_randomized():
     qm = QuotientMap(line)
     for _ in range(300):
         s = rand_subspace(PG54, rnd)
-        img = qm.image(s)
+        img = qm.images([s])[0]
         assert img.rank == span([line, s]).rank - line.rank
 
 
 def unit_complement_image(center, s):
-    """Oracle for QuotientMap.image: the section of span(center, s) by the
+    """Oracle for QuotientMap.images: the section of span(center, s) by the
     complement W spanned by center's non-pivot unit vectors, read in W's chart."""
     d = center.ambient.dim + 1
     w = center.ambient.subspace([tuple(int(k == j) for k in range(d))
@@ -175,7 +177,7 @@ def test_quotient_chart_is_unit_complement_section():
                 qm = QuotientMap(center)
                 for _ in range(5):
                     s = rand_subspace(space, rnd)
-                    assert qm.image(s) == unit_complement_image(center, s)
+                    assert qm.images([s])[0] == unit_complement_image(center, s)
                     checked += 1
     assert checked > 500
 
@@ -381,10 +383,98 @@ def test_images_match_image_vec_row_by_row(field):
         rnd.shuffle(subs)
         assert qm.images(subs) == [
             qm.space.subspace([qm.image_vec(r) for r in s.rows]) for s in subs]
-        assert [qm.image(s) for s in subs] == qm.images(subs)
+        assert [qm.images([s])[0] for s in subs] == qm.images(subs)
     assert qm.images([]) == []
     with pytest.raises(ValueError, match="^ambient spaces differ$"):
         qm.images([PG34.whole()])
+
+
+TABLE_FIELDS = [f for f in KERNEL_FIELDS if f.mul_bytes() is not None]
+
+
+def _pack(rows):
+    return [int.from_bytes(r, "big") for r in rows]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_packed_echelon_matches_rref(field):
+    """The packed RREF has `rref`'s rows and pivots, on 1 to 9 columns with
+    zero, repeated and dependent rows; the unreduced echelon form has the
+    same pivots, pivots 1 and the same row space."""
+    rnd = random.Random(field.m)
+    tables = field.mul_bytes()
+    cases = _random_matrices(field, rnd)
+    for rows in cases[:20]:
+        ncols = len(rows[0])
+        extra = [(0,) * ncols, rnd.choice(rows)]
+        cases.append(rnd.sample(rows + extra, len(rows) + 2))
+    cases.append([(0,) * 4, (0,) * 4])
+    for rows in cases:
+        ncols = len(rows[0])
+        rr, pivots = rref(field, rows)
+        packed = _packed_echelon(_pack(rows), tables, ncols, True)
+        assert packed == _pack(rr)
+        assert [ncols - 1 - ((r.bit_length() - 1) >> 3) for r in packed] == list(pivots)
+        ech = [tuple(r.to_bytes(ncols, "big")) for r in _packed_echelon(_pack(rows), tables,
+                                                                         ncols, False)]
+        assert [next(j for j, x in enumerate(r) if x) for r in ech] == list(pivots)
+        assert all(r[p] == 1 for r, p in zip(ech, pivots))
+        assert rref(field, ech) == (rr, pivots)
+
+
+@pytest.mark.parametrize("m", range(1, TABLE_MAX_DEGREE + 1))
+def test_packed_codes_match_point_codes_of(m):
+    """`_point_codes` on the rows as bytes is `point_codes_of` on the
+    subspaces, for points of 3, 4, 6 and 9 bytes (PG(8, q) reads its chunks
+    one by one); on unreduced echelon rows it lists the same points once
+    each."""
+    field = FiniteField(2, m)
+    tables = field.mul_bytes()
+    rnd = random.Random(100 + m)
+    for length in (3, 4, 6, 9):
+        space = ProjSpace(length - 1, field)
+        for r in range(1, min(length, 4) + 1):
+            if (field.order ** r - 1) // (field.order - 1) > 1100:
+                break
+            subs = [_rank_exactly(space, rnd, r) for _ in range(5)]
+            codes = point_codes_of(subs)
+            src = b"".join(bytes(row) for s in subs for row in s.rows)
+            assert _point_codes(space, src, len(subs)) == codes
+            # a basis in echelon form that is not reduced: add later rows to earlier ones
+            mixed = b"".join(reduce(xor, rows[k:]).to_bytes(length, "big")
+                             for rows in (_pack(s.rows) for s in subs) for k in range(r))
+            ech = _point_codes(space, mixed, len(subs))
+            assert [sorted(c) for c in ech] == [sorted(c) for c in codes]
+            assert all(len(set(c)) == len(c) for c in ech)
+    assert _point_codes(ProjSpace(3, field), b"", 0) == []
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_image_codes_match_images(field, monkeypatch):
+    """`image_codes` gives the first image of another rank and the points
+    of the images before it, as `images` and `point_codes_of` do; fields
+    without byte tables take `images` and build no packed rows."""
+    packed = []
+    batch = QuotientMap._packed_images
+
+    def spy(self, subspaces, reduced):
+        packed.append(reduced)
+        return batch(self, subspaces, reduced)
+    monkeypatch.setattr(QuotientMap, "_packed_images", spy)
+    rnd = random.Random(field.order + 1)
+    space = ProjSpace(5, field)
+    for _ in range(10):
+        center = _rank_exactly(space, rnd, 2)
+        qm = QuotientMap(center)
+        subs = [_rank_exactly(space, rnd, 2) for _ in range(5)]
+        if rnd.random() < 0.5:
+            subs.insert(rnd.randrange(6), space.subspace(center.rows[:1] + subs[0].rows[:1]))
+        images = qm.images(subs)
+        bad = next((b for b, img in enumerate(images) if img.rank != 2), None)
+        got_bad, codes = qm.image_codes(subs, 2)
+        assert got_bad == bad
+        assert [sorted(c) for c in codes] == [sorted(c) for c in point_codes_of(images[:bad])]
+    assert packed == ([True, False] * 10 if field.mul_bytes() else [])
 
 
 @pytest.mark.parametrize("order", [2, 4, 5, 16])

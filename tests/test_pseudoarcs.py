@@ -113,16 +113,17 @@ def test_quotient_sweep_matches_triple_sweep(conic_oval, arc_q4n3):
 
 
 def _count_images(monkeypatch) -> list[int]:
-    """The number of images each `QuotientMap.images` call makes; `image`
-    is one such call."""
+    """The number of images each batch makes: each `QuotientMap._packed_images`
+    call, which `images` and `image_codes` make once per batch over a
+    table field."""
     made = []
-    images = QuotientMap.images
+    packed = QuotientMap._packed_images
 
-    def counted(self, subspaces):
-        out = images(self, subspaces)
+    def counted(self, subspaces, reduced):
+        out = packed(self, subspaces, reduced)
         made.append(len(out))
         return out
-    monkeypatch.setattr(QuotientMap, "images", counted)
+    monkeypatch.setattr(QuotientMap, "_packed_images", counted)
     return made
 
 
@@ -236,7 +237,7 @@ def test_uncovered_quotient_count(conic_oval):
     qm = QuotientMap(conic_oval.elements[0])
     covered = set()
     for j in range(1, 17):
-        covered.update(qm.image(conic_oval.elements[j]).point_vectors())
+        covered.update(qm.images([conic_oval.elements[j]])[0].point_vectors())
     assert len(covered) == 80
     assert qm.space.n_points - len(covered) == 5
 

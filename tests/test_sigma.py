@@ -20,6 +20,8 @@ from pal.reduction import extend_subspace, frobenius_subspace, rational_orbit_sp
 from pal.sigma import PlaneModel, _model_lines, _recognize_choice
 from pal.spreads import spread_field
 
+from helpers import alpha_internal, contains_point, galois_orbit
+
 
 @pytest.fixture(scope="module")
 def pg34_spread():
@@ -191,7 +193,7 @@ def test_spread_field_minimal_polynomial(q, n):
     tower = FieldTower(fld, field_make(fld.m * n))
     roots = tower.top.roots([tower.embed(c) for c in minpoly])
     assert len(roots) == n
-    assert sorted(tower.galois_orbit(roots[0])) == roots
+    assert sorted(galois_orbit(tower, roots[0])) == roots
 
 
 def test_transversals_reject_ring_spread_set(zero_divisor_set):
@@ -223,7 +225,7 @@ def test_transversals_reject_n1():
 @pytest.fixture(scope="module")
 def sigma_setup(conic_dual, tower42):
     da = conic_dual
-    gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
+    gens = [alpha_internal(da, 1, 0), alpha_internal(da, 1, 2), alpha_internal(da, 1, 3)]
     reg = regulus_through(*gens)
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
     scaffold = build_sigma(reg, da.gammas[0], tower42)
@@ -257,9 +259,9 @@ def test_sigma_scaffold_planes(sigma_setup, tower42):
     assert meet(th1, th2).rank == 0
     assert len(scaffold.contact_points) == 2
     for u_line, pt in zip(scaffold.transversal_lines, scaffold.contact_points):
-        assert u_line.contains_point(pt)
+        assert contains_point(u_line, pt)
     for t_line, pt in zip(scaffold.regulus_transversals, scaffold.contact_points):
-        assert t_line.contains_point(pt)
+        assert contains_point(t_line, pt)
 
 
 def _extended_regulus(da, reg, tower, top_amb):
@@ -311,15 +313,15 @@ def test_sigma_closed_under_reguli_sampled(sigma_setup):
 
 def test_sigma_hypothesis_errors(conic_dual, tower42):
     da = conic_dual
-    gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
+    gens = [alpha_internal(da, 1, 0), alpha_internal(da, 1, 2), alpha_internal(da, 1, 3)]
     reg = regulus_through(*gens)
     with pytest.raises(ValueError, match="carrier"):
         build_sigma(reg, da.gammas[0], tower42)
     # regulus not through alpha_{ij}: pick generators avoiding index 0
-    gens2 = [da.alpha_internal(1, 2), da.alpha_internal(1, 3), da.alpha_internal(1, 4)]
+    gens2 = [alpha_internal(da, 1, 2), alpha_internal(da, 1, 3), alpha_internal(da, 1, 4)]
     reg2 = regulus_through(*gens2)
     reg2 = Regulus(reg2.space, reg2.generators, reg2.elements, carrier=da.betas[1])
-    if da.alpha_internal(1, 0) not in reg2.element_set():
+    if alpha_internal(da, 1, 0) not in reg2.element_set():
         with pytest.raises(ValueError, match="gamma"):
             build_sigma(reg2, da.gammas[0], tower42)
 
@@ -327,7 +329,7 @@ def test_sigma_hypothesis_errors(conic_dual, tower42):
 def test_sigma_rejects_corrupted_gamma(conic_dual, tower42):
     da = conic_dual
     gamma0 = da.gammas[0]
-    alpha01 = da.alpha_internal(0, 1)
+    alpha01 = alpha_internal(da, 0, 1)
     # swap a regulus that keeps alpha_{01} in place, so only regularity breaks
     for t in combinations([e for e in gamma0.elements if e != alpha01], 3):
         reg_in = regulus_through(*t)
@@ -338,7 +340,7 @@ def test_sigma_rejects_corrupted_gamma(conic_dual, tower42):
         + opp.elements
     bad = Spread(gamma0.space, elems, carrier=gamma0.carrier)
     assert verify_spread(bad).ok
-    gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
+    gens = [alpha_internal(da, 1, 0), alpha_internal(da, 1, 2), alpha_internal(da, 1, 3)]
     reg = regulus_through(*gens)
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
     with pytest.raises(NotRegularError):
@@ -348,7 +350,7 @@ def test_sigma_rejects_corrupted_gamma(conic_dual, tower42):
 def test_sigma_q2_n3(small_arc):
     tower = make_tower(1, 3)
     da = dual_arc(small_arc)
-    gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
+    gens = [alpha_internal(da, 1, 0), alpha_internal(da, 1, 2), alpha_internal(da, 1, 3)]
     reg = regulus_through(*gens)
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
     scaffold = build_sigma(reg, da.gammas[0], tower)
@@ -364,7 +366,7 @@ def test_sigma_q2_n3(small_arc):
     reg_ext = _extended_regulus(da, reg, tower, top_amb)
     assert len(scaffold.regulus_transversals) == 3
     for u, t_line in zip(scaffold.contact_points, scaffold.regulus_transversals):
-        assert t_line.rank == 2 and t_line.contains_point(u)
+        assert t_line.rank == 2 and contains_point(t_line, u)
         assert beta_ext.contains(t_line)
         assert all(meet(t_line, e).rank == 1 for e in reg_ext)
 
@@ -413,7 +415,7 @@ def sigma23(small_arc):
     """The dual arc of the (2, 3) conic, the sigma it generates and its
     scaffold."""
     da = dual_arc(small_arc)
-    gens = [da.alpha_internal(1, 0), da.alpha_internal(1, 2), da.alpha_internal(1, 3)]
+    gens = [alpha_internal(da, 1, 0), alpha_internal(da, 1, 2), alpha_internal(da, 1, 3)]
     reg = regulus_through(*gens)
     reg = Regulus(reg.space, reg.generators, reg.elements, carrier=da.betas[1])
     scaffold = build_sigma(reg, da.gammas[0], make_tower(1, 3))
@@ -619,7 +621,7 @@ def test_every_regulus_choice_recovers_the_arc(request, name):
     choices, reguli = [], set()
     for fill in combinations(pool, 3 - len(forced)):
         generators = forced + list(fill)
-        reg = regulus_through(*(da.alpha_internal(0, m) for m in generators)).element_set()
+        reg = regulus_through(*(alpha_internal(da, 0, m) for m in generators)).element_set()
         if reg not in reguli:
             reguli.add(reg)
             choices.append((0, 1, generators))

@@ -16,6 +16,8 @@ from pal import (Chart, NotRegularError, ProjSpace, Spread, conic, count_reguli_
 from pal.projective import Subspace, mat_inv, rank
 from pal.spreads import RegularityReport, Regulus, SpreadReport, sweep_mode
 
+from helpers import alpha_internal
+
 
 @pytest.fixture(scope="module")
 def pg34_spread():
@@ -267,7 +269,7 @@ def test_regulus_of_dual_arc_alphas_matches_scaled_maps(conic_dual):
     for _ in range(12):
         i = rng.randrange(k)
         chart = Chart(conic_dual.gammas[i].carrier)
-        gens = [chart.to_ambient(conic_dual.alpha_internal(i, j))
+        gens = [chart.to_ambient(alpha_internal(conic_dual, i, j))
                 for j in rng.sample([j for j in range(k) if j != i], 3)]
         reg = regulus_through(*gens)
         assert reg.carrier == conic_dual.betas[i]
@@ -584,7 +586,7 @@ def test_derived_spread_oval_includes_tangent_image(conic_oval):
     assert verify_spread(spread).ok
     from pal.projective import QuotientMap
     qm = QuotientMap(conic_oval.elements[3])
-    eta = qm.image(tangent_spaces(conic_oval)[3])
+    eta = qm.images([tangent_spaces(conic_oval)[3]])[0]
     assert spread.elements[3] == eta  # index-aligned insertion
 
 
@@ -659,7 +661,7 @@ def test_dual_arc_alphas_match_meet(arc_name, request):
         for j in range(k):
             if j != i:
                 expected = chart.to_internal(meet(da.betas[i], da.betas[j]))
-                assert da.alpha_internal(i, j) == expected
+                assert alpha_internal(da, i, j) == expected
 
 
 def test_dual_arc_of_oval_appends_nucleus(conic_oval):
