@@ -252,10 +252,10 @@ def cmd_check_regular(args) -> int:
             lines = spread_transversals(spread, tower, auto)
             payload["transversals"] = {
                 "ok": True, "lines": [io.subspace_to_json(u) for u in lines]}
-        except (NotRegularError, ValueError) as err:
+        except NotRegularError as err:
             payload["transversals"] = {
                 "ok": False, "reason": str(err),
-                "witness": getattr(err, "witness", None)}
+                "witness": err.witness}
             payload["ok"] = False
     _emit(args, _report("regularity-report", payload))
     return PASS if payload["ok"] else FAIL

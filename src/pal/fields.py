@@ -257,13 +257,10 @@ def _mul_bytes(m: int, modulus: int) -> tuple[bytes, ...]:
     return tuple(bytes(row) + pad for row in _mul_table(m, modulus))
 
 
-def field_make(m: int, modulus: int | None = None) -> FiniteField:
-    """GF(2^m) with the shipped default modulus unless one is given."""
-    return FiniteField(2, m, modulus)
-
-
 @lru_cache(maxsize=None)
-def _cached_gf2(m: int, modulus: int | None) -> FiniteField:
+def field_make(m: int, modulus: int | None = None) -> FiniteField:
+    """GF(2^m) with the shipped default modulus unless one is given; one
+    shared field per argument list."""
     return FiniteField(2, m, modulus)
 
 
@@ -273,7 +270,7 @@ def gf(order: int) -> FiniteField:
         return FiniteField(order, 1)
     if order < 2 or order & (order - 1):
         raise ValueError(f"unsupported field order {order}")
-    return _cached_gf2(order.bit_length() - 1, None)
+    return field_make(order.bit_length() - 1)
 
 
 class FieldTower:
@@ -360,7 +357,6 @@ class FieldTower:
         return f"Tower(GF(2^{self.h}) < GF(2^{self.top.m}), n={self.n})"
 
 
-def make_tower(h: int, n: int, base_modulus: int | None = None,
-               top_modulus: int | None = None) -> FieldTower:
-    """Tower GF(2^h) < GF(2^(h*n)) over the default (or given) moduli."""
-    return FieldTower(field_make(h, base_modulus), field_make(h * n, top_modulus))
+def make_tower(h: int, n: int) -> FieldTower:
+    """Tower GF(2^h) < GF(2^(h*n)) over the default moduli."""
+    return FieldTower(field_make(h), field_make(h * n))

@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .fields import FieldTower, FiniteField
+from .fields import FiniteField
 from .planearcs import PlaneArc
 from .projective import ProjSpace, Subspace
 from .pseudoarcs import PseudoArc, make_pseudo_arc
-from .reduction import ReductionMap
 from .spreads import Regulus, Spread
 from .theorems import DesignSpec
 
@@ -115,24 +114,6 @@ def _space(dim: int, field: FiniteField) -> ProjSpace:
     if dim < 1:
         raise PalFileError(f"projective dimension {dim} is below 1")
     return ProjSpace(dim, field)
-
-
-def tower_to_json(tower: FieldTower) -> dict:
-    return {"base": field_to_json(tower.base), "top": field_to_json(tower.top),
-            "n": tower.n}
-
-
-def tower_from_json(obj: dict) -> FieldTower:
-    base = field_from_json(_get(obj, "base", dict))
-    top = field_from_json(_get(obj, "top", dict))
-    n = _get(obj, "n", int)
-    try:
-        tower = FieldTower(base, top)
-    except ValueError as err:
-        raise PalFileError(f"bad tower spec: {err}") from None
-    if tower.n != n:
-        raise PalFileError(f"tower degree mismatch: {tower.n} != {n}")
-    return tower
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -262,22 +243,7 @@ def regulus_from_json(obj: dict) -> Regulus:
                    _subspaces(obj, "elements", space), _carrier(obj, field))
 
 
-# -- maps and designs -----------------------------------------------------------
-
-
-def reduction_map_to_json(rmap: ReductionMap) -> dict:
-    return {"schema": SCHEMA, "kind": "reduction-map",
-            "tower": tower_to_json(rmap.tower),
-            "source_dim": rmap.source_dim,
-            "convention": rmap.convention}
-
-
-def reduction_map_from_json(obj: dict) -> ReductionMap:
-    convention = _get(obj, "convention", str)
-    if convention != "powerbasis-v1":
-        raise PalFileError(f"unknown reduction convention {convention!r}")
-    return ReductionMap(tower_from_json(_get(obj, "tower", dict)),
-                        _get(obj, "source_dim", int, default=2))
+# -- designs ------------------------------------------------------------------
 
 
 def design_to_json(spec: DesignSpec) -> dict:

@@ -35,9 +35,11 @@ as packed rows, ints in the point-code layout, with no per-entry lists.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 
 from .fields import FiniteField
 
@@ -206,9 +208,6 @@ class ProjSpace:
     def subspace(self, rows) -> Subspace:
         return Subspace(self, *rref(self.field, rows))
 
-    def empty(self) -> Subspace:
-        return Subspace(self, (), ())
-
     def whole(self) -> Subspace:
         eye = tuple(tuple(1 if j == i else 0 for j in range(self.dim + 1))
                     for i in range(self.dim + 1))
@@ -290,12 +289,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Sub(dim={self.dim} in {self.ambient})"
-
-    def contains(self, other: Subspace) -> bool:
-        if self.ambient != other.ambient:
-            raise ValueError("ambient spaces differ")
-        return all(not any(reduce_mod(self.ambient.field, r, self.rows, self.pivots))
-                   for r in other.rows)
 
     def coefficients_of(self, vec: Vec) -> Vec:
         """Coordinates of an ambient vector of this subspace w.r.t. its basis."""
@@ -548,10 +541,12 @@ class QuotientMap:
         self.space = ProjSpace(center.ambient.dim - center.rank, center.ambient.field)
         self._nonpivot = tuple(j for j in range(center.ambient.dim + 1)
                                if j not in center.pivots)
+        # at least two coordinates (the quotient has dimension >= 1), so a tuple
+        self._chart = itemgetter(*self._nonpivot)
 
     def image_vec(self, v: Vec) -> Vec:
-        red = reduce_mod(self.ambient.field, v, self.center.rows, self.center.pivots)
-        return tuple(red[j] for j in self._nonpivot)
+        return self._chart(reduce_mod(self.ambient.field, v, self.center.rows,
+                                      self.center.pivots))
 
     def _listed(self, subspaces) -> list[Subspace]:
         subs = list(subspaces)
@@ -570,14 +565,24 @@ class QuotientMap:
                          tuple(length - 1 - ((r.bit_length() - 1) >> 3) for r in rows))
                 for rows in self._packed_images(subspaces, reduced=True)]
 
-    def image_codes(self, subspaces, rank: int) -> tuple[int | None, list[list[int]]]:
+    def image_codes(self, subspaces, rank: int) -> tuple[int | None, list[Sequence[int]]]:
         """(b, codes): b is the position of the first image whose rank is not
         `rank`, None if there is none, and codes[j] lists the point codes of
         image j < b.  Over a table field no `Subspace` is built, and the
         rows are not reduced: any echelon basis with pivots 1 lists each
-        point once, normalized, in an order of its own."""
+        point once, normalized, in an order of its own.  Other fields map
+        rank-1 subspaces by `image_vec` on their one row, whose normalized
+        point is the image (rank 0 if it is zero), and the rest by `images`."""
         if self.ambient.field.mul_bytes() is None:
-            images = self.images(subspaces)
+            subs = self._listed(subspaces)
+            bases = [s.rows for s in subs]
+            if rank == 1 and set(map(len, bases)) == {1}:
+                vecs = [self.image_vec(rows[0]) for rows in bases]
+                bad = next((b for b, v in enumerate(vecs) if not any(v)), None)
+                field, encode = self.space.field, self.space.encode
+                # one-point tuples, which the garbage collector stops tracking
+                return bad, [(encode(normalize_point(field, v)),) for v in vecs[:bad]]
+            images = self.images(subs)
             bad = next((b for b, img in enumerate(images) if img.rank != rank), None)
             return bad, point_codes_of(images[:bad])
         rows = self._packed_images(subspaces, reduced=False)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .projective import (ProjSpace, QuotientMap, Subspace, meet, normalize_point,
-                         point_owners, span)
+from .projective import ProjSpace, QuotientMap, Subspace, meet, point_owners, span
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,7 @@ def _first_failing_pair(center: Subspace, elems, n: int) -> tuple[int, int] | No
     A pair fails iff one of its images in the quotient by `center` has rank
     < n, or the two images share a point.  One `QuotientMap.image_codes`
     call lists the point codes of the images before the first bad one, with
-    no `Subspace` over a table field; at n = 1 an image is the point of one
-    row's `image_vec`, which is cheaper still.
+    no `Subspace` over a table field.
     When no code repeats, one set settles every pair among them.  A first
     bad image b makes the answer (0, 1) if b = 0 and (0, b) otherwise,
     unless a meeting pair before it starts at 0: every other pair found
@@ -118,15 +116,7 @@ def _first_failing_pair(center: Subspace, elems, n: int) -> tuple[int, int] | No
     Once the best pair starts at 0, later images only add pairs with a
     larger b.
     """
-    qm = QuotientMap(center)
-    if n == 1:
-        # an image is the point of one row's image vector; zero means rank 0
-        field, encode = qm.space.field, qm.space.encode
-        vecs = [qm.image_vec(e.rows[0]) for e in elems]
-        bad = next((b for b, v in enumerate(vecs) if not any(v)), None)
-        codes = [(encode(normalize_point(field, v)),) for v in vecs[:bad]]
-    else:
-        bad, codes = qm.image_codes(elems, n)
+    bad, codes = QuotientMap(center).image_codes(elems, n)
     if len(set().union(*codes)) < sum(map(len, codes)):
         owner: dict[int, int] = {}
         best = None

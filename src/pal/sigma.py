@@ -182,9 +182,9 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     top = tower.top
     n = tower.n
     alpha = meet(beta_i, beta_j)
-    chart_j = Chart(beta_j)
+    chart_j, chart_i = Chart(beta_j), Chart(beta_i)
     alpha_j = chart_j.to_internal(alpha)
-    alpha_i = Chart(beta_i).to_internal(alpha)
+    alpha_i = chart_i.to_internal(alpha)
     if alpha_j not in gamma.element_set():
         raise ValueError("beta_i ^ beta_j is not an element of gamma")
     if alpha_i not in gamma_i.element_set():
@@ -201,7 +201,7 @@ def build_sigma(gamma: Regulus, gamma_i: Spread, tower: FieldTower):
     # the transversal of gamma through u_l is the line through u_l meeting two
     # other elements a and c: a + c = beta_j, so <u_l, a> meets c in one point
     generators = [chart_j.to_ambient(e) for e in gamma.elements] \
-        + gamma_i.ambient_elements()
+        + [chart_i.to_ambient(e) for e in gamma_i.elements]
     generators_ext = [extend_subspace(e, tower, top_ambient) for e in generators]
     a_ext, c_ext = [g for e, g in zip(gamma.elements, generators_ext) if e != alpha_j][:2]
     pt = meet(top_ambient.subspace([u, *a_ext.rows]), c_ext)

@@ -96,12 +96,6 @@ class Spread:
     def element_set(self) -> frozenset[Subspace]:
         return frozenset(self.elements)
 
-    def ambient_elements(self) -> list[Subspace]:
-        if self.carrier is None:
-            return list(self.elements)
-        chart = Chart(self.carrier)
-        return [chart.to_ambient(e) for e in self.elements]
-
 
 @dataclass(frozen=True)
 class Regulus:

@@ -1,17 +1,30 @@
-"""Helpers that only the tests use: point incidence, the pencil of lines
-through a point, Frobenius orbits, reduced lines and the elements of a
-dual arc's spreads, each built on pal's own operations."""
+"""Helpers that only the tests use: point and subspace incidence, the empty
+subspace, the pencil of lines through a point, Frobenius orbits, reduced
+lines and the elements of a dual arc's spreads, each built on pal's own
+operations."""
 
 from __future__ import annotations
 
-from pal.projective import (Point, Subspace, _normalized_vectors, kernel, reduce_mod,
-                            vec_mat)
+from pal.projective import (Point, ProjSpace, Subspace, _normalized_vectors, kernel,
+                            reduce_mod, vec_mat)
 
 
 def contains_point(sub: Subspace, p) -> bool:
     """Whether the point p (a `Point` or a coordinate vector) lies in sub."""
     v = p.coords if isinstance(p, Point) else p
     return not any(reduce_mod(sub.ambient.field, v, sub.rows, sub.pivots))
+
+
+def contains(sub: Subspace, other: Subspace) -> bool:
+    """Whether the subspace other lies in sub."""
+    if sub.ambient != other.ambient:
+        raise ValueError("ambient spaces differ")
+    return all(contains_point(sub, r) for r in other.rows)
+
+
+def empty(space: ProjSpace) -> Subspace:
+    """The empty subspace of space: no rows, projective dimension -1."""
+    return Subspace(space, (), ())
 
 
 def lines_through_point(p: Point) -> list[Subspace]:

@@ -5,8 +5,8 @@ import json
 import pytest
 
 import pal.cli
-from pal import (ProjSpace, Spread, check_design, conic, gf, io, make_pseudo_arc, plane_model,
-                 recognize_regular, reduction_map, span)
+from pal import (ProjSpace, Spread, check_design, conic, gf, io, is_regular_spread,
+                 make_pseudo_arc, plane_model, recognize_regular, reduction_map, span)
 from pal.cli import main
 
 
@@ -302,21 +302,48 @@ def test_artifacts_byte_deterministic(tmp_path, capsys, monkeypatch):
     assert "seconds" not in io.load(tmp_path / "a" / "theorem.json", "theorem-report")
 
 
+def _transversals_refused(spread, tmp_path, capsys, message):
+    """check-regular --transversals on `spread` exits 2 with `message` as its
+    one stderr line and writes no report."""
+    io.save(tmp_path / "s.json", io.spread_to_json(spread))
+    capsys.readouterr()
+    assert main(["check-regular", str(tmp_path / "s.json"), "--transversals",
+                 "-o", str(tmp_path / "r.json")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("q,count", [(2, 21), (4, 273)])
-def test_transversals_need_pg_2n_minus_1(q, count, tmp_path):
-    """On the reduced points of PG(2, q^2), a regular spread of PG(5, q)
-    (vacuously so at q = 2), --transversals reports the shape error."""
+def test_transversals_need_pg_2n_minus_1(q, count, tmp_path, capsys):
+    """The reduced points of PG(2, q^2) are a regular spread of PG(5, q)
+    (vacuously so at q = 2), but not of a PG(2n-1, q): --transversals
+    refuses the input, as it refuses any malformed one."""
     rm = reduction_map(q, 2)
     spread = Spread(rm.target, tuple(rm.reduce_point(p) for p in rm.source.points()))
     assert len(spread) == count
-    io.save(tmp_path / "s.json", io.spread_to_json(spread))
+    assert is_regular_spread(spread).regular
+    _transversals_refused(spread, tmp_path, capsys,
+                          "spread-set structure needs a spread of PG(2n-1, q)")
+
+
+def test_transversals_need_n_at_least_2(tmp_path, capsys):
+    """The points of PG(1, 4) are a spread of points: no transversal lines."""
+    space = ProjSpace(1, gf(4))
+    spread = Spread(space, tuple(space.subspace([p.coords]) for p in space.points()))
+    _transversals_refused(spread, tmp_path, capsys, "transversal lines need n >= 2")
+
+
+def test_transversals_of_a_hall_spread_fail_with_a_witness(tmp_path, shuffled_hall):
+    """A Hall spread is not regular: --transversals exits 1 and reports the
+    regulus-closure witness of the sweep."""
+    io.save(tmp_path / "s.json", io.spread_to_json(shuffled_hall(4, 1)))
     assert main(["check-regular", str(tmp_path / "s.json"), "--transversals",
                  "-o", str(tmp_path / "r.json")]) == 1
     rep = io.load(tmp_path / "r.json", "regularity-report")
-    assert rep["regular"] and rep["vacuous"] == (q == 2)
-    assert rep["transversals"] == {
-        "ok": False, "reason": "spread-set structure needs a spread of PG(2n-1, q)",
-        "witness": None}
+    assert not rep["regular"] and rep["witness"]
+    assert rep["transversals"]["ok"] is False
+    assert rep["transversals"]["witness"] == rep["witness"]
 
 
 def test_theorem_out_of_hypothesis(tmp_path):
@@ -467,11 +494,16 @@ def test_field_serialization_roundtrip():
         assert io.field_from_json(io.field_to_json(fld)) == fld
 
 
-def test_reduction_map_serialization(rmap42):
-    obj = io.reduction_map_to_json(rmap42)
-    again = io.reduction_map_from_json(obj)
-    assert io.reduction_map_to_json(again) == obj
-    assert again.reduce_point((1, 7, 9)) == rmap42.reduce_point((1, 7, 9))
+def test_report_on_a_reduction_map_file(tmp_path, capsys):
+    """No command writes the reduction-map kind, but report still reads it
+    as a generic kind: the kind line, then an empty line of known keys."""
+    obj = {"schema": "pal-v1", "kind": "reduction-map", "convention": "powerbasis-v1",
+           "source_dim": 2, "tower": {"base": {"p": 2, "m": 2, "modulus_bits": 7},
+                                      "top": {"p": 2, "m": 4, "modulus_bits": 19}, "n": 2}}
+    (tmp_path / "rmap.json").write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "rmap.json")]) == 0
+    assert capsys.readouterr() == ("pal-v1 file: kind=reduction-map\n  \n", "")
 
 
 def test_dualize_cli(arc_file, tmp_path):

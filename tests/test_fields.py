@@ -147,7 +147,7 @@ def test_expand_compress_roundtrip():
     towers = [make_tower(h, n) for h, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
                                              (3, 3), (2, 6))]
     # GF(4) < GF(16) over x^4 + x^3 + 1, not the default top modulus
-    towers.append(make_tower(2, 2, top_modulus=0b11001))
+    towers.append(FieldTower(field_make(2), field_make(4, 0b11001)))
     assert towers[5].top.mul_table() is None  # GF(512): no multiplication table
     for t in towers:
         n = t.n

@@ -233,6 +233,20 @@ def test_verify_karc_matches_triple_sweep(order):
     assert any(not r.ok and r.collinear_witness is None for r in reports)
 
 
+def test_verify_karc_matches_triple_sweep_without_tables():
+    """GF(512) has no byte tables, so its images take `image_vec`: a prefix
+    of its conic is an arc, and a point planted on the chord of two prefix
+    points makes collinear triples, the first of which is the sweep's."""
+    field = gf(512)
+    space = ProjSpace(2, field)
+    prefix = [(1, t, field.mul(t, t)) for t in range(3, 43)]
+    chord = tuple(a ^ b for a, b in zip(prefix[17], prefix[29]))
+    planted = prefix[:23] + [chord] + prefix[23:]
+    reports = [verify_karc(space, pts) for pts in (prefix, planted)]
+    assert reports == [karc_by_triple_sweep(space, pts) for pts in (prefix, planted)]
+    assert reports[0].ok and reports[1].collinear_witness is not None
+
+
 def _ovals(q):
     """The conic and the translation ovals of PG(2, q)."""
     m = q.bit_length() - 1
@@ -269,7 +283,8 @@ def test_nucleus_and_completion_match_meet_of_tangents(q):
 def _count_images(monkeypatch) -> dict[str, int]:
     """Images made by `QuotientMap._packed_images` (the batch behind
     `images` and `image_codes` over a table field), and calls of
-    `image_vec`, which the n = 1 pass makes once per image."""
+    `image_vec`, which `image_codes` makes once per rank-1 image over a
+    field without byte tables."""
     calls = {"images": 0, "image_vec": 0}
     packed, image_vec = QuotientMap._packed_images, QuotientMap.image_vec
 
@@ -287,25 +302,35 @@ def _count_images(monkeypatch) -> dict[str, int]:
 
 
 def test_verify_karc_work_count(monkeypatch):
-    """One quotient image vector per later point for each of the 63 centers
+    """One packed quotient image per later point for each of the 63 centers
     that start a triple: 64 + 63 + ... + 2 = 2,079 for the 65 conic points,
-    and no `Subspace` image."""
+    and no image vector."""
     arc = conic(64)
     calls = _count_images(monkeypatch)
     assert verify_karc(arc.ambient, arc.points).ok
-    assert calls == {"images": 0, "image_vec": 2079}
+    assert calls == {"images": 2079, "image_vec": 0}
+
+
+def test_verify_karc_work_count_without_tables(monkeypatch):
+    """GF(5) has no byte tables: one image vector per later point for each
+    of the 4 centers of the 6 conic points, 5 + 4 + 3 + 2 = 14, and no
+    packed image."""
+    arc = conic(5)
+    calls = _count_images(monkeypatch)
+    assert verify_karc(arc.ambient, arc.points).ok
+    assert calls == {"images": 0, "image_vec": 14}
 
 
 def test_oval_wrappers_do_not_verify_the_oval_again(monkeypatch):
     """`make_arc` verified the conic, so the tangent lines take two
-    partitions of 64 images each and one pass of 65 image vectors through
-    the nucleus.  The completion takes those images again for its own
+    partitions of 64 images each and one pass of 65 images through the
+    nucleus.  The completion takes those images again for its own
     pseudo-oval, and no more: that nucleus pass checks the triples through
     the nucleus."""
     arc = conic(64)
     calls = _count_images(monkeypatch)
     tangent_lines(arc)
-    assert calls == {"images": 2 * 64, "image_vec": 65}
+    assert calls == {"images": 2 * 64 + 65, "image_vec": 0}
     calls.update(images=0, image_vec=0)
     oval_nucleus_and_complete(arc)
-    assert calls == {"images": 2 * 64, "image_vec": 65}
+    assert calls == {"images": 2 * 64 + 65, "image_vec": 0}

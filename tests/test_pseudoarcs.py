@@ -12,6 +12,8 @@ from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, field_make,
 from pal.projective import point_owners, rank, rref
 from pal.pseudoarcs import PseudoArc, PseudoArcReport, _tangent
 
+from helpers import contains
+
 
 def test_conic_reduction_verifies(conic_oval):
     rep = verify_pseudo_arc(conic_oval.ambient, conic_oval.elements)
@@ -226,7 +228,7 @@ def test_tangent_spaces(conic_oval):
     assert len(taus) == 17
     for i, tau in enumerate(taus):
         assert tau.dim == 3
-        assert tau.contains(conic_oval.elements[i])
+        assert contains(tau, conic_oval.elements[i])
         for j, e in enumerate(conic_oval.elements):
             if j != i:
                 assert meet(tau, e).rank == 0

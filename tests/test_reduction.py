@@ -9,7 +9,7 @@ from pal import (ProjSpace, conic, desarguesian_spread, gf, is_regular_spread,
 from pal.reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                            rational_orbit_span, rationalize_subspace)
 
-from helpers import contains_point, lines_through_point, reduce_line
+from helpers import contains, contains_point, lines_through_point, reduce_line
 
 
 def test_reduce_point_shape(rmap42):
@@ -38,10 +38,10 @@ def test_reduce_line_incidence(rmap42):
     inside = 0
     for p in src.points():
         if contains_point(line, p):
-            assert red.contains(rmap42.reduce_point(p))
+            assert contains(red, rmap42.reduce_point(p))
             inside += 1
         else:
-            assert not red.contains(rmap42.reduce_point(p))
+            assert not contains(red, rmap42.reduce_point(p))
     assert inside == 17
 
 
@@ -51,7 +51,7 @@ def test_full_pencil_incidence_both_ways(rmap42):
     for line in lines_through_point(center):
         red = reduce_line(rmap42, line)
         for p in src.points():
-            assert contains_point(line, p) == red.contains(rmap42.reduce_point(p))
+            assert contains_point(line, p) == contains(red, rmap42.reduce_point(p))
 
 
 def test_two_lines_meet_in_reduced_point(rmap42):

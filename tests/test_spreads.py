@@ -16,7 +16,7 @@ from pal import (Chart, NotRegularError, ProjSpace, Spread, conic, count_reguli_
 from pal.projective import Subspace, mat_inv, rank
 from pal.spreads import RegularityReport, Regulus, SpreadReport, sweep_mode
 
-from helpers import alpha_internal
+from helpers import alpha_internal, empty
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ def test_degenerate_spreads_are_rejected_not_raised(pg34_spread):
     """verify_spread reports degenerate inputs; spread_reguli_design verifies
     its input first and raises with the report's reason."""
     space = pg34_spread.space
-    rep = verify_spread(Spread(space, (space.empty(),) * 17))
+    rep = verify_spread(Spread(space, (empty(space),) * 17))
     assert not rep.ok and rep.witness["kind"] == "dimension-mismatch"
     rep = verify_spread(Spread(space, ()))
     assert (rep.ok, rep.count, rep.witness, rep.reason) == (
