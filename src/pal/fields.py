@@ -4,10 +4,11 @@ Characteristic-2 fields GF(2^m), m <= 16, are the workhorse: elements are
 ints whose bits are the coefficients of a polynomial over GF(2), reduced
 modulo a fixed irreducible modulus.  Zero and one are always coded 0 and 1,
 and addition is xor.  For m <= 8 a field also offers a full multiplication
-table, built on first use and shared by all equal fields, which the
-linear-algebra kernel in `projective` reads in place of `mul`.  Odd prime
-fields GF(p), p <= 13, exist only for the odd-order plane-arc spot checks;
-no odd prime-power extensions are provided.
+table, built on first use and shared by all equal fields.  `row_ops`, the
+three row operations of the linear-algebra kernel in `projective`, read it
+in place of `mul` and are built once per field.  Odd prime fields GF(p),
+p <= 13, exist only for the odd-order plane-arc spot checks; no odd
+prime-power extensions are provided.
 
 Subfield towers GF(q) < GF(q^n) with q = 2^h carry the Frobenius map
 x -> x^q and the expand/compress maps between GF(q^n)^k and GF(q)^(nk)
@@ -16,7 +17,7 @@ used by field reduction.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 MAX_DEGREE = 16
 TABLE_MAX_DEGREE = 8  # largest m whose q x q multiplication table is kept
@@ -218,6 +219,27 @@ class FiniteField:
         Each of the q tables is padded to 256 bytes; None where mul_table is.
         """
         return _mul_bytes(self.m, self.modulus) if self.mul_table() is not None else None
+
+    @cached_property
+    def row_ops(self):
+        """The kernel's row operations (scale, add_scaled, sub_scaled): c*v,
+        u + c*v and u - c*v as new lists, built on first use.  GF(2^m) with
+        m <= 8 reads the multiplication table and adds by xor; other fields
+        call `mul` per entry."""
+        table = self.mul_table()
+        if table is not None:
+            def add_scaled(u, c, v):
+                t = table[c]
+                return [a ^ t[b] for a, b in zip(u, v)]
+
+            def scale(c, v):
+                t = table[c]
+                return [t[x] for x in v]
+            return scale, add_scaled, add_scaled
+        mul, add, sub = self.mul, self.add, self.sub
+        return (lambda c, v: [mul(c, x) for x in v],
+                lambda u, c, v: [add(a, mul(c, b)) for a, b in zip(u, v)],
+                lambda u, c, v: [sub(a, mul(c, b)) for a, b in zip(u, v)])
 
     def elements(self) -> range:
         return range(self.order)

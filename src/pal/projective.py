@@ -12,11 +12,12 @@ spanned by the non-pivot unit vectors (`QuotientMap` holds the proof).
 
 One linear-algebra kernel serves every field: `rref`, `rank`,
 `reduce_mod`, `kernel`, `vec_mat` and `mat_mul` are written once over
-three row operations (scale, add and subtract a multiple).  For GF(2^m)
-with m <= 8 these read the field's shared multiplication table, so a row
-operation is `[a ^ T[c][b] ...]`; odd prime fields and m > 8 call
-`field.mul` once per entry.  `rank` is forward elimination only, for the
-"do these span?" checks that need no canonical basis.
+three row operations (scale, add and subtract a multiple), which each
+field builds once (`FiniteField.row_ops`).  For GF(2^m) with m <= 8 these
+read the field's shared multiplication table, so a row operation is
+`[a ^ T[c][b] ...]`; odd prime fields and m > 8 call `field.mul` once per
+entry.  `rank` is forward elimination only, for the "do these span?"
+checks that need no canonical basis.
 
 Point sets are keyed on point codes: a normalized coordinate vector packed
 big-endian into one int, one byte per coordinate when the field has at most
@@ -29,7 +30,8 @@ is that routine on one subspace, and `point_vectors` is its decode, in the
 same order.  `QuotientMap.images` likewise reduces the rows of many
 subspaces modulo the center one coordinate column at a time.  Over a table
 field the quotient images travel from that reduction to their point codes
-as packed rows, ints in the point-code layout, with no per-entry lists.
+as packed rows, ints in the point-code layout, with no per-entry lists;
+`spreads` builds its reguli on the same rows.
 """
 
 from __future__ import annotations
@@ -48,29 +50,6 @@ Vec = tuple[int, ...]
 POINT_ENUM_CAP = 10**7
 
 
-def _row_ops(field: FiniteField):
-    """The kernel's row operations over `field`: (scale, add_scaled, sub_scaled).
-
-    scale(c, v) = c*v, add_scaled(u, c, v) = u + c*v and sub_scaled(u, c, v)
-    = u - c*v, as new lists.  GF(2^m) with m <= 8 reads the field's shared
-    multiplication table and adds by xor; other fields call field.mul per entry.
-    """
-    table = field.mul_table()
-    if table is not None:
-        def add_scaled(u, c, v):
-            t = table[c]
-            return [a ^ t[b] for a, b in zip(u, v)]
-
-        def scale(c, v):
-            t = table[c]
-            return [t[x] for x in v]
-        return scale, add_scaled, add_scaled
-    mul, add, sub = field.mul, field.add, field.sub
-    return (lambda c, v: [mul(c, x) for x in v],
-            lambda u, c, v: [add(a, mul(c, b)) for a, b in zip(u, v)],
-            lambda u, c, v: [sub(a, mul(c, b)) for a, b in zip(u, v)])
-
-
 def _echelon(field: FiniteField, rows, reduced: bool):
     """Gaussian elimination on the nonzero rows, with every pivot scaled to 1.
 
@@ -78,7 +57,7 @@ def _echelon(field: FiniteField, rows, reduced: bool):
     with `reduced` also those above it, which gives the RREF.
     """
     work = [r for r in rows if any(r)]
-    scale, _, sub_scaled = _row_ops(field)
+    scale, _, sub_scaled = field.row_ops
     inv = field.inv
     pivots = []
     r = 0
@@ -123,7 +102,7 @@ def rank(field: FiniteField, rows) -> int:
 def reduce_mod(field: FiniteField, vec: Vec, rows: tuple[Vec, ...],
                pivots: tuple[int, ...]) -> Vec:
     """Eliminate vec's pivot coordinates against an RREF basis."""
-    _, _, sub_scaled = _row_ops(field)
+    _, _, sub_scaled = field.row_ops
     v = vec
     for row, p in zip(rows, pivots):
         c = v[p]
@@ -163,7 +142,7 @@ def mat_mul(field: FiniteField, a, b) -> list[Vec]:
 
 def vec_mat(field: FiniteField, v: Vec, rows) -> Vec:
     """v . rows, i.e. the combination sum v[k] * rows[k]."""
-    _, add_scaled, _ = _row_ops(field)
+    _, add_scaled, _ = field.row_ops
     acc = [0] * len(rows[0])
     for c, row in zip(v, rows):
         if c:
@@ -423,6 +402,19 @@ def _packed_echelon(rows, tables, length: int, reduced: bool) -> list[int]:
     return [b for _, b in basis]
 
 
+def _packed(rows) -> tuple[int, ...]:
+    """Rows of byte-sized entries as point codes, one int each."""
+    return tuple([int.from_bytes(bytes(r), "big") for r in rows])
+
+
+def _unpacked(space: ProjSpace, rows) -> Subspace:
+    """The subspace of `space` whose RREF is `rows`, packed as point codes
+    (`_packed_echelon` with `reduced`)."""
+    length = space.dim + 1
+    return Subspace(space, tuple([tuple(r.to_bytes(length, "big")) for r in rows]),
+                    tuple([length - 1 - ((r.bit_length() - 1) >> 3) for r in rows]))
+
+
 def point_owners(subspaces) -> dict[int, int]:
     """Point code -> position of the last of `subspaces` that holds the point.
 
@@ -560,9 +552,7 @@ class QuotientMap:
         if self.ambient.field.mul_bytes() is None:
             return [self.space.subspace([self.image_vec(r) for r in s.rows])
                     for s in self._listed(subspaces)]
-        length = self.space.dim + 1
-        return [Subspace(self.space, tuple(tuple(r.to_bytes(length, "big")) for r in rows),
-                         tuple(length - 1 - ((r.bit_length() - 1) >> 3) for r in rows))
+        return [_unpacked(self.space, rows)
                 for rows in self._packed_images(subspaces, reduced=True)]
 
     def image_codes(self, subspaces, rank: int) -> tuple[int | None, list[Sequence[int]]]:

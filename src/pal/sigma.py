@@ -37,7 +37,7 @@ from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, _orbit_sums, extend_subspace, frobenius_subspace,
                         rationalize_subspace)
 from .spreads import (RegularityReport, Regulus, Spread, _completed_duals, _dual_spread,
-                      _graph_rows, is_regular_spread, regulus_through, spread_field,
+                      is_regular_spread, regulus_through, spread_field,
                       verified_spread)
 
 
@@ -119,7 +119,7 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str,
     if field is None:
         raise NotRegularError(f"{label} is not regular: its spread set is not "
                               "a field of order q^n", {"kind": "spread-set-not-field"})
-    a, c, fmap, mats, gen, mp = field
+    a, c, g, mats, gen, mp = field
     fld = spread.space.field
     top = tower.top
     n = tower.n
@@ -129,8 +129,7 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str,
     mu = roots[0]
     if sorted(_conjugates(mu, tower.frobenius, n)) != roots:
         raise AssertionError("eigenvalues are not one Galois orbit")
-    g_rows = _graph_rows(fld, a.rows, fmap, c.rows)
-    a_ext, g_ext, gen_ext = (_embed(m, tower) for m in (a.rows, g_rows, gen))
+    a_ext, g_ext, gen_ext = (_embed(m, tower) for m in (a.rows, g, gen))
     # right kernel of transpose(gen) - mu*I is the row eigenspace
     rows_t = [tuple(top.sub(gen_ext[i][j], mu if i == j else 0) for i in range(n))
               for j in range(n)]

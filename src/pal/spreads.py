@@ -5,16 +5,21 @@ the derived spreads live in PG(2n-1, q) (or in a carrier (2n-1)-subspace of
 PG(3n-1, q), stored with internal coordinates plus the carrier), and the
 generated spreads of PG(3n-1, q) use the same type.
 
-The regulus through three pairwise-skew (n-1)-spaces is computed from the
-graph parametrization: with the span decomposed as A + C and B the graph of
-an invertible f: A -> C, the regulus is {A, C} plus the graphs of the
-nonzero scalar multiples of f.  The frame needs no rank checks of its own:
-the inverses it computes for the parametrization (of A + C, of B's
-A-parts, of f) exist exactly when the three are pairwise skew.  With F the
-matrix of f and G = F.C, the graph of lambda.f is spanned by the rows
-A_k + lambda.G_k.  Regularity of a spread means closure under reguli; at
-q = 2 a regulus is its three generators, so closure is vacuous and reports
-say so.
+The regulus through three pairwise-skew (n-1)-spaces A, B, C spanning a
+(2n-1)-space is {A, C} plus the graphs of the nonzero multiples of the
+map f: A -> C whose graph is B.  Its frame aligns B to A modulo C.
+Reduction modulo C (in RREF) projects along C onto W, the span of C's
+non-pivot unit vectors, and sends the rows of A and B to a^ and b^.  One
+RREF of the rows [b^_k | b_k] has W's unit rows as its b^ half iff B
+misses C, and its b half B* then gives B'_k = sum_j a^_k[w_j] B*_j (w_j
+the j-th non-pivot column), the vector of B congruent to a_k.  So G_k =
+B'_k - a_k lies in C, G = F.C for the matrix F of f, and the graph of
+lambda.f is spanned by the rows a_k + lambda.G_k.  A misses C iff a^ has
+rank n, and then A misses B iff G has rank n.  Over a field with byte
+tables each row is one int in the point-code layout; other fields take the
+same steps on tuples.  Regularity of a spread means closure under reguli;
+at q = 2 a regulus is its three generators, so closure is vacuous and
+reports say so.
 
 Every question about the reguli of a spread (closure, the 3-design of its
 reguli, the dual-arc blocks, the reguli through a pair) walks index triples
@@ -62,10 +67,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from operator import itemgetter
 
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _normalized_vectors,
-                         _pivots_of, _row_ops, dual, kernel, mat_inv, mat_mul,
-                         meet, point_codes_of, rank, reduce_mod, rref, span, vec_mat)
+                         _packed, _packed_echelon, _pivots_of, _unpacked, dual, kernel, mat_inv,
+                         mat_mul, meet, point_codes_of, rank, reduce_mod, rref, span,
+                         vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces
 
 # 'auto' regularity sweeps all triples up to this many; above it (spreads of
@@ -201,43 +208,14 @@ def verified_spread(spread: Spread, label: str) -> Spread:
     return spread
 
 
-def _graph_map(fld, m_inv, rows, n):
-    """Matrix F of the map A -> C whose graph is the row space of `rows`.
-
-    `m_inv` inverts the stacked A and C bases; a row's coordinates over it
-    split as (x, y) with y = x.F.
-    """
-    x_rows, y_rows = [], []
-    for row in rows:
-        coeff = vec_mat(fld, row, m_inv)
-        x_rows.append(coeff[:n])
-        y_rows.append(coeff[n:])
-    return mat_mul(fld, mat_inv(fld, x_rows), y_rows)
-
-
-def _graph_rows(fld, a_rows, fmap, c_rows):
-    """Rows e_k.A + (e_k.F).C spanning the graph of F: A -> C.
-
-    The point of the graph with A-coordinates x is x times these rows,
-    x.A + (x.F).C.
-    """
-    return [tuple(fld.add(x, y) for x, y in zip(arow, w))
-            for arow, w in zip(a_rows, mat_mul(fld, fmap, c_rows))]
-
-
 def _regulus_frame(a: Subspace, b: Subspace, c: Subspace):
     """The frame of three pairwise-skew (n-1)-spaces spanning a (2n-1)-space.
 
-    Returns (chart, (a, b, c), fmap): the chart of their span (None when
-    the span is the whole ambient), the three spaces in chart coordinates
-    and the matrix F of b read as the graph of a map a -> c.
-
-    Skewness comes from the inverses the frame needs anyway: the stacked
-    bases of a and c are invertible iff a and c are skew (their span is
-    then the whole (2n-1)-space), `_graph_map` inverts the a-parts of b's
-    rows iff b is skew to c, and F has rank n iff b is skew to a.  Only
-    when one of these fails is the span's rank computed, to say which
-    condition broke: a span of the wrong rank first, else a meeting pair.
+    Returns (chart, (a, b, c), g): the chart of their span (None when it is
+    the whole ambient), the three in chart coordinates and the rows G_k of
+    the aligned frame (module docstring) as tuples.  Only when a skewness
+    check fails is the span's rank computed, to say which condition broke:
+    a span of the wrong rank first, else a meeting pair.
     """
     if not (a.ambient == b.ambient == c.ambient):
         raise ValueError("ambient spaces differ")
@@ -251,59 +229,119 @@ def _regulus_frame(a: Subspace, b: Subspace, c: Subspace):
             raise ValueError(f"generators span rank {hull.rank}, expected {2 * n}")
         chart = Chart(hull)
         a, b, c = (chart.to_internal(s) for s in (a, b, c))
+    g = _aligned_rows(a, b, c)
+    if g is not None:
+        return chart, (a, b, c), g
     fld = a.ambient.field
-    try:
-        m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-        fmap = _graph_map(fld, m_inv, b.rows, n)
-        if rank(fld, fmap) == n:
-            return chart, (a, b, c), fmap
-    except ValueError:
-        pass
     r = rank(fld, a.rows + b.rows + c.rows)
     if r != 2 * n:
         raise ValueError(f"generators span rank {r}, expected {2 * n}")
     raise ValueError("generators are not pairwise skew")
 
 
+def _aligned_rows(a: Subspace, b: Subspace, c: Subspace):
+    """The rows G_k of the frame of a, b, c in PG(2n-1, q) (module
+    docstring), or None when the three are not pairwise skew."""
+    fld = a.ambient.field
+    n, length = a.rank, a.ambient.dim + 1
+    tables = fld.mul_bytes()
+    if tables is None:
+        def red(v):
+            return reduce_mod(fld, v, c.rows, c.pivots)
+        star, cols = rref(fld, [red(r) + r for r in b.rows])
+        a_hat = [red(r) for r in a.rows]
+        if cols[-1] >= length or rank(fld, a_hat) < n:
+            return None
+        b_star = [r[length:] for r in star]
+        g = [tuple(map(fld.sub, vec_mat(fld, [x[w] for w in cols], b_star), r))
+             for x, r in zip(a_hat, a.rows)]
+        return g if rank(fld, g) == n else None
+    half = 8 * length
+    c_basis = [(8 * (length - 1 - p), bytes(r)) for p, r in zip(c.pivots, c.rows)]
+    b_rows, a_rows = _packed(b.rows), _packed(a.rows)
+    star = _packed_echelon([_packed_sum(r, r, c_basis, tables) << half | r for r in b_rows],
+                           tables, 2 * length, True)
+    a_hat = [_packed_sum(r, r, c_basis, tables) for r in a_rows]
+    # the last RREF row has the highest pivot, in the b^ half iff they all are
+    if not star[-1] >> half or len(_packed_echelon(a_hat, tables, length, False)) < n:
+        return None
+    b_star = [((r.bit_length() - 1 - half) & ~7, (r & (1 << half) - 1).to_bytes(length, "big"))
+              for r in star]
+    # a_k plus B'_k, which is G_k in characteristic 2
+    g = [_packed_sum(x, y, b_star, tables) for x, y in zip(a_rows, a_hat)]
+    if len(_packed_echelon(g, tables, length, False)) < n:
+        return None
+    return [tuple(x.to_bytes(length, "big")) for x in g]
+
+
+def _packed_sum(x: int, y: int, basis, tables) -> int:
+    """x plus c*r over the (s, r) of `basis`, with c the byte of y at bit
+    shift s and r a row as bytes, all rows packed.  With y = x and an RREF
+    basis, s at each pivot, this is x reduced modulo the basis."""
+    for s, r in basis:
+        c = y >> s & 255
+        if c:
+            x ^= int.from_bytes(r.translate(tables[c]), "big")
+    return x
+
+
 def regulus_through(a: Subspace, b: Subspace, c: Subspace) -> Regulus:
     """The q+1 maximal spaces through three pairwise-skew (n-1)-spaces.
 
     The three must span a (2n-1)-space; if that is a proper subspace of the
-    ambient, the regulus is computed in its chart and mapped back.  With
-    G = F.C, the graph of lambda.F is spanned by the rows a_k + lambda.G_k,
-    one row operation each.
+    ambient, the regulus is computed in its chart and mapped back.  The
+    element of lambda in GF(q)* is spanned by the rows a_k + lambda.G_k
+    (module docstring): over a table field one translate and one xor per
+    packed row, then one packed RREF, decoded into its `Subspace` once.
+    Lambda = 1 gives the rows B'_k of b, so that element must be b, and b
+    takes its place, as a and c take those of A and C (in PG(2n-1, q) they
+    are the generators themselves).  The elements are sorted by rows.
     """
-    chart, (a, b, c), fmap = _regulus_frame(a, b, c)
+    gens = (a, b, c)
+    chart, (a, b, c), g = _regulus_frame(a, b, c)
     space = a.ambient
     fld = space.field
-    pairs = list(zip(a.rows, mat_mul(fld, fmap, c.rows)))
-    _, add_scaled, _ = _row_ops(fld)
-    elements = [a, c]
-    for lam in range(1, fld.order):
-        elements.append(space.subspace([add_scaled(x, lam, g) for x, g in pairs]))
-    if b not in elements:
+    tables = fld.mul_bytes()
+    if tables is None:
+        _, add_scaled, _ = fld.row_ops
+
+        def element(lam):
+            return space.subspace([add_scaled(x, lam, r) for x, r in zip(a.rows, g)])
+        keyed = [(e.rows, e) for e in map(element, range(2, fld.order))]
+        b_key, keys = element(1).rows, [s.rows for s in (a, b, c)]
+    else:
+        length = space.dim + 1
+        a_rows, g_rows = _packed(a.rows), [bytes(r) for r in g]
+
+        def element(lam):
+            t = tables[lam]
+            return tuple(_packed_echelon([x ^ int.from_bytes(r.translate(t), "big")
+                                          for x, r in zip(a_rows, g_rows)], tables, length, True))
+        keyed = [(rows, _unpacked(space, rows)) for rows in map(element, range(2, fld.order))]
+        b_key, keys = element(1), [a_rows, _packed(b.rows), _packed(c.rows)]
+    if b_key != keys[1]:
         raise AssertionError("graph parametrization missed a generator")
-    if chart is not None:
-        out = tuple(sorted((chart.to_ambient(e) for e in elements),
-                           key=lambda s: s.rows))
-        gens = tuple(chart.to_ambient(s) for s in (a, b, c))
-        return Regulus(chart.ambient, gens, out, carrier=chart.carrier)
-    return Regulus(space, (a, b, c), tuple(sorted(elements, key=lambda s: s.rows)))
+    keyed += zip(keys, (a, b, c))
+    # codes are fixed-width big-endian, so packed rows sort as `rows` do
+    keyed.sort(key=itemgetter(0))
+    if chart is None:
+        return Regulus(space, gens, tuple([e for _, e in keyed]))
+    out = sorted((chart.to_ambient(e) for _, e in keyed), key=lambda s: s.rows)
+    return Regulus(chart.ambient, gens, tuple(out), carrier=chart.carrier)
 
 
 def transversal_lines(a: Subspace, b: Subspace, c: Subspace) -> list[Subspace]:
     """All (q^n-1)/(q-1) lines meeting every element of the regulus (a,b,c).
 
-    With b the graph of F: a -> c, the transversal through the point x.A
-    of a meets b in x.A + (x.F).C.
+    With the rows G of the frame (module docstring), the transversal
+    through the point x.A of a meets c in x.G and b in x.(A + G).
     """
-    chart, (a, b, c), fmap = _regulus_frame(a, b, c)
+    chart, (a, b, c), g = _regulus_frame(a, b, c)
     space = a.ambient
     fld = space.field
-    g_rows = _graph_rows(fld, a.rows, fmap, c.rows)
     lines = []
     for x in _normalized_vectors(fld, a.rank):
-        line = space.subspace([vec_mat(fld, x, a.rows), vec_mat(fld, x, g_rows)])
+        line = space.subspace([vec_mat(fld, x, a.rows), vec_mat(fld, x, g)])
         lines.append(chart.to_ambient(line) if chart is not None else line)
     return lines
 
@@ -375,8 +413,11 @@ def spread_field(spread: Spread):
     (module docstring).  An input of any other shape (ambient, count,
     ranks, an element that is not a graph) gives None.
 
-    Returns (a, c, fmap, mats, x, minpoly): fmap is M_2, mats maps each
-    index i >= 2 to its normalized matrix, and minpoly is the monic minimal
+    M_i is G_i, of the frame of A, element i and C (module docstring), on
+    C's pivot columns, since G_i = M_i.C and C is in RREF.
+
+    Returns (a, c, g, mats, x, minpoly): g is G_2, mats maps each index
+    i >= 2 to its normalized matrix, and minpoly is the monic minimal
     polynomial of X, low-degree coefficients first.
     """
     elems = spread.elements
@@ -391,32 +432,32 @@ def spread_field(spread: Spread):
     mats: dict[int, tuple] = {}
     seen: set[tuple] = set()
     basis = None  # RREF basis of GF(q)[X], matrices flattened
-    try:
-        m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-        fmap = _graph_map(fld, m_inv, elems[2].rows, n)
-        f_inv = mat_inv(fld, fmap)
-        for i in range(2, len(elems)):
-            m = tuple(mat_mul(fld, _graph_map(fld, m_inv, elems[i].rows, n), f_inv))
-            flat = tuple(x for row in m for x in row)
-            if flat in seen or rank(fld, m) != n:
-                return None
-            seen.add(flat)
-            mats[i] = m
-            if basis is None:
-                powers = [identity]
-                while len(powers) < n:
-                    powers.append(tuple(mat_mul(fld, powers[-1], m)))
-                flats = [tuple(x for r in p for x in r) for p in powers]
-                rows, pivots = rref(fld, flats)
-                if len(rows) < n:
-                    continue
-                basis, pending, gen = (rows, pivots), seen, m
-            else:
-                pending = (flat,)
-            if any(any(reduce_mod(fld, v, *basis)) for v in pending):
-                return None
-    except ValueError:  # A and C meet, or an element meets one of them
-        return None
+    for i in range(2, len(elems)):
+        g_i = _aligned_rows(a, elems[i], c)
+        if g_i is None:  # A and C meet, or element i meets one of them
+            return None
+        f = [[row[p] for p in c.pivots] for row in g_i]
+        if i == 2:
+            g, f_inv = g_i, mat_inv(fld, f)
+        m = tuple(mat_mul(fld, f, f_inv))
+        flat = tuple(x for row in m for x in row)
+        if flat in seen:
+            return None
+        seen.add(flat)
+        mats[i] = m
+        if basis is None:
+            powers = [identity]
+            while len(powers) < n:
+                powers.append(tuple(mat_mul(fld, powers[-1], m)))
+            flats = [tuple(x for r in p for x in r) for p in powers]
+            rows, pivots = rref(fld, flats)
+            if len(rows) < n:
+                continue
+            basis, pending, gen = (rows, pivots), seen, m
+        else:
+            pending = (flat,)
+        if any(any(reduce_mod(fld, v, *basis)) for v in pending):
+            return None
     if basis is None:
         return None
     # powers and flats are still those of X and independent, so the relations
@@ -424,7 +465,7 @@ def spread_field(spread: Spread):
     x_n = tuple(x for r in mat_mul(fld, powers[-1], gen) for x in r)
     relation, = kernel(fld, list(zip(*flats, x_n)), n + 1)
     minpoly = [fld.mul(fld.inv(relation[-1]), c) for c in relation]
-    return a, c, fmap, mats, gen, minpoly
+    return a, c, g, mats, gen, minpoly
 
 
 def sweep_mode(spread: Spread, mode: str = "auto") -> str:

@@ -18,7 +18,7 @@ from pal.projective import (Chart, _normalized_vectors, _packed_echelon, _point_
                             rank, reduce_mod, rref, vec_mat)
 from pal.spreads import SpreadReport
 
-from helpers import contains, empty
+from helpers import contains, empty, per_entry_kernel
 
 F2 = gf(2)
 F4 = gf(4)
@@ -286,11 +286,23 @@ def test_kernel_table_and_per_entry_paths_agree(field, monkeypatch):
         return out
 
     chosen = run()
-    monkeypatch.setattr(field, "mul_table", lambda: None)
+    per_entry_kernel(field, monkeypatch)
     assert run() == chosen
     for rows, (rr, pivots, r, _, _) in zip(cases, chosen):
         assert (rr, pivots) == _reference_rref(field, rows)
         assert r == len(rr)
+
+
+def test_kernel_builds_row_ops_once_per_field(monkeypatch):
+    field = FiniteField(2, 3)
+    table, calls = field.mul_table, []
+    monkeypatch.setattr(field, "mul_table", lambda: calls.append(1) or table())
+    rows = [(1, 2, 3), (4, 5, 6)]
+    rr, pivots = rref(field, rows)
+    for _ in range(3):
+        assert rank(field, rows) == 2 and any(reduce_mod(field, (7, 7, 7), rr, pivots))
+        assert vec_mat(field, (1, 0), rows) == rows[0]
+    assert len(calls) == 1
 
 
 def _reference_points(sub):
@@ -320,7 +332,7 @@ def test_point_codes_decode_to_point_vectors(field, monkeypatch):
         assert [space.decode(c) for c in cs] == sub.point_vectors() == ref
         assert [space.encode(v) for v in ref] == cs
         assert [p.coords for p in sub.points()] == sorted(ref)
-    monkeypatch.setattr(field, "mul_table", lambda: None)
+    per_entry_kernel(field, monkeypatch)
     assert [s.point_codes() for s in subs] == codes
 
 

@@ -13,10 +13,11 @@ from pal import (Chart, NotRegularError, ProjSpace, Spread, conic, count_reguli_
                  opposite_regulus, reduction_map, regularity_reports, regulus_through, span,
                  spread_reguli_design, tangent_spaces, transversal_lines,
                  verify_spread)
-from pal.projective import Subspace, mat_inv, rank
+from pal.projective import Subspace, mat_inv, mat_mul, rank
 from pal.spreads import RegularityReport, Regulus, SpreadReport, sweep_mode
 
-from helpers import alpha_internal, empty
+from helpers import (alpha_internal, empty, frame_by_inverse, per_entry_kernel,
+                     regulus_by_scaled_maps, transversals_by_inverse)
 
 
 @pytest.fixture(scope="module")
@@ -211,30 +212,6 @@ def test_regulus_rejects_bad_generators(pg34_spread):
             assert str(err.value) == message, (gens, fn)
 
 
-def _regulus_by_scaled_maps(a, b, c):
-    """Reference regulus through a, b, c: the span's chart when it is
-    proper, then one `_graph_rows` call per lambda on the entrywise scaled
-    matrix lambda.F."""
-    hull = span([a, b, c])
-    chart = Chart(hull) if hull.rank != a.ambient.dim + 1 else None
-    if chart is not None:
-        a, b, c = (chart.to_internal(s) for s in (a, b, c))
-    space = a.ambient
-    fld = space.field
-    m_inv = mat_inv(fld, list(a.rows) + list(c.rows))
-    fmap = pal.spreads._graph_map(fld, m_inv, b.rows, a.rank)
-    elements = [a, c]
-    for lam in range(1, fld.order):
-        scaled = [tuple(fld.mul(lam, x) for x in row) for row in fmap]
-        elements.append(space.subspace(pal.spreads._graph_rows(fld, a.rows, scaled, c.rows)))
-    assert b in elements
-    if chart is None:
-        return Regulus(space, (a, b, c), tuple(sorted(elements, key=lambda s: s.rows)))
-    out = tuple(sorted((chart.to_ambient(e) for e in elements), key=lambda s: s.rows))
-    gens = tuple(chart.to_ambient(s) for s in (a, b, c))
-    return Regulus(chart.ambient, gens, out, carrier=hull)
-
-
 def _skew_triples(space, n, rng, count):
     """`count` seeded triples of pairwise-skew random (n-1)-spaces of PG(2n-1, q)."""
     fld = space.field
@@ -247,9 +224,24 @@ def _skew_triples(space, n, rng, count):
     return found
 
 
-@pytest.mark.parametrize("q, n", [(4, 2), (8, 2), (4, 3), (3, 2)])
+def _assert_frame_matches_inverse(gens):
+    """The aligned frame has the oracle's chart coordinates and G rows, and
+    the regulus equals the oracle's, generators and element order included."""
+    chart, internal, g = pal.spreads._regulus_frame(*gens)
+    ref_chart, ref_internal, _, ref_g = frame_by_inverse(*gens)
+    assert (chart is None) == (ref_chart is None) and internal == ref_internal
+    assert g == [tuple(row) for row in ref_g]
+    reg = regulus_through(*gens)
+    assert reg == regulus_by_scaled_maps(*gens)
+    assert all(x is y for x, y in zip(reg.generators, gens))
+
+
+@pytest.mark.parametrize("q, n", [(4, 2), (8, 2), (16, 2), (4, 3), (8, 3), (2, 3), (3, 2),
+                                  (3, 3)])
 def test_regulus_matches_scaled_map_construction(q, n):
-    """Elements a_k + lambda.G_k, G = F.C, are the graphs of the scaled maps."""
+    """Elements a_k + lambda.G_k, G = F.C, are the graphs of the scaled maps,
+    and G is the oracle's, on Desarguesian spreads (q even) and on random
+    skew triples, GF(3) taking the per-entry kernel."""
     rng = random.Random(1000 * q + n)
     if q % 2:
         space, triples = ProjSpace(2 * n - 1, gf(q)), []
@@ -259,7 +251,89 @@ def test_regulus_matches_scaled_map_construction(q, n):
         triples = [rng.sample(spread.elements, 3) for _ in range(12)]
     triples += _skew_triples(space, n, rng, 6)
     for gens in triples:
-        assert regulus_through(*gens) == _regulus_by_scaled_maps(*gens)
+        _assert_frame_matches_inverse(gens)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_aligned_frame_matches_inverse_on_hall_spreads(q, shuffled_hall):
+    rng = random.Random(q)
+    spread = shuffled_hall(q, 5)
+    for _ in range(24):
+        _assert_frame_matches_inverse(rng.sample(spread.elements, 3))
+
+
+def test_aligned_frame_matches_inverse_in_a_chart_over_gf3():
+    """The per-entry kernel in the chart of a proper hull, in PG(5, 3)."""
+    rng = random.Random(3)
+    chart = Chart(ProjSpace(5, gf(3)).subspace([(1, 0, 2, 0, 1, 1), (0, 1, 1, 0, 0, 2),
+                                                (0, 0, 0, 1, 2, 1), (0, 0, 1, 1, 1, 0)]))
+    for gens in _skew_triples(ProjSpace(3, gf(3)), 2, rng, 8):
+        _assert_frame_matches_inverse([chart.to_ambient(s) for s in gens])
+
+
+@pytest.mark.parametrize("q, n", [(4, 2), (8, 2), (4, 3)])
+def test_regulus_table_and_per_entry_paths_agree(q, n, monkeypatch):
+    """The packed frame and elements equal the same steps on tuples."""
+    rng = random.Random(q * n)
+    spread = desarguesian_spread(q, n)
+    triples = [rng.sample(spread.elements, 3) for _ in range(8)]
+
+    def run():
+        return [(pal.spreads._regulus_frame(*t)[1:], regulus_through(*t),
+                 transversal_lines(*t)) for t in triples]
+    chosen = run()
+    per_entry_kernel(spread.space.field, monkeypatch)
+    assert spread.space.field.mul_bytes() is None
+    assert run() == chosen
+
+
+@pytest.mark.parametrize("q, n", [(4, 2), (8, 2), (4, 3)])
+def test_transversals_match_inverse_frame(q, n):
+    """transversal_lines and opposite_regulus list the oracle's lines, in
+    its order, at PG(3, 4), PG(3, 8) and PG(5, 4)."""
+    rng = random.Random(q + n)
+    spread = desarguesian_spread(q, n)
+    for _ in range(6):
+        gens = rng.sample(spread.elements, 3)
+        lines = transversals_by_inverse(*gens)
+        assert transversal_lines(*gens) == lines
+        if n == 2:
+            elements = tuple(sorted(lines, key=lambda s: s.rows))
+            reg = regulus_through(*gens)
+            assert opposite_regulus(reg) == Regulus(reg.space, elements[:3], elements)
+
+
+@pytest.mark.parametrize("q", [3, 8])
+def test_regulus_rejects_a_meeting_c(q):
+    """A meets C while B is skew to both and the three span PG(3, q), on the
+    per-entry and the packed kernel: the rank of the reductions of A modulo
+    C is the check that sees it."""
+    space = ProjSpace(3, gf(q))
+    a = space.subspace([(1, 0, 0, 0), (0, 1, 0, 0)])
+    c = space.subspace([(1, 0, 0, 0), (0, 0, 1, 0)])
+    b = space.subspace([(0, 1, 1, 1), (0, 0, 0, 1)])
+    assert span([a, b, c]).rank == 4
+    assert all(rank(space.field, x.rows + y.rows) == 4 for x, y in ((a, b), (b, c)))
+    assert pal.spreads._aligned_rows(a, b, c) is None
+    for fn in (regulus_through, transversal_lines):
+        with pytest.raises(ValueError, match="^generators are not pairwise skew$"):
+            fn(a, b, c)
+
+
+def test_spread_field_matches_inverse_frame():
+    """spread_field reads each M_i off the aligned frame: the same G_2 and
+    normalized matrices as graph maps over the inverse of [A; C]."""
+    fld = gf(4)
+    desarg = desarguesian_spread(4, 2)
+    elems = list(desarg.elements)
+    random.Random(4).shuffle(elems)
+    spread = Spread(desarg.space, tuple(elems))
+    a, c, g, mats, _, _ = pal.spreads.spread_field(spread)
+    f2 = frame_by_inverse(a, elems[2], c)[2]
+    assert g == [tuple(r) for r in frame_by_inverse(a, elems[2], c)[3]]
+    for i, m in mats.items():
+        fmap = frame_by_inverse(a, elems[i], c)[2]
+        assert m == tuple(mat_mul(fld, fmap, mat_inv(fld, f2)))
 
 
 def test_regulus_of_dual_arc_alphas_matches_scaled_maps(conic_dual):
@@ -271,9 +345,8 @@ def test_regulus_of_dual_arc_alphas_matches_scaled_maps(conic_dual):
         chart = Chart(conic_dual.gammas[i].carrier)
         gens = [chart.to_ambient(alpha_internal(conic_dual, i, j))
                 for j in rng.sample([j for j in range(k) if j != i], 3)]
-        reg = regulus_through(*gens)
-        assert reg.carrier == conic_dual.betas[i]
-        assert reg == _regulus_by_scaled_maps(*gens)
+        assert regulus_through(*gens).carrier == conic_dual.betas[i]
+        _assert_frame_matches_inverse(gens)
 
 
 # -- opposite regulus -----------------------------------------------------------

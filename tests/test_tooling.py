@@ -8,6 +8,7 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -108,6 +109,18 @@ def test_recognition_work_counts(conic_hyperoval, monkeypatch):
     assert calls["point_owners"] == 0 and calls["generated_spread"] == 0
     assert calls["verify_spread"] == 2
     assert calls["meet"] <= 25, calls
+
+
+def test_regulus_work_counts(shuffled_hall, monkeypatch):
+    """Over a table field the reguli of a Hall spread are built on packed
+    rows: regulus_through inverts no matrix and makes no tuple RREF or rank."""
+    from pal import regulus_through
+    spread, rng = shuffled_hall(8, 1), random.Random(8)
+    triples = [rng.sample(spread.elements, 3) for _ in range(20)]
+    calls = _count_calls(monkeypatch, [("projective", "mat_inv"), ("projective", "rref"),
+                                       ("projective", "rank")])
+    assert all(len(regulus_through(*t)) == 9 for t in triples)
+    assert not calls, calls
 
 
 def test_readme_quick_tour_runs():
