@@ -216,7 +216,7 @@ class FiniteField:
     def mul_bytes(self) -> tuple[bytes, ...] | None:
         """`bytes.translate` tables B with B[c][b] = c*b, beside `mul_table`.
 
-        Each of the q tables is padded to 256 bytes; None where mul_table is.
+        Each of the q tables is padded to 256 bytes; B[q][c] = 1/c; None where mul_table is.
         """
         return _mul_bytes(self.m, self.modulus) if self.mul_table() is not None else None
 
@@ -276,7 +276,8 @@ def _mul_table(m: int, modulus: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _mul_bytes(m: int, modulus: int) -> tuple[bytes, ...]:
     pad = bytes(256 - (1 << m))
-    return tuple(bytes(row) + pad for row in _mul_table(m, modulus))
+    tables = tuple(bytes(row) + pad for row in _mul_table(m, modulus))
+    return tables + (bytes([0] + [row.index(1) for row in tables[1:]]),)  # row c: 1 at 1/c
 
 
 @lru_cache(maxsize=None)

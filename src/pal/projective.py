@@ -24,24 +24,25 @@ big-endian into one int, one byte per coordinate when the field has at most
 256 elements (two bytes up to GF(2^16)).  In characteristic 2 with m <= 8
 the xor of two codes is the code of the vector sum, so `point_codes_of`
 builds the points of many equal-rank subspaces at once: row k of every
-subspace is laid end to end in one int, one fixed-width chunk each, and one
-xor per basis row makes a point of every subspace.  `Subspace.point_codes`
-is that routine on one subspace, and `point_vectors` is its decode, in the
-same order.  `QuotientMap.images` likewise reduces the rows of many
-subspaces modulo the center one coordinate column at a time.  Over a table
-field the quotient images travel from that reduction to their point codes
-as packed rows, ints in the point-code layout, with no per-entry lists;
-`spreads` builds its reguli on the same rows.
+subspace is laid end to end in one int, one chunk of W in {1, 2, 4, 8}
+bytes each in the host's byte order (one `struct.pack`, read back by one
+`memoryview` cast), and one xor per basis row makes a point of every
+subspace.  A batch's codes are one flat list, point p of subspace j of E at
+p * E + j, so one set tests the batch for a shared point.  A quotient pass
+keeps one row layout: `row_columns` lays out a batch's rows once, a byte
+string per coordinate; `QuotientMap.image_codes` reduces a run of them
+column by column into big-endian chunks, unpacks the image rows as ints
+in one call and puts them in echelon form, as `spreads` does for reguli.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from operator import itemgetter
+from struct import pack, unpack
 
 from .fields import FiniteField
 
@@ -289,8 +290,8 @@ class Subspace:
         return [Point(self.ambient, decode(c)) for c in sorted(self.point_codes())]
 
     def point_codes(self) -> list[int]:
-        """Point codes of all points, in the order of `point_vectors` (`point_codes_of`)."""
-        return point_codes_of([self])[0]
+        """Point codes of all points, in the order of `point_vectors` (`_codes_of`)."""
+        return _codes_of([self])
 
     def point_vectors(self) -> list[Vec]:
         """Normalized coordinate vectors of all points (unsorted, fast path)."""
@@ -301,105 +302,128 @@ class Subspace:
 def point_codes_of(subspaces) -> list[list[int]]:
     """The point codes of each of `subspaces`, which have equal rank and
     share one ambient; entry j lists subspace j's points in the order of
-    `point_vectors`.
+    `point_vectors`, a stride slice of `_codes_of`.
 
     That order is the order of the coefficient vectors in
     `_normalized_vectors`: lead row index descending, then the later rows'
-    multipliers in `product` order.  Over a table field `_point_codes`
-    builds them from the rows as bytes; other fields pack `vec_mat` per point.
+    multipliers in `product` order.
     """
     subs = list(subspaces)
+    if any(s.ambient is not subs[0].ambient and s.ambient != subs[0].ambient for s in subs):
+        raise ValueError("ambient spaces differ")
+    if any(s.rank != subs[0].rank for s in subs):
+        raise ValueError("subspaces of mixed rank")
+    flat = _codes_of(subs)
+    return [flat[j::len(subs)] for j in range(len(subs))]
+
+
+def _codes_of(subs) -> list[int]:
+    """The flat list of point codes of equal-rank subspaces of one space:
+    `_point_codes` on packed rows over a table field, else `vec_mat`."""
     if not subs:
         return []
-    space, r = subs[0].ambient, subs[0].rank
-    if any(s.ambient is not space and s.ambient != space for s in subs):
-        raise ValueError("ambient spaces differ")
-    if any(s.rank != r for s in subs):
-        raise ValueError("subspaces of mixed rank")
-    field = space.field
-    if field.mul_bytes() is None:
-        coeffs = _normalized_vectors(field, r)
-        pack = space.encode
-        return [[pack(vec_mat(field, c, s.rows)) for c in coeffs] for s in subs]
-    return _point_codes(space, b"".join(map(bytes, [row for s in subs for row in s.rows])),
-                        len(subs))
+    space = subs[0].ambient
+    if space.field.mul_bytes() is None:
+        return [space.encode(vec_mat(space.field, c, s.rows))
+                for c in _normalized_vectors(space.field, subs[0].rank) for s in subs]
+    r, rows = subs[0].rank, _row_codes(row_columns(space, subs))
+    return _point_codes(space, [rows[t * r:(t + 1) * r] for t in range(len(subs))])
 
 
-def _point_codes(space: ProjSpace, src: bytes, count: int) -> list[list[int]]:
-    """`point_codes_of` over a table field on `count` subspaces of `space`
-    of one rank, given by `src`: their rows end to end, subspace by
-    subspace, each row in the point-code layout.
+def row_columns(space: ProjSpace, subspaces) -> list:
+    """The basis rows of `subspaces` end to end, one sequence per coordinate
+    of `space` (module docstring): bytes over a table field, else lists."""
+    d = space.dim + 1
+    rows = [r for s in subspaces for r in s.rows]
+    src = (b"".join(map(bytes, rows)) if space.field.mul_bytes() is not None
+           else [x for r in rows for x in r])
+    return [src[j::d] for j in range(d)]
+
+
+def _chunk_width(length: int) -> int:
+    """Chunk bytes for a point of `length` coordinates: W, or past 8 the length."""
+    return next((w for w in (1, 2, 4, 8) if w >= length), length)
+
+
+def _row_codes(columns) -> list[int]:
+    """The point code of each row of byte `columns` (`row_columns`): one
+    strided write per column into big-endian chunks, one unpack to read."""
+    length, count = len(columns), len(columns[0])
+    width = _chunk_width(length)
+    buf = bytearray(width * count)
+    for c, col in enumerate(columns):
+        buf[width - length + c::width] = col
+    if width <= 8:
+        return list(unpack(f">{count}{'BHIQ'[width.bit_length() - 1]}", buf))
+    return [int.from_bytes(buf[i:i + width], "big") for i in range(0, len(buf), width)]
+
+
+def _point_codes(space: ProjSpace, images) -> list[int]:
+    """The flat list of point codes of the subspaces of `space` over a
+    table field whose bases are `images`, equally many packed rows each in
+    echelon form with pivots 1: an RREF basis lists its points in
+    `point_vectors` order, any other one each point once, normalized.
 
     A point is the lead row's code xor one multiple of each later row.
     Since c -> c*row is additive, the multiples c*row, c = 0..q-1, are the
     xor combinations of the m multiples x^j * row (`bytes.translate` reads
     each one), and doubling the list once per j keeps c in increasing order.
-    All subspaces are doubled together: row k of every subspace is laid end
-    to end in one int, one chunk of W in {1, 2, 4, 8} bytes each in the
-    host's byte order (one strided slice assignment per coordinate), and
-    one `memoryview` cast reads the chunks back, subspace j's codes being
-    the stride slice [j::E] of E subspaces.  A point of more than 8
-    coordinates takes a big-endian chunk of its own length, read singly.
+    All images are doubled together: row k of every image is laid end to
+    end in one int, one chunk each, written by one `struct.pack`.
     """
-    if not count:
+    if not images:
         return []
     field = space.field
     tables = field.mul_bytes()
-    length = space.dim + 1
-    r = len(src) // (length * count)
-    width = next((w for w in (1, 2, 4, 8) if w >= length), length)
-    # byte offset of coordinate c in a chunk: the last coordinate is the
-    # least significant byte of a code
-    little = width <= 8 and sys.byteorder == "little"
-    offsets = [length - 1 - c if little else width - length + c for c in range(length)]
+    width = _chunk_width(space.dim + 1)
+    order = "<" if sys.byteorder == "little" else ">"
     out: list[int] = []
     tails = [0]  # codes of the combinations of the rows after the lead
-    for k in range(r - 1, -1, -1):
-        layer = bytearray(width * count)
-        for c, o in enumerate(offsets):
-            layer[o::width] = src[k * length + c::r * length]
-        row = bytes(layer)
+    for k in range(len(images[0]) - 1, -1, -1):
+        layer = [img[k] for img in images]
+        row = (pack(f"{order}{len(layer)}{'BHIQ'[width.bit_length() - 1]}", *layer)
+               if width <= 8 else b"".join([c.to_bytes(width, "big") for c in layer]))
         lead = int.from_bytes(row, "big")
         out += [lead ^ t for t in tails]
         if k:
             for j in range(field.m):
                 b = int.from_bytes(row.translate(tables[1 << j]), "big")
                 tails += [b ^ t for t in tails]
-    buf = b"".join(x.to_bytes(width * count, "big") for x in out)
+    buf = b"".join([x.to_bytes(width * len(images), "big") for x in out])
     if width <= 8:
-        codes = memoryview(buf).cast("BHIQ"[width.bit_length() - 1])
-        return [codes[j::count].tolist() for j in range(count)]
-    flat = [int.from_bytes(buf[i:i + width], "big") for i in range(0, len(buf), width)]
-    return [flat[j::count] for j in range(count)]
+        return memoryview(buf).cast("BHIQ"[width.bit_length() - 1]).tolist()
+    return [int.from_bytes(buf[i:i + width], "big") for i in range(0, len(buf), width)]
 
 
 def _packed_echelon(rows, tables, length: int, reduced: bool) -> list[int]:
     """Row echelon form of `rows`, packed as point codes of `length`
     coordinates over a table field, with every pivot 1: its nonzero rows by
     pivot column ascending.  With `reduced` the pivot columns are cleared
-    too, which gives the RREF (`QuotientMap` docstring)."""
-    basis: list[tuple[int, int]] = []  # (bit shift of the pivot byte, row), pivot ascending
+    too, which gives the RREF (`QuotientMap` docstring).  Rows reduce in the
+    order taken, each 0 at the pivots before it, and are sorted once."""
+    inv = tables[-1]  # 1/c at c (`FiniteField.mul_bytes`)
+    basis: list[tuple[int, int, bytes]] = []  # (bit shift of the pivot byte, row, its bytes)
     for r in rows:
-        for s, b in basis:
+        for s, b, raw in basis:
             c = r >> s & 255
             if c:
-                r ^= int.from_bytes(b.to_bytes(length, "big").translate(tables[c]), "big")
+                r ^= int.from_bytes(raw.translate(tables[c]), "big")
         if r:
             s = (r.bit_length() - 1) & ~7
             c = r >> s
-            lead = r.to_bytes(length, "big")
+            raw = r.to_bytes(length, "big")
             if c != 1:
-                # c's table row holds 1 at the inverse of c
-                lead = lead.translate(tables[tables[c].index(1)])
-                r = int.from_bytes(lead, "big")
+                raw = raw.translate(tables[inv[c]])
+                r = int.from_bytes(raw, "big")
             if reduced:
-                for i, (t, b) in enumerate(basis):
+                for i, (t, b, _) in enumerate(basis):
                     c = b >> s & 255
                     if c:
-                        basis[i] = t, b ^ int.from_bytes(lead.translate(tables[c]), "big")
-            basis.append((s, r))
-            basis.sort(reverse=True)
-    return [b for _, b in basis]
+                        b ^= int.from_bytes(raw.translate(tables[c]), "big")
+                        basis[i] = t, b, b.to_bytes(length, "big")
+            basis.append((s, r, raw))
+    basis.sort(reverse=True)
+    return [b for _, b, _ in basis]
 
 
 def _packed(rows) -> tuple[int, ...]:
@@ -416,15 +440,15 @@ def _unpacked(space: ProjSpace, rows) -> Subspace:
 
 
 def point_owners(subspaces) -> dict[int, int]:
-    """Point code -> position of the last of `subspaces` that holds the point.
+    """Point code -> position of the last of the list `subspaces` that holds it.
 
     On pairwise skew subspaces (a spread, the elements of a generalized arc)
     every point has one owner, and a subspace lies inside another one S
     exactly when it owns all its points among the codes of S.
     """
-    owner: dict[int, int] = {}
-    for idx, codes in enumerate(point_codes_of(subspaces)):
-        owner.update(dict.fromkeys(codes, idx))
+    flat, owner = _codes_of(subspaces), {}
+    for idx in range(len(subspaces)):
+        owner.update(dict.fromkeys(flat[idx::len(subspaces)], idx))
     return owner
 
 
@@ -511,18 +535,17 @@ class QuotientMap:
     chart reads their non-pivot coordinates.  That is `image_vec` on each
     row of S, in PG(d - r, q) either way.
 
-    `images` maps many subspaces at once.  As C is in RREF, reduction
-    modulo C sends v to v - sum_t v[p_t] * C_t, so non-pivot coordinate j
-    of the image is v[j] - sum_t C_t[j] * v[p_t].  Over a table field the
-    rows of all subspaces are laid end to end in one byte string, so column
-    o is its stride slice, and coordinate j of every image row is column j
-    xor the translates of the pivot columns by C_t[j].
-
-    Each image row is read out as one int in the point-code layout, and
-    each image is put in echelon form on those ints (`_packed_echelon`): a
-    row's pivot is its leading byte, at bit shift (bit_length - 1) & ~7,
-    and a row operation is one xor of a translate.  `images` decodes the
-    RREF once per image; `image_codes` passes the rows on to the codes.
+    `images` and `image_codes` map many subspaces at once.  As C is in RREF,
+    reduction modulo C sends v to v - sum_t v[p_t] * C_t, so non-pivot
+    coordinate j of the image is v[j] - sum_t C_t[j] * v[p_t].  Over a table
+    field the rows come laid out by column (`row_columns`), so coordinate j
+    of every image row is column j xor the translates of the pivot columns
+    by C_t[j], and each such column is written into the chunks of the
+    point-code layout; one `struct.unpack` reads every image row.  Each
+    image is put in echelon form on those ints (`_packed_echelon`): a row's
+    pivot is its leading byte, at bit shift (bit_length - 1) & ~7, and a
+    row operation is one xor of a translate.  `images` decodes the RREF;
+    `image_codes` passes the unreduced rows to `_point_codes`, one flat list.
     """
 
     def __init__(self, center: Subspace):
@@ -540,71 +563,49 @@ class QuotientMap:
         return self._chart(reduce_mod(self.ambient.field, v, self.center.rows,
                                       self.center.pivots))
 
-    def _listed(self, subspaces) -> list[Subspace]:
-        subs = list(subspaces)
-        amb = self.ambient
-        if any(s.ambient is not amb and s.ambient != amb for s in subs):
-            raise ValueError("ambient spaces differ")
-        return subs
-
     def images(self, subspaces) -> list[Subspace]:
         """The image of each of `subspaces`, in order (class docstring)."""
-        if self.ambient.field.mul_bytes() is None:
-            return [self.space.subspace([self.image_vec(r) for r in s.rows])
-                    for s in self._listed(subspaces)]
-        return [_unpacked(self.space, rows)
-                for rows in self._packed_images(subspaces, reduced=True)]
+        subs, amb = list(subspaces), self.ambient
+        if any(s.ambient is not amb and s.ambient != amb for s in subs):
+            raise ValueError("ambient spaces differ")
+        if amb.field.mul_bytes() is None:
+            return [self.space.subspace([self.image_vec(r) for r in s.rows]) for s in subs]
+        return [_unpacked(self.space, rows) for rows in self._packed_images(
+            row_columns(amb, subs), [s.rank for s in subs], True)]
 
-    def image_codes(self, subspaces, rank: int) -> tuple[int | None, list[Sequence[int]]]:
-        """(b, codes): b is the position of the first image whose rank is not
-        `rank`, None if there is none, and codes[j] lists the point codes of
-        image j < b.  Over a table field no `Subspace` is built, and the
-        rows are not reduced: any echelon basis with pivots 1 lists each
-        point once, normalized, in an order of its own.  Other fields map
-        rank-1 subspaces by `image_vec` on their one row, whose normalized
-        point is the image (rank 0 if it is zero), and the rest by `images`."""
-        if self.ambient.field.mul_bytes() is None:
-            subs = self._listed(subspaces)
-            bases = [s.rows for s in subs]
-            if rank == 1 and set(map(len, bases)) == {1}:
-                vecs = [self.image_vec(rows[0]) for rows in bases]
-                bad = next((b for b, v in enumerate(vecs) if not any(v)), None)
-                field, encode = self.space.field, self.space.encode
-                # one-point tuples, which the garbage collector stops tracking
-                return bad, [(encode(normalize_point(field, v)),) for v in vecs[:bad]]
-            images = self.images(subs)
-            bad = next((b for b, img in enumerate(images) if img.rank != rank), None)
-            return bad, point_codes_of(images[:bad])
-        rows = self._packed_images(subspaces, reduced=False)
-        bad = next((b for b, r in enumerate(rows) if len(r) != rank), None)
-        good, length = rows[:bad], self.space.dim + 1
-        src = b"".join([r.to_bytes(length, "big") for img in good for r in img])
-        return bad, _point_codes(self.space, src, len(good))
+    def image_codes(self, columns, rank: int) -> tuple[int | None, list[int]]:
+        """(b, codes) for the images of the rank-`rank` subspaces whose rows
+        `columns` lays out: b is the first image of lower rank (None if
+        none), codes the flat list of the points of the images before it.
+        A table field builds no `Subspace` and leaves the rows unreduced;
+        other fields map a rank-1 subspace by `image_vec` on its one row."""
+        if self.ambient.field.mul_bytes() is not None:
+            images = self._packed_images(columns, [rank] * (len(columns[0]) // rank), False)
+            bad = next((b for b, r in enumerate(images) if len(r) != rank), None)
+            return bad, _point_codes(self.space, images[:bad])
+        vecs = [self.image_vec(r) for r in zip(*columns)]
+        if rank == 1:
+            bad = next((b for b, v in enumerate(vecs) if not any(v)), None)
+            field, encode = self.space.field, self.space.encode
+            return bad, [encode(normalize_point(field, v)) for v in vecs[:bad]]
+        images = [self.space.subspace(vecs[t:t + rank]) for t in range(0, len(vecs), rank)]
+        bad = next((b for b, img in enumerate(images) if img.rank != rank), None)
+        return bad, _codes_of(images[:bad])
 
-    def _packed_images(self, subspaces, reduced: bool) -> list[list[int]]:
-        """Each image's echelon rows as point codes; table fields only."""
-        subs = self._listed(subspaces)
+    def _packed_images(self, columns, ranks, reduced: bool) -> list[list[int]]:
+        """Each image's echelon rows as point codes, for `ranks`; table fields only."""
         tables = self.ambient.field.mul_bytes()
-        d = self.ambient.dim + 1
-        length = len(self._nonpivot)
-        src = b"".join(map(bytes, [r for s in subs for r in s.rows]))
-        count = len(src) // d
-        center = self.center
-        pivot_cols = [src[p::d] for p in center.pivots]
-        buf = bytearray(count * length)  # image row t is buf[t*length:(t+1)*length]
-        for o, j in enumerate(self._nonpivot):
-            acc = int.from_bytes(src[j::d], "big")
-            for crow, col in zip(center.rows, pivot_cols):
+        pivot_cols = [columns[p] for p in self.center.pivots]
+        image_cols = []
+        for j in self._nonpivot:
+            acc = int.from_bytes(columns[j], "big")
+            for crow, col in zip(self.center.rows, pivot_cols):
                 if crow[j]:
                     acc ^= int.from_bytes(col.translate(tables[crow[j]]), "big")
-            buf[o::length] = acc.to_bytes(count, "big")
-        rows = [int.from_bytes(buf[t:t + length], "big") for t in range(0, len(buf), length)]
-        out = []
-        start = 0
-        for s in subs:
-            out.append(_packed_echelon(rows[start:start + s.rank], tables, length, reduced))
-            start += s.rank
-        return out
+            image_cols.append(acc.to_bytes(len(columns[j]), "big"))
+        rows, ends = _row_codes(image_cols), list(accumulate(ranks))
+        return [_packed_echelon(rows[e - r:e], tables, len(image_cols), reduced)
+                for r, e in zip(ranks, ends)]
 
     def lift_vec(self, u: Vec) -> Vec:
         v = [0] * (self.ambient.dim + 1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .projective import ProjSpace, QuotientMap, Subspace, meet, point_owners, span
+from .projective import ProjSpace, QuotientMap, Subspace, meet, point_owners, row_columns, span
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def verify_pseudo_arc(ambient: ProjSpace, elements) -> PseudoArcReport:
     center i <= k - 3 over the images of the later elements answers all of
     its triples: images of rank < n are bad, and the others' point codes go
     into one set, where a repeated code is a meeting pair.  Every element
-    must lie in `ambient`: the images of one center are built together, on
-    the byte codes of one field.
+    must lie in `ambient`: their rows are laid out once (`row_columns`), and
+    center i reduces the slice of the rows of elements i+1.. in one batch.
 
     The witness is the first non-spanning triple in `combinations` order,
     the one a plain triple sweep reports: the first center with a failure,
@@ -86,8 +86,9 @@ def verify_pseudo_arc(ambient: ProjSpace, elements) -> PseudoArcReport:
     if k > max_k:
         return PseudoArcReport(False, k, n, max_k, None,
                                f"{k} elements exceed the bound {max_k}")
+    columns = row_columns(ambient, elems)
     for i in range(k - 2):
-        pair = _first_failing_pair(elems[i], elems[i + 1:], n)
+        pair = _first_failing_pair(elems[i], [c[(i + 1) * n:] for c in columns], n)
         if pair is not None:
             triple = (i, i + 1 + pair[0], i + 1 + pair[1])
             return PseudoArcReport(False, k, n, max_k, triple,
@@ -95,32 +96,33 @@ def verify_pseudo_arc(ambient: ProjSpace, elements) -> PseudoArcReport:
     return PseudoArcReport(True, k, n, max_k, None, "ok")
 
 
-def _first_failing_pair(center: Subspace, elems, n: int) -> tuple[int, int] | None:
-    """Lexicographically first pair (a, b) of positions in `elems` such that
-    center, elems[a] and elems[b] do not span the space; None if none.
+def _first_failing_pair(center: Subspace, columns, n: int) -> tuple[int, int] | None:
+    """Lexicographically first pair (a, b) of the rank-n elements whose rows
+    `columns` lays out such that center, a and b do not span; None if none.
 
     A pair fails iff one of its images in the quotient by `center` has rank
     < n, or the two images share a point.  One `QuotientMap.image_codes`
-    call lists the point codes of the images before the first bad one, with
-    no `Subspace` over a table field.
-    When no code repeats, one set settles every pair among them.  A first
-    bad image b makes the answer (0, 1) if b = 0 and (0, b) otherwise,
-    unless a meeting pair before it starts at 0: every other pair found
-    before it starts at a > 0, and every later pair ends past b.
+    call lists the point codes of the images before the first bad one in
+    one flat list, and when no code repeats, one set of it settles every
+    pair among them.  A first bad image b makes the answer (0, 1) if b = 0
+    and (0, b) otherwise, unless a meeting pair before it starts at 0:
+    every other pair found before it starts at a > 0, and every later pair
+    ends past b.
 
-    Repeated codes take an ordered walk.  A code's owner is the last image
-    that listed it, and an image b that repeats codes meets the smallest of
-    their owners.  That finds the first meeting pair (a*, b*), not just the
-    first met: the owner of a code shared by a* and b* lies in [a*, b*) and
-    meets a*, so it is a* itself, and no owner of a code of b* is smaller.
-    Once the best pair starts at 0, later images only add pairs with a
-    larger b.
+    Repeated codes take an ordered walk over the images' slices of the
+    list.  A code's owner is the last image that listed it, and an image b
+    that repeats codes meets the smallest of their owners.  That finds the
+    first meeting pair (a*, b*), not just the first met: the owner of a code
+    shared by a* and b* lies in [a*, b*) and meets a*, so it is a* itself,
+    and no owner of a code of b* is smaller.  Once the best pair starts at
+    0, later images only add pairs with a larger b.
     """
-    bad, codes = QuotientMap(center).image_codes(elems, n)
-    if len(set().union(*codes)) < sum(map(len, codes)):
+    bad, codes = QuotientMap(center).image_codes(columns, n)
+    if len(set(codes)) < len(codes):
+        count = len(columns[0]) // n if bad is None else bad
         owner: dict[int, int] = {}
         best = None
-        for b, cs in enumerate(codes):
+        for b, cs in enumerate(codes[j::count] for j in range(count)):
             if not owner.keys().isdisjoint(cs):
                 meets = (min(owner[c] for c in cs if c in owner), b)
                 best = meets if best is None else min(best, meets)
@@ -156,10 +158,11 @@ def _tangent(arc: PseudoArc, i: int, owner: dict[int, int]) -> Subspace:
     if arc.kind != "pseudo-oval":
         raise ValueError(f"tangent spaces exist for pseudo-ovals, not {arc.kind}")
     qm = QuotientMap(arc.elements[i])
-    bad, codes = qm.image_codes((e for j, e in enumerate(arc.elements) if j != i), arc.n)
+    others = arc.elements[:i] + arc.elements[i + 1:]
+    bad, codes = qm.image_codes(row_columns(arc.ambient, others), arc.n)
     if bad is not None:
         raise ValueError(f"element {i} meets another element: not a pseudo-oval")
-    covered = set().union(*codes)
+    covered = set(codes)
     q = arc.q
     expected = (q**arc.n - 1) // (q - 1)
     uncovered = [c for c in qm.space.whole().point_codes() if c not in covered]
@@ -210,7 +213,7 @@ def _tangents_through_nucleus(arc: PseudoArc, owner: dict[int, int]) -> list[Sub
     pi = meet(tau0, tau1)
     if pi.rank != arc.n:
         raise AssertionError(f"nucleus has rank {pi.rank}, expected {arc.n}")
-    pair = _first_failing_pair(pi, arc.elements, arc.n)
+    pair = _first_failing_pair(pi, row_columns(arc.ambient, arc.elements), arc.n)
     if pair is not None:
         raise AssertionError("elements {},{} and the nucleus do not span the space: "
                              "tangent spaces have no common (n-1)-space".format(*pair))

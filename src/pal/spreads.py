@@ -69,9 +69,9 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from operator import itemgetter
 
-from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _normalized_vectors,
-                         _packed, _packed_echelon, _pivots_of, _unpacked, dual, kernel, mat_inv,
-                         mat_mul, meet, point_codes_of, rank, reduce_mod, rref, span,
+from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _codes_of,
+                         _normalized_vectors, _packed, _packed_echelon, _pivots_of, _unpacked,
+                         dual, kernel, mat_inv, mat_mul, meet, rank, reduce_mod, rref, span,
                          vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces
 
@@ -152,12 +152,12 @@ def verify_spread(spread: Spread) -> SpreadReport:
     """Count, pairwise skewness and exact point cover, with witnesses.
 
     Every element must lie in `spread.space`.  Points are keyed on their
-    codes, listed for all elements in one `point_codes_of` call.  A
-    repeated code names a meeting pair; once the count is right, pairwise
-    disjoint elements cover expected * (q^r-1)/(q-1) distinct points, which
-    is every point of the space, so the cover needs no check of its own.
-    One set of all codes settles a spread; only a repeat walks the elements
-    in order, and the first code of the first element that meets an earlier
+    codes, one flat list for all elements (`_codes_of`).  A repeated code
+    names a meeting pair; once the count is right, pairwise disjoint
+    elements cover expected * (q^r-1)/(q-1) distinct points, which is every
+    point of the space, so the cover needs no check of its own.  One set of
+    the list settles a spread; only a repeat walks the elements' slices in
+    order, and the first code of the first element that meets an earlier
     one is decoded back to the coordinate vector that names the meeting
     pair, the same witness a walk over `point_vectors` finds.
     """
@@ -184,10 +184,10 @@ def verify_spread(spread: Spread) -> SpreadReport:
     if len(elems) != expected:
         return SpreadReport(False, len(elems), expected, {"kind": "wrong-count"},
                             f"{len(elems)} elements, expected {expected}")
-    per_element = point_codes_of(elems)
-    if len(set().union(*per_element)) < sum(map(len, per_element)):
+    flat = _codes_of(elems)
+    if len(set(flat)) < len(flat):
         covered: dict[int, int] = {}
-        for idx, codes in enumerate(per_element):
+        for idx, codes in enumerate(flat[j::len(elems)] for j in range(len(elems))):
             if not covered.keys().isdisjoint(codes):
                 code = next(c for c in codes if c in covered)
                 other = covered[code]

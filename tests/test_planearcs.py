@@ -288,8 +288,8 @@ def _count_images(monkeypatch) -> dict[str, int]:
     calls = {"images": 0, "image_vec": 0}
     packed, image_vec = QuotientMap._packed_images, QuotientMap.image_vec
 
-    def counted_images(self, subspaces, reduced):
-        out = packed(self, subspaces, reduced)
+    def counted_images(self, columns, ranks, reduced):
+        out = packed(self, columns, ranks, reduced)
         calls["images"] += len(out)
         return out
 

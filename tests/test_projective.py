@@ -15,7 +15,7 @@ from pal import (ProjSpace, QuotientMap, Spread, derive_spread_from_element,
 from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
 from pal.projective import (Chart, _normalized_vectors, _packed_echelon, _point_codes,
                             kernel, mat_inv, mat_mul, plane_line_codes, point_codes_of,
-                            rank, reduce_mod, rref, vec_mat)
+                            rank, reduce_mod, row_columns, rref, vec_mat)
 from pal.spreads import SpreadReport
 
 from helpers import contains, empty, per_entry_kernel
@@ -438,10 +438,10 @@ def test_packed_echelon_matches_rref(field):
 
 @pytest.mark.parametrize("m", range(1, TABLE_MAX_DEGREE + 1))
 def test_packed_codes_match_point_codes_of(m):
-    """`_point_codes` on the rows as bytes is `point_codes_of` on the
-    subspaces, for points of 3, 4, 6 and 9 bytes (PG(8, q) reads its chunks
-    one by one); on unreduced echelon rows it lists the same points once
-    each."""
+    """`_point_codes` on the packed rows, sliced per subspace, is
+    `point_codes_of` on the subspaces, for points of 3, 4, 6 and 9 bytes
+    (PG(8, q) reads its chunks one by one); on unreduced echelon rows it
+    lists the same points once each."""
     field = FiniteField(2, m)
     tables = field.mul_bytes()
     rnd = random.Random(100 + m)
@@ -452,28 +452,29 @@ def test_packed_codes_match_point_codes_of(m):
                 break
             subs = [_rank_exactly(space, rnd, r) for _ in range(5)]
             codes = point_codes_of(subs)
-            src = b"".join(bytes(row) for s in subs for row in s.rows)
-            assert _point_codes(space, src, len(subs)) == codes
+            flat = _point_codes(space, [_pack(s.rows) for s in subs])
+            assert [flat[j::5] for j in range(5)] == codes
             # a basis in echelon form that is not reduced: add later rows to earlier ones
-            mixed = b"".join(reduce(xor, rows[k:]).to_bytes(length, "big")
-                             for rows in (_pack(s.rows) for s in subs) for k in range(r))
-            ech = _point_codes(space, mixed, len(subs))
+            mixed = [[reduce(xor, rows[k:]) for k in range(r)]
+                     for rows in (_pack(s.rows) for s in subs)]
+            ech = [_point_codes(space, mixed)[j::5] for j in range(5)]
             assert [sorted(c) for c in ech] == [sorted(c) for c in codes]
             assert all(len(set(c)) == len(c) for c in ech)
-    assert _point_codes(ProjSpace(3, field), b"", 0) == []
+    assert _point_codes(ProjSpace(3, field), []) == []
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_image_codes_match_images(field, monkeypatch):
-    """`image_codes` gives the first image of another rank and the points
-    of the images before it, as `images` and `point_codes_of` do; fields
-    without byte tables take `images` and build no packed rows."""
+    """`image_codes` on a batch's columns gives the first image of another
+    rank and the points of the images before it, each image's points a
+    stride slice of the flat list, as `images` and `point_codes_of` do;
+    fields without byte tables build no packed rows."""
     packed = []
     batch = QuotientMap._packed_images
 
-    def spy(self, subspaces, reduced):
+    def spy(self, columns, ranks, reduced):
         packed.append(reduced)
-        return batch(self, subspaces, reduced)
+        return batch(self, columns, ranks, reduced)
     monkeypatch.setattr(QuotientMap, "_packed_images", spy)
     rnd = random.Random(field.order + 1)
     space = ProjSpace(5, field)
@@ -485,9 +486,11 @@ def test_image_codes_match_images(field, monkeypatch):
             subs.insert(rnd.randrange(6), space.subspace(center.rows[:1] + subs[0].rows[:1]))
         images = qm.images(subs)
         bad = next((b for b, img in enumerate(images) if img.rank != 2), None)
-        got_bad, codes = qm.image_codes(subs, 2)
+        got_bad, codes = qm.image_codes(row_columns(space, subs), 2)
         assert got_bad == bad
-        assert [sorted(c) for c in codes] == [sorted(c) for c in point_codes_of(images[:bad])]
+        good = len(subs) if bad is None else bad
+        assert [sorted(codes[j::good]) for j in range(good)] == [
+            sorted(c) for c in point_codes_of(images[:bad])]
     assert packed == ([True, False] * 10 if field.mul_bytes() else [])
 
 

@@ -9,8 +9,8 @@ import pytest
 from pal import (ProjSpace, QuotientMap, conic, extend_to_hyperoval, field_make, gf,
                  make_pseudo_arc, meet, nucleus, reduction_map, span,
                  tangent_lines, tangent_spaces, translation_oval, verify_pseudo_arc)
-from pal.projective import point_owners, rank, rref
-from pal.pseudoarcs import PseudoArc, PseudoArcReport, _tangent
+from pal.projective import point_owners, rank, row_columns, rref
+from pal.pseudoarcs import PseudoArc, PseudoArcReport, _first_failing_pair, _tangent
 
 from helpers import contains
 
@@ -68,10 +68,20 @@ def _odd_q_arc():
     return arc5.ambient, [span([p]) for p in arc5.points]
 
 
+def _conic_points(field):
+    """The points of the conic of PG(2, field) as rank-1 subspaces, unverified."""
+    space = ProjSpace(2, field)
+    coords = [(1, t, field.mul(t, t)) for t in field.elements()] + [(0, 0, 1)]
+    return space, [space.subspace([c]) for c in coords]
+
+
 def test_quotient_sweep_matches_triple_sweep(conic_oval, arc_q4n3):
     oval43 = arc_q4n3
     space42, elems42 = conic_oval.ambient, list(conic_oval.elements)
     space5, elems5 = _odd_q_arc()
+    oval25 = reduction_map(2, 5).reduce_arc(conic(32))
+    space256, elems256 = _conic_points(gf(256))
+    space512, elems512 = _conic_points(gf(512))
 
     def meeting(elems, x, y):
         """Element x replaced by a line through a point of element y."""
@@ -102,6 +112,13 @@ def test_quotient_sweep_matches_triple_sweep(conic_oval, arc_q4n3):
         (space42, _near_miss(elems42, 2, 3)),
         (space42, _near_miss(elems42, 3, 2, a=1)),
         (oval43.ambient, _near_miss(list(oval43.elements), 3, 2, a=1)),
+        # only the last center, i = k - 3, fails
+        (oval43.ambient, _near_miss(list(oval43.elements[:34]), 33, 32, a=31)),
+        # quotient points of 10 coordinates, read chunk by chunk: center 15 fails
+        (oval25.ambient, _near_miss(list(oval25.elements[:18]), 17, 16, a=15)),
+        # collinear plants over GF(256), with byte tables, and GF(512), without
+        (space256, _near_miss(elems256, 40, 20)),
+        (space512, _near_miss(elems512, 40, 20)),
     ]
     for space, elems in cases:
         assert verify_pseudo_arc(space, elems) == _triple_sweep(space, elems)
@@ -111,7 +128,20 @@ def test_quotient_sweep_matches_triple_sweep(conic_oval, arc_q4n3):
                          (0, 1, 16), None, (0, 3, 5),
                          (0, 1, 10), (0, 2, 13), (0, 4, 5), (0, 5, 9), (0, 1, 4),
                          None, None, (0, 1, 2), (1, 2, 3), (0, 2, 3), (1, 2, 3),
-                         (1, 2, 3)]
+                         (1, 2, 3), (31, 32, 33), (15, 16, 17), (0, 20, 40), (0, 20, 40)]
+
+    # a late center's pass on its slice of the columns of all 17 elements:
+    # the first image of its suffix bad, the last one, and the last one
+    # after a meeting pair that starts at the first image
+    late, full = 12, space42.dim + 1
+    for elems, pair in ((meeting(elems42, late + 1, late), (0, 1)),
+                        (meeting(elems42, 16, late), (0, 3)),
+                        (meeting(meeting(elems42, 16, late), 15, late + 1), (0, 2))):
+        suffix = elems[late + 1:]
+        assert next((a, b) for a, b in combinations(range(len(suffix)), 2) if rank(
+            space42.field, elems[late].rows + suffix[a].rows + suffix[b].rows) < full) == pair
+        columns = [c[(late + 1) * 2:] for c in row_columns(space42, elems)]
+        assert _first_failing_pair(elems[late], columns, 2) == pair
 
 
 def _count_images(monkeypatch) -> list[int]:
@@ -121,8 +151,8 @@ def _count_images(monkeypatch) -> list[int]:
     made = []
     packed = QuotientMap._packed_images
 
-    def counted(self, subspaces, reduced):
-        out = packed(self, subspaces, reduced)
+    def counted(self, columns, ranks, reduced):
+        out = packed(self, columns, ranks, reduced)
         made.append(len(out))
         return out
     monkeypatch.setattr(QuotientMap, "_packed_images", counted)

@@ -82,16 +82,16 @@ def test_verify_spread_meeting_witness(pg34_spread, pos, i, j, pair, point):
 
 @pytest.mark.parametrize("q, n", [(4, 2), (2, 3)])
 def test_verify_spread_lists_each_elements_points_once(q, n, monkeypatch):
-    """One `point_codes_of` call over exactly the spread's elements, in
-    order, and no point list of a single element."""
+    """One `_codes_of` call over exactly the spread's elements, in order,
+    and no point list of a single element."""
     spread = desarguesian_spread(q, n)
     calls = []
-    point_codes_of = pal.spreads.point_codes_of
+    codes_of = pal.spreads._codes_of
 
     def counted(subspaces):
         calls.append(list(subspaces))
-        return point_codes_of(calls[-1])
-    monkeypatch.setattr(pal.spreads, "point_codes_of", counted)
+        return codes_of(calls[-1])
+    monkeypatch.setattr(pal.spreads, "_codes_of", counted)
     monkeypatch.setattr(Subspace, "point_codes", lambda self: calls.append(self))
     assert verify_spread(spread).ok
     assert calls == [list(spread.elements)]

@@ -123,6 +123,18 @@ def test_regulus_work_counts(shuffled_hall, monkeypatch):
     assert not calls, calls
 
 
+def test_pseudo_arc_work_counts(arc_q4n3, monkeypatch):
+    """verify_pseudo_arc on the (4,3) conic oval lays out the rows of its 65
+    elements once per call, not once per center, and puts each image in
+    echelon form once: 64 + 63 + ... + 2 = 2,079 images for the 63 centers
+    that start a triple."""
+    from pal import verify_pseudo_arc
+    calls = _count_calls(monkeypatch, [("projective", "row_columns"),
+                                       ("projective", "_packed_echelon")])
+    assert verify_pseudo_arc(arc_q4n3.ambient, arc_q4n3.elements).ok
+    assert calls == {"row_columns": 1, "_packed_echelon": 2079}
+
+
 def test_readme_quick_tour_runs():
     """README's python quick tour runs as written, so a changed signature
     cannot leave it stale."""
