@@ -14,7 +14,6 @@ import json
 from pathlib import Path
 
 from .fields import FiniteField
-from .planearcs import PlaneArc
 from .projective import ProjSpace, Subspace
 from .pseudoarcs import PseudoArc, make_pseudo_arc
 from .spreads import Regulus, Spread
@@ -160,13 +159,6 @@ def _carrier(obj: dict, field: FiniteField) -> Subspace | None:
 
 
 # -- arcs ---------------------------------------------------------------------
-
-
-def plane_arc_to_json(arc: PlaneArc) -> dict:
-    return {"schema": SCHEMA, "kind": "plane-arc",
-            "field": field_to_json(arc.field),
-            "points": [list(p.coords) for p in arc.points],
-            "arc_kind": arc.kind}
 
 
 def plane_arc_items(obj: dict) -> tuple[ProjSpace, list[tuple[int, ...]]]:

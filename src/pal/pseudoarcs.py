@@ -233,8 +233,10 @@ def nucleus(arc: PseudoArc) -> Subspace:
 def extend_to_hyperoval(arc: PseudoArc) -> PseudoArc:
     """Append the nucleus as element q^n + 1, a verified pseudo-hyperoval.
 
-    The oval's own triples were verified when it was built (by
-    `make_pseudo_arc`, or by `make_arc` for a plane oval).  The
+    The oval's own triples were verified when it was built: by
+    `make_pseudo_arc`, by `make_arc` for a plane oval, or, for a reduced
+    oval, by `ReductionMap.reduce_arc` on its plane oval (the GF(q)-rank of
+    reduced points is n times their rank in PG(2, q^n)).  The
     C(q^n + 1, 2) triples through the nucleus were checked when `nucleus`
     read the tangent spaces: `_tangents_through_nucleus` makes one quotient
     pass with the same nucleus as center before it fills the cache.

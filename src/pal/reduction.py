@@ -7,6 +7,12 @@ The coordinate convention is fixed: source coordinate j expands into target
 coordinates j*n .. j*n + n - 1 over the basis {1, x, .., x^(n-1)} of
 GF(q^n) over GF(q), x the canonical generator of the top field.  The
 convention tag "powerbasis-v1" travels with serialized maps.
+
+The map is GF(q)-linear, so the reductions of any set of points of
+PG(k, q^n) span a subspace of GF(q)-rank n times the GF(q^n)-rank of the
+points.  Three reduced points therefore span PG(3n-1, q) exactly when the
+three points are not collinear, and `reduce_arc` certifies a reduced arc by
+verifying its plane arc as a generalized arc with n = 1.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from .fields import FieldTower, make_tower
 from .planearcs import PlaneArc
 from .projective import Point, ProjSpace, Subspace, Vec, normalize_point
-from .pseudoarcs import PseudoArc, make_pseudo_arc
+from .pseudoarcs import PseudoArc, classify_kind, verify_pseudo_arc
 
 CONVENTION = "powerbasis-v1"
 
@@ -83,19 +89,35 @@ class ReductionMap:
         return pt
 
     def reduce_arc(self, arc: PlaneArc) -> PseudoArc:
-        """Pseudo-arc of the reduced points, tagged regular-by-construction."""
+        """Pseudo-arc of the reduced points, tagged regular-by-construction.
+
+        The reduced elements are certified by their plane arc: by the rank
+        identity (module docstring) a triple of them spans PG(3n-1, q) iff
+        its points span PG(2, q^n), a repeated point fails on both sides,
+        and both bounds are q^n + 2 (q is even).  `verify_pseudo_arc` reports
+        the first failing triple of either set, so the verdict, the witness
+        triple and the reason are those of the sweep in PG(3n-1, q).  The
+        points are reduced first, so a zero point still fails
+        `reduce_point`'s rank check.
+        """
         if arc.ambient != self.source:
             raise ValueError("arc does not live in the source plane")
-        elements = [self.reduce_point(p) for p in arc.points]
+        elements = tuple(self.reduce_point(p) for p in arc.points)
+        plane = arc.ambient
+        report = verify_pseudo_arc(plane, [plane.subspace([p.coords]) for p in arc.points])
+        if not report.ok:
+            raise ValueError(report.reason)
         witness = {
             "source_kind": arc.kind,
             "plane_points": [list(p.coords) for p in arc.points],
             "convention": self.convention,
         }
-        if self.tower.n == 1:
+        n = self.tower.n
+        if n == 1:
             # degenerate tower: reduction is the identity on PG(2, q)
             witness["degenerate"] = True
-        return make_pseudo_arc(self.target, elements, witness)
+        return PseudoArc(self.target, n, elements, classify_kind(self.target, n, report.k),
+                         witness)
 
 
 def reduction_map(q: int, n: int, source_dim: int = 2) -> ReductionMap:

@@ -1,14 +1,19 @@
 """Helpers that only the tests use: point and subspace incidence, the empty
 subspace, the pencil of lines through a point, Frobenius orbits, reduced
-lines, the elements of a dual arc's spreads, a switch to the per-entry
-kernel, and the regulus frame by the inverse of [A; C] with the reguli and
-transversals built on it (the oracle of the aligned frame in `spreads`),
-each built on pal's own operations."""
+lines, field reduction of an arc by the sweep in PG(3n-1, q) (the oracle of
+`ReductionMap.reduce_arc`), the plane-arc writer, the elements of a dual
+arc's spreads, a switch to the per-entry kernel, and the regulus frame by
+the inverse of [A; C] with the reguli and transversals built on it (the
+oracle of the aligned frame in `spreads`), each built on pal's own
+operations."""
 
 from __future__ import annotations
 
+from pal.io import SCHEMA, field_to_json
+from pal.planearcs import PlaneArc
 from pal.projective import (Chart, Point, ProjSpace, Subspace, _normalized_vectors, kernel,
                             mat_inv, mat_mul, reduce_mod, span, vec_mat)
+from pal.pseudoarcs import PseudoArc, make_pseudo_arc
 from pal.spreads import Regulus
 
 
@@ -54,6 +59,25 @@ def reduce_line(rmap, line: Subspace) -> Subspace:
     sub = rmap.target.subspace(rmap._blow_up(line.rows))
     assert sub.rank == 2 * rmap.tower.n
     return sub
+
+
+def reduce_arc_by_sweep(rmap, plane: PlaneArc) -> PseudoArc:
+    """The reduced arc verified by the pseudo-arc sweep in PG(3n-1, q), with
+    the witness `ReductionMap.reduce_arc` writes."""
+    witness = {"source_kind": plane.kind,
+               "plane_points": [list(p.coords) for p in plane.points],
+               "convention": rmap.convention}
+    if rmap.tower.n == 1:
+        witness["degenerate"] = True
+    return make_pseudo_arc(rmap.target, [rmap.reduce_point(p) for p in plane.points], witness)
+
+
+def plane_arc_to_json(arc: PlaneArc) -> dict:
+    """A pal-v1 plane-arc file of arc, the kind `pal verify` reads."""
+    return {"schema": SCHEMA, "kind": "plane-arc",
+            "field": field_to_json(arc.field),
+            "points": [list(p.coords) for p in arc.points],
+            "arc_kind": arc.kind}
 
 
 def alpha_internal(da, i: int, j: int) -> Subspace:

@@ -9,6 +9,8 @@ from pal import (ProjSpace, Spread, check_design, conic, gf, io, is_regular_spre
                  make_pseudo_arc, plane_model, recognize_regular, reduction_map, span)
 from pal.cli import main
 
+from helpers import plane_arc_to_json
+
 
 @pytest.fixture()
 def arc_file(tmp_path):
@@ -130,7 +132,7 @@ def written(tmp_path_factory):
                  "-o", str(d / "oval.json")]) == 0
     assert main(["derive", str(d / "oval.json"), "--index", "0", "--outdir", str(d)]) == 0
     assert main(["dualize", str(d / "oval.json"), "-o", str(d / "dual.json")]) == 0
-    io.save(d / "plane.json", io.plane_arc_to_json(conic(4)))
+    io.save(d / "plane.json", plane_arc_to_json(conic(4)))
     return d
 
 
@@ -678,7 +680,7 @@ def rejected(tmp_path_factory):
     io.save(d / "meeting.json", io.spread_to_json(Spread(
         spread.space, spread.elements[:-1] + (meeting,), carrier=spread.carrier,
         origin=spread.origin)))
-    plane = io.plane_arc_to_json(conic(4))
+    plane = plane_arc_to_json(conic(4))
     plane["points"][4] = [a ^ b for a, b in zip(*plane["points"][:2])]
     io.save(d / "collinear.json", plane)
     for name, cut in (("empty", 0), ("three", 3)):

@@ -23,6 +23,8 @@ from pal import (conic, desarguesian_spread, derive_spread_from_element,  # noqa
                  extend_to_hyperoval, io, reduction_map, regulus_through)
 from pal.cli import _pg2_lines_design, main  # noqa: E402
 
+from helpers import plane_arc_to_json  # noqa: E402
+
 
 def _bases() -> dict:
     oval = reduction_map(2, 2).reduce_arc(conic(4))
@@ -30,7 +32,7 @@ def _bases() -> dict:
     return {
         "oval22": io.pseudo_arc_to_json(oval),
         "hyperoval22": io.pseudo_arc_to_json(extend_to_hyperoval(oval)),
-        "plane-arc": io.plane_arc_to_json(conic(4)),
+        "plane-arc": plane_arc_to_json(conic(4)),
         "spread-pg32": io.spread_to_json(derive_spread_from_element(oval, 0)),
         "spread-pg34": io.spread_to_json(pg34),
         "regulus": io.regulus_to_json(regulus_through(*pg34.elements[:3])),

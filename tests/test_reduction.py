@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from math import gcd
 
 import pytest
 
-from pal import (ProjSpace, conic, desarguesian_spread, gf, is_regular_spread,
-                 meet, reduction_map, verify_spread)
+from pal import (ProjSpace, conic, desarguesian_spread, gf, is_regular_spread, meet,
+                 oval_nucleus_and_complete, reduction_map, translation_oval, verify_spread)
+from pal.planearcs import PlaneArc
+from pal.projective import Point, QuotientMap
 from pal.reduction import (ReductionMap, extend_subspace, frobenius_subspace,
                            rational_orbit_span, rationalize_subspace)
 
-from helpers import contains, contains_point, lines_through_point, reduce_line
+from helpers import (contains, contains_point, lines_through_point, reduce_arc_by_sweep,
+                     reduce_line)
 
 
 def test_reduce_point_shape(rmap42):
@@ -148,3 +153,96 @@ def test_rational_orbit_span_inverts_reduction(rmap42, tower42):
 def test_reduction_map_caps():
     with pytest.raises(ValueError):
         reduction_map(5, 2)  # q must be a power of two
+
+
+# -- reduce_arc against the sweep in PG(3n-1, q) ---------------------------------
+
+
+def _assert_same_as_sweep(rm, plane: PlaneArc):
+    """reduce_arc and the sweep in PG(3n-1, q) agree on plane: equal
+    pseudo-arcs, or the same exception type and message.  Returns the
+    exception, or None."""
+    try:
+        want = reduce_arc_by_sweep(rm, plane)
+    except (ValueError, AssertionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            rm.reduce_arc(plane)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return exc
+    got = rm.reduce_arc(plane)
+    assert got.ambient == want.ambient and got.n == want.n
+    assert got.elements == want.elements
+    assert got.kind == want.kind
+    assert got.witness == want.witness
+    return None
+
+
+def _ovals(top) -> list[PlaneArc]:
+    """The conic and every other translation oval {(1, t, t^(2^k))} of
+    PG(2, top)."""
+    m = top.m
+    return [conic(top)] + [translation_oval(top, k) for k in range(2, m) if gcd(k, m) == 1]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (4, 2), (8, 2), (2, 3), (4, 3), (2, 5)])
+def test_reduce_arc_matches_sweep_on_ovals_and_hyperovals(q, n):
+    rm = reduction_map(q, n)
+    for oval in _ovals(rm.tower.top):
+        hyper = oval_nucleus_and_complete(oval)[1]
+        assert _assert_same_as_sweep(rm, oval) is None
+        assert _assert_same_as_sweep(rm, hyper) is None
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_reduce_arc_matches_sweep_degenerate(q):
+    rm = reduction_map(q, 1)
+    oval = conic(rm.tower.top)
+    assert _assert_same_as_sweep(rm, oval) is None
+    assert _assert_same_as_sweep(rm, oval_nucleus_and_complete(oval)[1]) is None
+
+
+def _hand_built(oval: PlaneArc) -> dict[str, tuple[tuple, type]]:
+    """Point tuples that bypass `make_arc`, each with the exception the
+    reduction must raise."""
+    plane, pts = oval.ambient, oval.points
+    fld = plane.field
+    chord = plane.point(tuple(fld.add(a, b) for a, b in zip(pts[1].coords, pts[2].coords)))
+    mid = len(pts) // 2
+    scaled = Point(plane, tuple(fld.mul(fld.order - 1, c) for c in pts[3].coords))
+    outside = [p for p in plane.points() if p not in pts]
+    return {
+        "chord at the front": ((chord,) + pts, ValueError),
+        "chord in the middle": (pts[:mid] + (chord,) + pts[mid:], ValueError),
+        "chord at the end": (pts + (chord,), ValueError),
+        "repeated point": (pts + (pts[3],), ValueError),
+        "scaled copy": (pts[:5] + (scaled,), ValueError),
+        "over the bound": (pts + tuple(outside[:2]), ValueError),
+        "two points": (pts[:2], ValueError),
+        "zero vector": (pts[:3] + (Point(plane, (0, 0, 0)),), AssertionError),
+    }
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (4, 2), (2, 3)])
+def test_reduce_arc_matches_sweep_on_hand_built_arcs(q, n):
+    rm = reduction_map(q, n)
+    oval = conic(rm.tower.top)
+    for name, (points, expected) in _hand_built(oval).items():
+        exc = _assert_same_as_sweep(rm, PlaneArc(oval.ambient, points, "karc"))
+        assert type(exc) is expected, name
+    assert len(_hand_built(oval)["over the bound"][0]) == rm.tower.top.order + 3
+
+
+def test_reduce_arc_work_count(monkeypatch):
+    """The (4,3) conic is certified in PG(2, 64): one rank-1 image per later
+    point for each of the 63 centers, 64 + 63 + ... + 2 = 2,079, and no
+    rank-3 image of a sweep in PG(8, 4)."""
+    rm, plane = reduction_map(4, 3), conic(64)
+    ranks: list[int] = []
+    packed = QuotientMap._packed_images
+
+    def spied(self, columns, image_ranks, reduced):
+        ranks.extend(image_ranks)
+        return packed(self, columns, image_ranks, reduced)
+    monkeypatch.setattr(QuotientMap, "_packed_images", spied)
+    assert rm.reduce_arc(plane).kind == "pseudo-oval"
+    assert Counter(ranks) == {1: 2079}
