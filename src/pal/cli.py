@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import io
 from .fields import FieldTower, field_make, gf
 from .planearcs import conic, translation_oval, verify_karc
-from .projective import ProjSpace, plane_line_codes
+from .projective import ProjSpace, plane_lines
 from .pseudoarcs import (PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces,
                          verify_pseudo_arc)
 from .reduction import reduction_map
@@ -121,9 +122,7 @@ def cmd_verify(args) -> int:
     elif kind == "spread":
         spread = io.spread_from_json(obj)
         rep = verify_spread(spread)
-        out = _report("verify-report", {
-            "input_kind": kind, "ok": rep.ok, "count": rep.count,
-            "expected": rep.expected, "witness": rep.witness, "reason": rep.reason})
+        out = _report("verify-report", {"input_kind": kind, **asdict(rep)})
     else:
         print(f"error: cannot verify kind {kind!r}", file=sys.stderr)
         return INVALID
@@ -272,12 +271,7 @@ def cmd_theorem(args) -> int:
         return INVALID
     params = TheoremParams(args.id, rho=args.rho, delta0=args.delta0, given=given)
     rep = check_theorem(arc, params)
-    out = _report("theorem-report", {
-        "theorem": rep.theorem, "hypothesis": rep.hypothesis,
-        "spreads": rep.spreads, "forward": rep.forward,
-        "converse": rep.converse, "recognition": rep.recognition,
-        "verdict": rep.verdict})
-    _emit(args, out)
+    _emit(args, _report("theorem-report", asdict(rep)))
     print(f"theorem {rep.theorem}: {rep.verdict} "
           f"(forward={rep.forward}, converse={rep.converse})")
     return rep.exit_code()
@@ -288,10 +282,8 @@ def cmd_theorem(args) -> int:
 
 def _pg2_lines_design(q: int) -> DesignSpec:
     space = ProjSpace(2, gf(q))
-    index = {space.encode(p.coords): i for i, p in enumerate(space.points())}
-    lines = sorted(tuple(sorted(map(index.__getitem__, codes)))
-                   for codes in plane_line_codes(space))
-    return lines_design(range(len(index)), lines)
+    lines = sorted(tuple(sorted(line)) for line in plane_lines(space))
+    return lines_design(range(space.n_points), lines)
 
 
 def cmd_design(args) -> int:

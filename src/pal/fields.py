@@ -3,10 +3,11 @@
 Characteristic-2 fields GF(2^m), m <= 16, are the workhorse: elements are
 ints whose bits are the coefficients of a polynomial over GF(2), reduced
 modulo a fixed irreducible modulus.  Zero and one are always coded 0 and 1,
-and addition is xor.  For m <= 8 a field also offers a full multiplication
-table, built on first use and shared by all equal fields.  `row_ops`, the
-three row operations of the linear-algebra kernel in `projective`, read it
-in place of `mul` and are built once per field.  Odd prime fields GF(p),
+and addition is xor.  For m <= 8 a field also offers its multiplication
+table as `bytes.translate` tables (`mul_bytes`), built on first use and
+shared by all equal fields.  `row_ops`, the three row operations of the
+linear-algebra kernel in `projective`, read the same table as tuple rows in
+place of `mul` and are built once per field.  Odd prime fields GF(p),
 p <= 13, exist only for the odd-order plane-arc spot checks; no odd
 prime-power extensions are provided.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 MAX_DEGREE = 16
-TABLE_MAX_DEGREE = 8  # largest m whose q x q multiplication table is kept
+TABLE_MAX_DEGREE = 8  # largest m with a q x q multiplication table (`mul_bytes`, `row_ops`)
 
 # Fixed moduli shipped with the artifact, one for every degree up to
 # MAX_DEGREE.  Any other irreducible modulus is accepted when given explicitly.
@@ -108,7 +109,6 @@ class FiniteField:
         self.order = p**m
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._table: tuple[tuple[int, ...], ...] | None = None
         if p == 2 and m <= 12:
             self._build_tables()
 
@@ -204,30 +204,27 @@ class FiniteField:
                 out.append(x)
         return out
 
-    def mul_table(self) -> tuple[tuple[int, ...], ...] | None:
-        """Rows T with T[a][b] = a*b for GF(2^m), m <= TABLE_MAX_DEGREE; else None.
-
-        Built on first use and shared by every field with the same modulus.
-        """
-        if self._table is None and self.p == 2 and self.m <= TABLE_MAX_DEGREE:
-            self._table = _mul_table(self.m, self.modulus)
-        return self._table
-
     def mul_bytes(self) -> tuple[bytes, ...] | None:
-        """`bytes.translate` tables B with B[c][b] = c*b, beside `mul_table`.
+        """`bytes.translate` tables B with B[c][b] = c*b for GF(2^m),
+        m <= TABLE_MAX_DEGREE; None for every other field, which makes it
+        the test for a table field.
 
-        Each of the q tables is padded to 256 bytes; B[q][c] = 1/c; None where mul_table is.
+        Each of the q tables is padded to 256 bytes; B[q][c] = 1/c.  Built
+        on first use and shared by every field with the same modulus.
         """
-        return _mul_bytes(self.m, self.modulus) if self.mul_table() is not None else None
+        if self.p == 2 and self.m <= TABLE_MAX_DEGREE:
+            return _mul_bytes(self.m, self.modulus)
+        return None
 
     @cached_property
     def row_ops(self):
         """The kernel's row operations (scale, add_scaled, sub_scaled): c*v,
-        u + c*v and u - c*v as new lists, built on first use.  GF(2^m) with
-        m <= 8 reads the multiplication table and adds by xor; other fields
-        call `mul` per entry."""
-        table = self.mul_table()
-        if table is not None:
+        u + c*v and u - c*v as new lists, built on first use.  A table field
+        (`mul_bytes` is not None) reads the rows T[c][b] = c*b of its shared
+        multiplication table and adds by xor; other fields call `mul` per
+        entry."""
+        if self.mul_bytes() is not None:
+            table = _mul_table(self.m, self.modulus)
             def add_scaled(u, c, v):
                 t = table[c]
                 return [a ^ t[b] for a, b in zip(u, v)]

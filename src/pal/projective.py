@@ -13,16 +13,18 @@ spanned by the non-pivot unit vectors (`QuotientMap` holds the proof).
 One linear-algebra kernel serves every field: `rref`, `rank`,
 `reduce_mod`, `kernel`, `vec_mat` and `mat_mul` are written once over
 three row operations (scale, add and subtract a multiple), which each
-field builds once (`FiniteField.row_ops`).  For GF(2^m) with m <= 8 these
-read the field's shared multiplication table, so a row operation is
-`[a ^ T[c][b] ...]`; odd prime fields and m > 8 call `field.mul` once per
-entry.  `rank` is forward elimination only, for the "do these span?"
-checks that need no canonical basis.
+field builds once (`FiniteField.row_ops`).  For the fields with byte
+tables (`FiniteField.mul_bytes`: GF(2^m), m <= 8) these read the shared
+multiplication table rows, so a row operation is `[a ^ T[c][b] ...]`;
+odd prime fields and m > 8 call `field.mul` once per entry.  `kernel`
+returns its basis in `rref`'s form, rows and pivots.  `rank` is forward
+elimination only, for the "do these span?" checks that need no canonical
+basis.
 
 Point sets are keyed on point codes: a normalized coordinate vector packed
 big-endian into one int, one byte per coordinate when the field has at most
 256 elements (two bytes up to GF(2^16)).  In characteristic 2 with m <= 8
-the xor of two codes is the code of the vector sum, so `point_codes_of`
+the xor of two codes is the code of the vector sum, so `_codes_of`
 builds the points of many equal-rank subspaces at once: row k of every
 subspace is laid end to end in one int, one chunk of W in {1, 2, 4, 8}
 bytes each in the host's byte order (one `struct.pack`, read back by one
@@ -112,8 +114,9 @@ def reduce_mod(field: FiniteField, vec: Vec, rows: tuple[Vec, ...],
     return tuple(v)
 
 
-def kernel(field: FiniteField, rows, ncols: int) -> tuple[Vec, ...]:
-    """Canonical basis of the right null space {v : rows . v = 0}."""
+def kernel(field: FiniteField, rows, ncols: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """The right null space {v : rows . v = 0} as `rref` gives it: its
+    canonical basis rows and their pivot columns."""
     rr, pivots = rref(field, rows)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
@@ -123,7 +126,7 @@ def kernel(field: FiniteField, rows, ncols: int) -> tuple[Vec, ...]:
         for row, p in zip(rr, pivots):
             v[p] = field.neg(row[f])
         basis.append(tuple(v))
-    return rref(field, basis)[0]
+    return rref(field, basis)
 
 
 def mat_inv(field: FiniteField, rows: list[Vec]) -> list[Vec]:
@@ -213,9 +216,13 @@ class ProjSpace:
         return Point(self, normalize_point(self.field, tuple(coords)))
 
     def points(self) -> list[Point]:
+        self._check_enumerable()
+        return [Point(self, v) for v in _normalized_vectors(self.field, self.dim + 1)]
+
+    def _check_enumerable(self) -> None:
+        """Raise ValueError when the space has more points than POINT_ENUM_CAP."""
         if self.n_points > POINT_ENUM_CAP:
             raise ValueError(f"{self} has {self.n_points} points, over the enumeration cap")
-        return [Point(self, v) for v in _normalized_vectors(self.field, self.dim + 1)]
 
 
 def _normalized_vectors(field: FiniteField, length: int) -> list[Vec]:
@@ -299,27 +306,11 @@ class Subspace:
         return [decode(c) for c in self.point_codes()]
 
 
-def point_codes_of(subspaces) -> list[list[int]]:
-    """The point codes of each of `subspaces`, which have equal rank and
-    share one ambient; entry j lists subspace j's points in the order of
-    `point_vectors`, a stride slice of `_codes_of`.
-
-    That order is the order of the coefficient vectors in
-    `_normalized_vectors`: lead row index descending, then the later rows'
-    multipliers in `product` order.
-    """
-    subs = list(subspaces)
-    if any(s.ambient is not subs[0].ambient and s.ambient != subs[0].ambient for s in subs):
-        raise ValueError("ambient spaces differ")
-    if any(s.rank != subs[0].rank for s in subs):
-        raise ValueError("subspaces of mixed rank")
-    flat = _codes_of(subs)
-    return [flat[j::len(subs)] for j in range(len(subs))]
-
-
 def _codes_of(subs) -> list[int]:
     """The flat list of point codes of equal-rank subspaces of one space:
-    `_point_codes` on packed rows over a table field, else `vec_mat`."""
+    `_point_codes` on packed rows over a table field, else `vec_mat`.
+    Subspace j's points are the slice [j::len(subs)], in `point_vectors`
+    order: that of the coefficient vectors in `_normalized_vectors`."""
     if not subs:
         return []
     space = subs[0].ambient
@@ -452,25 +443,31 @@ def point_owners(subspaces) -> dict[int, int]:
     return owner
 
 
-def plane_line_codes(space: ProjSpace) -> list[list[int]]:
+def plane_lines(space: ProjSpace) -> list[list[int]]:
     """The lines of the plane `space` = PG(2, Q), one per dual point d in
-    `_normalized_vectors` order: the point codes of the line d.x = 0, in
-    `Subspace.point_codes` order.
+    `_normalized_vectors` order: the positions of the points of the line
+    d.x = 0 in `_normalized_vectors(field, 3)` order (the order of
+    `ProjSpace.points`), listed in `Subspace.point_codes` order.  Raises
+    ValueError, before enumerating anything, over POINT_ENUM_CAP points.
 
     With r the last nonzero coordinate of d, the line is the graph of
     x_r = -(1/d_r) sum_{j < r} d_j x_j, so its RREF rows are e_j - (d_j/d_r) e_r
     for j != r, with pivots j: column r is free, and d_j = 0 for j > r.
     """
+    space._check_enumerable()
     field = space.field
+    vectors = _normalized_vectors(field, 3)
     lines = []
-    for d in _normalized_vectors(field, 3):
+    for d in vectors:
         r = 2 if d[2] else 1 if d[1] else 0
         s = field.neg(field.inv(d[r]))
         pivots = tuple(j for j in range(3) if j != r)
         rows = tuple(tuple(1 if c == j else field.mul(s, d[j]) if c == r else 0
                            for c in range(3)) for j in pivots)
         lines.append(Subspace(space, rows, pivots))
-    return point_codes_of(lines)
+    position = {space.encode(v): i for i, v in enumerate(vectors)}
+    flat = [position[c] for c in _codes_of(lines)]
+    return [flat[j::len(lines)] for j in range(len(lines))]
 
 
 def span(parts) -> Subspace:
@@ -494,15 +491,7 @@ def dual(a: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product."""
     if a.rank == 0:
         return a.ambient.whole()
-    ker = kernel(a.ambient.field, a.rows, a.ambient.dim + 1)
-    return Subspace(a.ambient, ker, _pivots_of(ker))
-
-
-def _pivots_of(rows: tuple[Vec, ...]) -> tuple[int, ...]:
-    pivots = []
-    for row in rows:
-        pivots.append(next(j for j, x in enumerate(row) if x))
-    return tuple(pivots)
+    return Subspace(a.ambient, *kernel(a.ambient.field, a.rows, a.ambient.dim + 1))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:

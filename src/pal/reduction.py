@@ -71,22 +71,18 @@ class ReductionMap:
         return sub
 
     def invert_point(self, sub: Subspace) -> Point | None:
-        """The source point whose reduction is sub, or None."""
+        """The source point whose reduction is sub, or None.
+
+        The rational points of the reduction of p are the expansions of the
+        nonzero multiples of p, so when sub is a reduced point its first
+        row compresses to a multiple of that point; the row is nonzero and
+        compression a bijection, so it normalizes.  sub is a reduced point
+        exactly when that candidate reduces to it.
+        """
         if sub.ambient != self.target or sub.rank != self.tower.n:
             return None
-        top = self.tower.top
-        first = self.compress_vec(sub.rows[0])
-        if not any(first):
-            return None
-        p = normalize_point(top, first)
-        for row in sub.rows[1:]:
-            w = self.compress_vec(row)
-            if not any(w) or normalize_point(top, w) != p:
-                return None
-        pt = Point(self.source, p)
-        if self.reduce_point(pt) != sub:
-            return None
-        return pt
+        pt = Point(self.source, normalize_point(self.tower.top, self.compress_vec(sub.rows[0])))
+        return pt if self.reduce_point(pt) == sub else None
 
     def reduce_arc(self, arc: PlaneArc) -> PseudoArc:
         """Pseudo-arc of the reduced points, tagged regular-by-construction.

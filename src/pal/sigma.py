@@ -32,7 +32,7 @@ from .fields import FieldTower, field_make
 from .planearcs import PlaneArc, make_arc
 from .projective import (Chart, ProjSpace, Subspace, Vec, _normalized_vectors,
                          dual, kernel, mat_inv, mat_mul, meet, normalize_point,
-                         plane_line_codes, rank, span, vec_mat)
+                         plane_lines, rank, span, vec_mat)
 from .pseudoarcs import PseudoArc
 from .reduction import (ReductionMap, _orbit_sums, extend_subspace, frobenius_subspace,
                         rationalize_subspace)
@@ -133,7 +133,7 @@ def _eigen_lines(spread: Spread, tower: FieldTower, label: str,
     # right kernel of transpose(gen) - mu*I is the row eigenspace
     rows_t = [tuple(top.sub(gen_ext[i][j], mu if i == j else 0) for i in range(n))
               for j in range(n)]
-    ker = kernel(top, rows_t, n)
+    ker, _ = kernel(top, rows_t, n)
     if len(ker) != 1:
         raise AssertionError("eigenspace is not one-dimensional")
     avec = ker[0]
@@ -286,11 +286,8 @@ def plane_model(scaffold: SigmaScaffold) -> PlaneModel:
     sigma = generated_spread(scaffold)
     elems = sigma.elements
     plane = ProjSpace(2, scaffold.tower.top)
-    position = {plane.encode(c): i
-                for i, c in enumerate(_normalized_vectors(plane.field, 3))}
     model = []
-    for codes in plane_line_codes(plane):
-        members = [position[c] for c in codes]
+    for members in plane_lines(plane):
         line = span([elems[members[0]], elems[members[1]]])
         if line.rank != 2 * scaffold.tower.n:
             raise AssertionError("two elements of sigma do not span a (2n-1)-space")
@@ -437,7 +434,7 @@ def _recover(arc, ext, lines, scaffold):
         points = []
         theta1 = scaffold.planes[0]
         for idx, line in enumerate(lines):
-            coeff = kernel(top, line.rows, 3)
+            coeff, _ = kernel(top, line.rows, 3)
             points.append(normalize_point(top, coeff[0]))
             # frame witness: the dual of the rational span of the conjugate
             # model lines is the original arc element

@@ -70,7 +70,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .projective import (Chart, ProjSpace, QuotientMap, Subspace, _codes_of,
-                         _normalized_vectors, _packed, _packed_echelon, _pivots_of, _unpacked,
+                         _normalized_vectors, _packed, _packed_echelon, _unpacked,
                          dual, kernel, mat_inv, mat_mul, meet, rank, reduce_mod, rref, span,
                          vec_mat)
 from .pseudoarcs import PseudoArc, extend_to_hyperoval, nucleus, tangent_spaces
@@ -463,7 +463,7 @@ def spread_field(spread: Spread):
     # powers and flats are still those of X and independent, so the relations
     # sum c_k X^k = 0 (Cayley-Hamilton gives one) are one line, with c_n != 0
     x_n = tuple(x for r in mat_mul(fld, powers[-1], gen) for x in r)
-    relation, = kernel(fld, list(zip(*flats, x_n)), n + 1)
+    (relation,), _ = kernel(fld, list(zip(*flats, x_n)), n + 1)
     minpoly = [fld.mul(fld.inv(relation[-1]), c) for c in relation]
     return a, c, g, mats, gen, minpoly
 
@@ -645,7 +645,7 @@ def _dual_spread(arc: PseudoArc, betas, i: int) -> Spread:
     for j, e in enumerate(arc.elements):
         if j != i:
             ker = kernel(fld, mat_mul(fld, e.rows, columns), beta.rank)
-            elements.append(Subspace(space, ker, _pivots_of(ker)))
+            elements.append(Subspace(space, *ker))
     return verified_spread(
         Spread(space, tuple(elements), carrier=beta, origin=f"gamma[{i}]"), f"Gamma_{i}")
 

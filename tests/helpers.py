@@ -2,7 +2,8 @@
 subspace, the pencil of lines through a point, Frobenius orbits, reduced
 lines, field reduction of an arc by the sweep in PG(3n-1, q) (the oracle of
 `ReductionMap.reduce_arc`), the plane-arc writer, the elements of a dual
-arc's spreads, a switch to the per-entry kernel, and the regulus frame by
+arc's spreads, a switch to the per-entry kernel, the point codes of a batch
+of subspaces one list each, and the regulus frame by
 the inverse of [A; C] with the reguli and transversals built on it (the
 oracle of the aligned frame in `spreads`), each built on pal's own
 operations."""
@@ -11,8 +12,8 @@ from __future__ import annotations
 
 from pal.io import SCHEMA, field_to_json
 from pal.planearcs import PlaneArc
-from pal.projective import (Chart, Point, ProjSpace, Subspace, _normalized_vectors, kernel,
-                            mat_inv, mat_mul, reduce_mod, span, vec_mat)
+from pal.projective import (Chart, Point, ProjSpace, Subspace, _codes_of, _normalized_vectors,
+                            kernel, mat_inv, mat_mul, reduce_mod, span, vec_mat)
 from pal.pseudoarcs import PseudoArc, make_pseudo_arc
 from pal.spreads import Regulus
 
@@ -38,8 +39,8 @@ def empty(space: ProjSpace) -> Subspace:
 def lines_through_point(p: Point) -> list[Subspace]:
     """The pencil of Q+1 lines through p, via the dual line's points."""
     space = p.ambient
-    duals = kernel(space.field, [p.coords], 3)
-    return [space.subspace(kernel(space.field, [vec_mat(space.field, c, duals)], 3))
+    duals, _ = kernel(space.field, [p.coords], 3)
+    return [space.subspace(kernel(space.field, [vec_mat(space.field, c, duals)], 3)[0])
             for c in _normalized_vectors(space.field, 2)]
 
 
@@ -89,8 +90,15 @@ def per_entry_kernel(field, monkeypatch) -> None:
     """Send `field` down the per-entry kernel until the test ends: no byte
     tables, and its row operations built again without them."""
     assert field.row_ops  # cached first, so that monkeypatch restores it
-    monkeypatch.setattr(field, "mul_table", lambda: None)
+    monkeypatch.setattr(field, "mul_bytes", lambda: None)
     monkeypatch.delitem(vars(field), "row_ops")
+
+
+def codes_by_subspace(subs) -> list[list[int]]:
+    """The point codes of each of the equal-rank subspaces `subs` of one
+    space, in `point_vectors` order: the stride slices of `_codes_of`."""
+    flat = _codes_of(subs)
+    return [flat[j::len(subs)] for j in range(len(subs))]
 
 
 def graph_map(fld, m_inv, rows, n: int):

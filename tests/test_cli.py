@@ -65,7 +65,9 @@ def test_construct_rejects_bad_translation(tmp_path):
     (["construct", "--q", "4", "--n", "0"], "construct needs q >= 2 and n >= 1, got q=4, n=0"),
     (["construct", "--q", "0", "--n", "2"], "construct needs q >= 2 and n >= 1, got q=0, n=2"),
     (["design", "--pg2-lines", "0"], "unsupported field order 0"),
-], ids=["n=-1", "n=0", "q=0", "pg2-lines=0"])
+    (["design", "--pg2-lines", "4096"],
+     "PG(2, 4096) has 16781313 points, over the enumeration cap"),
+], ids=["n=-1", "n=0", "q=0", "pg2-lines=0", "pg2-lines=4096"])
 def test_bad_orders_exit_2_with_one_line(tmp_path, capsys, args, message):
     """q**n = 0.25 used to reach gf and end in a traceback, q = 0 to print
     "negative shift count", and --pg2-lines 0 to read as no design source."""
@@ -388,7 +390,7 @@ def decoded_pg2_lines_design(q):
     index = {p.coords: i for i, p in enumerate(pts)}
     lines = []
     for coeff in [p.coords for p in pts]:
-        line = space.subspace(kernel(space.field, [coeff], 3))
+        line = space.subspace(kernel(space.field, [coeff], 3)[0])
         lines.append(frozenset(index[x.coords] for x in line.points()))
     return lines_design(range(len(pts)), sorted(set(lines), key=sorted))
 

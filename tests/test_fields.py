@@ -148,7 +148,7 @@ def test_expand_compress_roundtrip():
                                              (3, 3), (2, 6))]
     # GF(4) < GF(16) over x^4 + x^3 + 1, not the default top modulus
     towers.append(FieldTower(field_make(2), field_make(4, 0b11001)))
-    assert towers[5].top.mul_table() is None  # GF(512): no multiplication table
+    assert towers[5].top.mul_bytes() is None  # GF(512): no multiplication table
     for t in towers:
         n = t.n
         for v in t.top.elements():

@@ -14,11 +14,11 @@ from pal import (ProjSpace, QuotientMap, Spread, derive_spread_from_element,
                  tangent_spaces, verify_spread)
 from pal.fields import DEFAULT_MODULUS, TABLE_MAX_DEGREE, FiniteField
 from pal.projective import (Chart, _normalized_vectors, _packed_echelon, _point_codes,
-                            kernel, mat_inv, mat_mul, plane_line_codes, point_codes_of,
-                            rank, reduce_mod, row_columns, rref, vec_mat)
+                            kernel, mat_inv, mat_mul, plane_lines, rank, reduce_mod,
+                            row_columns, rref, vec_mat)
 from pal.spreads import SpreadReport
 
-from helpers import contains, empty, per_entry_kernel
+from helpers import codes_by_subspace, contains, empty, per_entry_kernel
 
 F2 = gf(2)
 F4 = gf(4)
@@ -270,7 +270,7 @@ def _random_matrices(field, rnd, count=60):
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_kernel_table_and_per_entry_paths_agree(field, monkeypatch):
-    assert (field.mul_table() is not None) == (field.p == 2
+    assert (field.mul_bytes() is not None) == (field.p == 2
                                                 and field.m <= TABLE_MAX_DEGREE)
     rnd = random.Random(field.order)
     cases = _random_matrices(field, rnd)
@@ -295,8 +295,8 @@ def test_kernel_table_and_per_entry_paths_agree(field, monkeypatch):
 
 def test_kernel_builds_row_ops_once_per_field(monkeypatch):
     field = FiniteField(2, 3)
-    table, calls = field.mul_table, []
-    monkeypatch.setattr(field, "mul_table", lambda: calls.append(1) or table())
+    table, calls = field.mul_bytes, []
+    monkeypatch.setattr(field, "mul_bytes", lambda: calls.append(1) or table())
     rows = [(1, 2, 3), (4, 5, 6)]
     rr, pivots = rref(field, rows)
     for _ in range(3):
@@ -357,9 +357,9 @@ def test_point_codes_of_matches_encode_at_every_width(m):
                 break
             subs = [_rank_exactly(space, rnd, r) for _ in range(5)]
             coeffs = _normalized_vectors(field, r)
-            assert point_codes_of(subs) == [
+            assert codes_by_subspace(subs) == [
                 [space.encode(vec_mat(field, c, s.rows)) for c in coeffs] for s in subs]
-    assert point_codes_of([]) == []
+    assert codes_by_subspace([]) == []
 
 
 def test_point_codes_of_lays_chunks_out_in_host_byte_order(monkeypatch):
@@ -368,18 +368,10 @@ def test_point_codes_of_lays_chunks_out_in_host_byte_order(monkeypatch):
     space = ProjSpace(5, F4)
     rnd = random.Random(3)
     subs = [_rank_exactly(space, rnd, 3) for _ in range(4)]
-    codes = point_codes_of(subs)
+    codes = codes_by_subspace(subs)
     swapped = [[int.from_bytes(c.to_bytes(8, "big"), "little") for c in cs] for cs in codes]
     monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
-    assert point_codes_of(subs) == swapped
-
-
-def test_point_codes_of_refuses_mixed_batches():
-    rnd = random.Random(4)
-    with pytest.raises(ValueError, match="^ambient spaces differ$"):
-        point_codes_of([_rank_exactly(PG34, rnd, 2), _rank_exactly(ProjSpace(3, gf(8)), rnd, 2)])
-    with pytest.raises(ValueError, match="^subspaces of mixed rank$"):
-        point_codes_of([_rank_exactly(PG34, rnd, 2), _rank_exactly(PG34, rnd, 1)])
+    assert codes_by_subspace(subs) == swapped
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
@@ -439,7 +431,7 @@ def test_packed_echelon_matches_rref(field):
 @pytest.mark.parametrize("m", range(1, TABLE_MAX_DEGREE + 1))
 def test_packed_codes_match_point_codes_of(m):
     """`_point_codes` on the packed rows, sliced per subspace, is
-    `point_codes_of` on the subspaces, for points of 3, 4, 6 and 9 bytes
+    `codes_by_subspace` on the subspaces, for points of 3, 4, 6 and 9 bytes
     (PG(8, q) reads its chunks one by one); on unreduced echelon rows it
     lists the same points once each."""
     field = FiniteField(2, m)
@@ -451,7 +443,7 @@ def test_packed_codes_match_point_codes_of(m):
             if (field.order ** r - 1) // (field.order - 1) > 1100:
                 break
             subs = [_rank_exactly(space, rnd, r) for _ in range(5)]
-            codes = point_codes_of(subs)
+            codes = codes_by_subspace(subs)
             flat = _point_codes(space, [_pack(s.rows) for s in subs])
             assert [flat[j::5] for j in range(5)] == codes
             # a basis in echelon form that is not reduced: add later rows to earlier ones
@@ -467,7 +459,7 @@ def test_packed_codes_match_point_codes_of(m):
 def test_image_codes_match_images(field, monkeypatch):
     """`image_codes` on a batch's columns gives the first image of another
     rank and the points of the images before it, each image's points a
-    stride slice of the flat list, as `images` and `point_codes_of` do;
+    stride slice of the flat list, as `images` and `codes_by_subspace` do;
     fields without byte tables build no packed rows."""
     packed = []
     batch = QuotientMap._packed_images
@@ -490,16 +482,18 @@ def test_image_codes_match_images(field, monkeypatch):
         assert got_bad == bad
         good = len(subs) if bad is None else bad
         assert [sorted(codes[j::good]) for j in range(good)] == [
-            sorted(c) for c in point_codes_of(images[:bad])]
+            sorted(c) for c in codes_by_subspace(images[:bad])]
     assert packed == ([True, False] * 10 if field.mul_bytes() else [])
 
 
 @pytest.mark.parametrize("order", [2, 4, 5, 16])
-def test_plane_line_codes_are_the_kernel_lines(order):
-    """The lines of PG(2, Q), one per dual point, are the kernel lines."""
+def test_plane_lines_are_the_kernel_lines(order):
+    """The lines of PG(2, Q), one per dual point, are the kernel lines, their
+    points by position in `ProjSpace.points` in `point_codes` order."""
     space = ProjSpace(2, gf(order))
-    assert plane_line_codes(space) == [
-        space.subspace(kernel(space.field, [d], 3)).point_codes()
+    position = {space.encode(p.coords): i for i, p in enumerate(space.points())}
+    assert plane_lines(space) == [
+        [position[c] for c in space.subspace(kernel(space.field, [d], 3)[0]).point_codes()]
         for d in _normalized_vectors(space.field, 3)]
 
 

@@ -98,6 +98,32 @@ def test_invert_point(rmap42, conic_oval):
     assert rmap42.invert_point(stray) is None
 
 
+@pytest.mark.parametrize("q,n", [(4, 2), (2, 3)])
+def test_invert_point_inverts_every_reduced_point(q, n):
+    rm = reduction_map(q, n)
+    for p in rm.source.points():
+        assert rm.invert_point(rm.reduce_point(p)) == p
+
+
+def test_invert_point_is_none_exactly_off_the_reduced_points(rmap42, moved_oval):
+    """Moved oval elements, random lines, a plane and a line of another
+    ambient: None exactly when the subspace is no reduced point."""
+    reduced = {rmap42.reduce_point(p) for p in rmap42.source.points()}
+    target = rmap42.target
+    rnd = random.Random(35)
+    subs = list(moved_oval.elements)
+    while len(subs) < len(moved_oval.elements) + 50:
+        sub = target.subspace([tuple(rnd.randrange(4) for _ in range(6)) for _ in range(2)])
+        if sub.rank == 2:
+            subs.append(sub)
+    subs.append(target.subspace([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]))
+    subs.append(ProjSpace(5, gf(8)).subspace([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]))
+    for sub in subs:
+        pt = rmap42.invert_point(sub)
+        assert (pt is None) == (sub not in reduced)
+        assert pt is None or rmap42.reduce_point(pt) == sub
+
+
 def test_desarguesian_spread_q4():
     spread = desarguesian_spread(4, 2)
     assert len(spread.elements) == 17

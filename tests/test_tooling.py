@@ -1,7 +1,7 @@
 """Tooling checks: the benchmark's tracer still finds every pal function it
 wraps, a round of each benchmark workload passes its own checks without
-repeating work, and no pal module keeps an unused import or an unused
-private function."""
+repeating work, no pal module keeps an unused import or an unused private
+function, and no public pal name serves only the tests."""
 
 from __future__ import annotations
 
@@ -200,5 +200,34 @@ def test_no_unused_private_functions():
                     and node.name.startswith("_") and not node.name.startswith("__")):
                 defined[node.name] = f"{path.name}:{node.lineno}"
                 own[node.name] += sum(name == node.name for name in _names(node))
+    unused = [f"{where}: {name}" for name, where in defined.items() if used[name] == own[name]]
+    assert not unused, unused
+
+
+def test_no_test_only_public_names():
+    """Every public module-level function or class of pal that pal/__init__.py
+    does not export is referenced in pal or bench/ outside its own definition
+    (bench/tracer.py names its wrap targets in strings).  A name only the
+    tests read belongs in tests/helpers.py."""
+    init = ast.parse((ROOT / "src" / "pal" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined = {}
+    used = Counter()
+    own = Counter()
+    for path in sorted((ROOT / "src" / "pal").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used.update(_names(tree))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in exported):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+                own[node.name] += sum(name == node.name for name in _names(node))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used.update(_names(tree))
+        used.update(part for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    for part in node.value.split("."))
     unused = [f"{where}: {name}" for name, where in defined.items() if used[name] == own[name]]
     assert not unused, unused
